@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .kclass import InvariantViolationError, KClass, chi, degree, twist
-from .picard import DivisorClass, Surface, canonical_class, intersect
+from .picard import DivisorClass, Surface, canonical_class
 
 DIVISION = "division"
 RECOIL = "recoil"
@@ -74,9 +74,9 @@ class Block:
 def validate_block(members: Sequence[KClass]) -> Block:
     """Check the block axioms and wrap the members.
 
-    Requires: nonempty, one surface, every member exceptional, equal ranks,
-    equal degrees, mutual orthogonality (chi zero both ways), and for every
-    pair the difference c1_i - c1_j a root (square -2, orthogonal to K).
+    Requires: nonempty, one surface, every member exceptional with the
+    sheaf parity 2*ch2 == c1.K (mod 2), equal ranks, equal degrees, and
+    mutual orthogonality.
     """
     members = tuple(members)
     if not members:
@@ -84,23 +84,25 @@ def validate_block(members: Sequence[KClass]) -> Block:
     surface = members[0].surface
     if any(m.surface != surface for m in members[1:]):
         raise BlockError("block members live on different surfaces")
-    for m in members:
+    degrees = [degree(m) for m in members]
+    for m, d in zip(members, degrees):
+        member = f"block member (rank {m.rank}, c1 {m.c1}, 2ch2 {m.ch2x2})"
         if not m.is_exceptional:
-            raise BlockError(
-                f"block member (rank {m.rank}, c1 {m.c1}, 2ch2 {m.ch2x2}) is not exceptional"
-            )
+            raise BlockError(f"{member} is not exceptional")
+        if (m.ch2x2 - d) % 2:
+            raise BlockError(f"{member} breaks the sheaf parity 2*ch2 == c1.K (mod 2)")
     if len({m.rank for m in members}) > 1:
         raise BlockError("block members must share a common rank")
-    if len({degree(m) for m in members}) > 1:
+    if len(set(degrees)) > 1:
         raise BlockError("block members must share a common degree")
-    k = canonical_class(surface)
+    # For exceptional a, b of equal rank r and degree, chi(a,b) - chi(b,a) =
+    # r*(d_b - d_a) = 0 and 2*chi(a,b) = 2 + (c1_a - c1_b)^2 (rank 0 too), so
+    # chi(a,b) = 0 makes chi(b,a) vanish and c1_a - c1_b a root: its square
+    # is -2, and the equal degrees make it orthogonal to K.
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            if chi(a, b) != 0 or chi(b, a) != 0:
+            if chi(a, b) != 0:
                 raise BlockError("block members must be mutually orthogonal")
-            c = a.c1 - b.c1
-            if intersect(c, c) != -2 or intersect(c, k) != 0:
-                raise BlockError("block member c1 differences must be roots")
     return Block(members)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import inf
@@ -52,13 +51,19 @@ def collection_to_doc(c: BlockCollection, provenance: dict | None = None) -> dic
     return doc
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def collection_from_doc(doc) -> BlockCollection:
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    try:
-        surface = Surface.from_name(doc["surface"])
-    except KeyError:
-        raise ValueError("document lacks a 'surface' field") from None
+    if "surface" not in doc:
+        raise ValueError("document lacks a 'surface' field")
+    if not isinstance(doc["surface"], str):
+        raise ValueError("surface must be a string")
+    surface = Surface.from_name(doc["surface"])
     raw_blocks = doc.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise ValueError("document needs a nonempty 'blocks' list")
@@ -74,9 +79,9 @@ def collection_from_doc(doc) -> BlockCollection:
                 rank, c1, ch2x2 = item["rank"], item["c1"], item["ch2x2"]
             except KeyError as missing:
                 raise ValueError(f"class lacks field {missing}") from None
-            if not isinstance(rank, int) or not isinstance(ch2x2, int):
+            if not _is_int(rank) or not _is_int(ch2x2):
                 raise ValueError("rank and ch2x2 must be integers")
-            if not isinstance(c1, list) or not all(isinstance(x, int) for x in c1):
+            if not isinstance(c1, list) or not all(_is_int(x) for x in c1):
                 raise ValueError("c1 must be a list of integers")
             members.append(
                 KClass(surface, rank, DivisorClass(surface, tuple(c1)), ch2x2)
@@ -360,29 +365,10 @@ def cmd_disjoint_sets(args) -> int:
 # Parser plumbing.
 
 
-def _thread_count(args) -> int:
-    value = args.threads
-    if value is None:
-        value = os.environ.get("TRIBLOCK_THREADS", "1")
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"thread count must be a positive integer, got {value!r}") from None
-    if n < 1:
-        raise ValueError(f"thread count must be a positive integer, got {n}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triblock",
         description="Exact arithmetic for three-block exceptional collections.",
-    )
-    parser.add_argument(
-        "--threads",
-        default=None,
-        help="worker cap for heavy searches (also TRIBLOCK_THREADS); "
-        "results never depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -446,7 +432,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_count(args)
         return args.func(args)
     except InvariantViolationError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

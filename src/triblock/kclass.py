@@ -3,8 +3,9 @@
 A class is the triple (rank, c1, 2*ch2) of Chern characters; the doubled
 second character keeps every computation in plain integers.  Classes of
 genuine sheaves satisfy the parity 2*ch2 == c1.K (mod 2), which makes the
-Euler pairing below integral; :func:`chi` checks that parity on the fly and
-treats a violation as an internal bug rather than bad user input.
+Euler pairing below integral.  Block validation rejects a class breaking
+that parity as bad input; :func:`chi` keeps its own parity check as an
+internal invariant, whose failure means a bug rather than bad input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .picard import DivisorClass, Surface, canonical_class, intersect
+from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect
 
 HOM = "hom"
 EXT = "ext"
@@ -35,13 +36,11 @@ class KClass:
 
     def __post_init__(self) -> None:
         if self.c1.surface != self.surface:
-            raise ValueError("c1 lives on a different surface")
+            raise LatticeMismatchError("c1 lives on a different surface")
 
     def __add__(self, other: "KClass") -> "KClass":
         if not isinstance(other, KClass):
             return NotImplemented
-        if other.surface != self.surface:
-            raise ValueError("cannot add classes on different surfaces")
         return KClass(
             self.surface, self.rank + other.rank, self.c1 + other.c1, self.ch2x2 + other.ch2x2
         )
@@ -49,8 +48,6 @@ class KClass:
     def __sub__(self, other: "KClass") -> "KClass":
         if not isinstance(other, KClass):
             return NotImplemented
-        if other.surface != self.surface:
-            raise ValueError("cannot subtract classes on different surfaces")
         return KClass(
             self.surface, self.rank - other.rank, self.c1 - other.c1, self.ch2x2 - other.ch2x2
         )
@@ -88,8 +85,6 @@ def slope(e: KClass):
 
 def chi(e: KClass, f: KClass) -> int:
     """Euler pairing chi(E, F), by Riemann-Roch on the numerical invariants."""
-    if e.surface != f.surface:
-        raise ValueError("cannot pair classes on different surfaces")
     twice = (
         2 * e.rank * f.rank
         + (e.rank * degree(f) - f.rank * degree(e))
@@ -113,8 +108,6 @@ def chi_minus(e: KClass, f: KClass) -> int:
 
 def twist(e: KClass, d: DivisorClass) -> KClass:
     """The class of E tensored with the line bundle O(d)."""
-    if d.surface != e.surface:
-        raise ValueError("twisting divisor lives on a different surface")
     return KClass(
         e.surface,
         e.rank,
@@ -132,10 +125,8 @@ def torsion_class(surface: Surface, curve: DivisorClass, m: int) -> KClass:
 
     Normalized so that chi(O, O_C(m)) == m + 1.
     """
-    if curve.surface != surface:
-        raise ValueError("curve class lives on a different surface")
     k = canonical_class(surface)
-    if intersect(curve, curve) != -1 or intersect(curve, k) != -1:
+    if intersect(curve, k) != -1 or intersect(curve, curve) != -1:
         raise ValueError("not a minus-one curve class")
     return KClass(surface, 0, curve, 2 * m + 1)
 

@@ -204,11 +204,8 @@ def reduce_to_minimum(
     s = _require_solution(eq, s)
     path: list[tuple[SolutionTriple, str | None]] = []
     while True:
-        decreasing = [
-            (v, mutate_solution(eq, s, v))
-            for v in VARIABLES
-            if mutate_solution(eq, s, v).total < s.total
-        ]
+        mutations = [(v, mutate_solution(eq, s, v)) for v in VARIABLES]
+        decreasing = [(v, t) for v, t in mutations if t.total < s.total]
         if not decreasing:
             path.append((s, None))
             return path

@@ -10,6 +10,7 @@ f1^2 = f2^2 = 0 and f1.f2 = 1.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Iterator
 
@@ -152,8 +153,9 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int:
     return head - sum(x * y for x, y in zip(a.coords[1:], b.coords[1:]))
 
 
+@cache
 def canonical_class(surface: Surface) -> DivisorClass:
-    """The canonical class K in the fixed basis."""
+    """The canonical class K in the fixed basis, built once per surface."""
     if surface.kind == QUADRIC:
         return DivisorClass(surface, (-2, -2))
     return DivisorClass(surface, (-3,) + (1,) * surface.blowups)

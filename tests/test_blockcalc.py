@@ -4,6 +4,9 @@ Each mutation case below was worked out by hand on a small surface before
 being frozen here; the arithmetic fits on the back of an envelope.
 """
 
+import random
+from itertools import product
+
 import pytest
 
 from triblock.blockcalc import (
@@ -28,8 +31,23 @@ from triblock.blockcalc import (
     validate_collection,
 )
 from triblock import catalog
-from triblock.kclass import InvariantViolationError, KClass, chi, line_bundle, twist
-from triblock.picard import DivisorClass, Surface, canonical_class
+from triblock.kclass import (
+    InvariantViolationError,
+    KClass,
+    chi,
+    exceptional_class,
+    line_bundle,
+    torsion_class,
+    twist,
+)
+from triblock.picard import (
+    MINUS_ONE,
+    DivisorClass,
+    Surface,
+    canonical_class,
+    enumerate_classes,
+    intersect,
+)
 
 P2 = Surface.plane(0)
 
@@ -63,6 +81,63 @@ def test_validate_block_rejections():
         validate_block([lb(P2, 1), KClass(P2, 2, DivisorClass(P2, (1,)), -1)])
     with pytest.raises(BlockError, match="mutually orthogonal"):
         validate_block([lb(P2, 0), lb(P2, 0)])
+    # rank 0 exceptionality only sees c1^2 == -1; c1.K == -1 needs odd 2*ch2
+    for ch2x2 in (0, 2):
+        with pytest.raises(BlockError, match="parity"):
+            validate_block([KClass(x1, 0, DivisorClass.basis(x1, 1), ch2x2)])
+
+
+def _dropped_block_checks_hold(a, b) -> bool:
+    # The oracle: the reverse pairing and the root test on the c1 difference,
+    # which validate_block no longer makes, follow from chi(a, b) == 0.
+    if chi(a, b) != 0:
+        return False
+    d = a.c1 - b.c1
+    assert chi(b, a) == 0
+    assert intersect(d, d) == -2
+    assert intersect(d, canonical_class(a.surface)) == 0
+    return True
+
+
+def test_block_orthogonality_implies_dropped_checks_on_catalog():
+    for label in catalog.labels():
+        for solution in range(catalog.ENTRIES[label].solution_count):
+            for block in catalog.build(label, solution).blocks:
+                for a, b in product(block.members, repeat=2):
+                    if a is not b:
+                        assert _dropped_block_checks_hold(a, b)
+
+
+def test_block_orthogonality_implies_dropped_checks_on_random_pairs():
+    rng = random.Random(1997)
+    surfaces = [Surface.plane(r) for r in range(1, 9)] + [Surface.quadric()]
+    curves = {s: enumerate_classes(s, MINUS_ONE) for s in surfaces}
+    pairs = orthogonal = 0
+    while pairs < 1500:
+        s = rng.choice(surfaces)
+        rank = rng.randint(0, 4)
+        if rank == 0:
+            if not curves[s]:
+                continue  # the quadric has no minus-one curves
+            ca, cb = rng.choice(curves[s]), rng.choice(curves[s])
+            a = torsion_class(s, ca, rng.randint(-2, 2))
+            b = torsion_class(s, cb, rng.randint(-2, 2))
+        else:
+            ca = DivisorClass(s, tuple(rng.randint(-4, 4) for _ in range(s.picard_rank)))
+            # c1_b - c1_a orthogonal to K keeps the degree equal
+            t = DivisorClass(s, tuple(rng.randint(-1, 1) for _ in range(s.picard_rank)))
+            if intersect(t, canonical_class(s)) != 0:
+                continue
+            try:
+                a = exceptional_class(s, rank, ca)
+                b = exceptional_class(s, rank, ca + t)
+            except ValueError:
+                continue
+        pairs += 1
+        assert chi(a, b) == chi(b, a)
+        assert 2 * chi(a, b) == 2 + intersect(a.c1 - b.c1, a.c1 - b.c1)
+        orthogonal += _dropped_block_checks_hold(a, b)
+    assert orthogonal >= 300
 
 
 def test_validate_collection_semiorthogonality():

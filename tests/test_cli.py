@@ -7,7 +7,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from triblock import catalog, cli
+from triblock import blockcalc, catalog, cli
+from triblock.kclass import InvariantViolationError
 
 
 def run(capsys, *argv):
@@ -232,6 +233,46 @@ def test_verify_rejects_malformed_documents(capsys, tmp_path):
     assert rc == 2
     assert "integers" in out
 
+    # JSON booleans load as Python ints; none may stand in for an integer.
+    for member in (
+        {"rank": True, "c1": [0, 0], "ch2x2": 0},
+        {"rank": 1, "c1": [0, 0], "ch2x2": False},
+        {"rank": 1, "c1": [True, 0], "ch2x2": 0},
+    ):
+        bad.write_text(
+            json.dumps({"surface": "X1", "blocks": [[member]]}), encoding="utf-8"
+        )
+        rc, out, _ = run(capsys, "verify", str(bad))
+        assert rc == 2
+        assert out.startswith("FAIL:") and "integers" in out
+
+    bad.write_text(json.dumps({"surface": 3, "blocks": [[]]}), encoding="utf-8")
+    rc, out, _ = run(capsys, "verify", str(bad))
+    assert rc == 2
+    assert out.startswith("FAIL: surface must be a string")
+
+
+def test_parity_violation_is_bad_input(capsys, tmp_path):
+    # A rank-0 member with 2*ch2 even on a curve with c1.K odd is exceptional
+    # but breaks the sheaf parity; it is bad input, never an internal error.
+    bad = tmp_path / "parity.json"
+    for ch2x2 in (0, 2):
+        parity = {
+            "surface": "X1",
+            "blocks": [
+                [{"rank": 1, "c1": [0, 0], "ch2x2": 0}],
+                [{"rank": 0, "c1": [0, 1], "ch2x2": ch2x2}],
+            ],
+        }
+        bad.write_text(json.dumps(parity), encoding="utf-8")
+        rc, out, _ = run(capsys, "verify", str(bad))
+        assert rc == 2
+        assert out.startswith("FAIL:") and "parity" in out
+        rc, out, err = run(capsys, "mutate", str(bad), "R1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "parity" in err
+
 
 def test_verify_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
@@ -239,20 +280,16 @@ def test_verify_missing_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_parity_violation_is_exit_three(capsys, tmp_path):
-    # rank 0 with even 2*ch2 passes the pointwise checks but poisons the
-    # Euler pairing, which only the deep invariant check can see
-    doc = {
-        "surface": "X1",
-        "blocks": [
-            [{"rank": 1, "c1": [0, 0], "ch2x2": 0}],
-            [{"rank": 0, "c1": [0, 1], "ch2x2": 2}],
-        ],
-    }
-    path = tmp_path / "poison.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    rc, _, err = run(capsys, "verify", str(path))
+def test_internal_invariant_is_exit_three(capsys, monkeypatch, tmp_path):
+    path = write_catalog_doc(capsys, tmp_path, "x3")
+
+    def broken(c, word):
+        raise InvariantViolationError("mutation produced an invalid collection")
+
+    monkeypatch.setattr(blockcalc, "apply_word", broken)
+    rc, out, err = run(capsys, "mutate", str(path), "R1")
     assert rc == 3
+    assert out == ""
     assert err.startswith("internal invariant violated:")
 
 
@@ -347,23 +384,6 @@ def test_orbits_recursion_checks(capsys):
     assert x82["solution_classes"] * x82["binom"] == (
         x82["smaller_classes"] * x82["disjoint_sets"]
     )
-
-
-def test_thread_count_validation(capsys, monkeypatch):
-    rc, _, err = run(capsys, "--threads", "0", "equations")
-    assert rc == 2
-    assert "thread count" in err
-    rc, _, err = run(capsys, "--threads", "soon", "equations")
-    assert rc == 2
-    monkeypatch.setenv("TRIBLOCK_THREADS", "not-a-number")
-    rc, _, err = run(capsys, "equations")
-    assert rc == 2
-    monkeypatch.setenv("TRIBLOCK_THREADS", "4")
-    rc, _, _ = run(capsys, "equations")
-    assert rc == 0
-    monkeypatch.delenv("TRIBLOCK_THREADS")
-    rc, _, _ = run(capsys, "--threads", "2", "equations")
-    assert rc == 0
 
 
 def test_pipe_catalog_into_verify(capsys, monkeypatch):
