@@ -406,15 +406,13 @@ def labels() -> tuple[str, ...]:
 
 def _merge_distinguished(c: BlockCollection) -> BlockCollection:
     # Exactly one adjacent pair must be mutually orthogonal; gluing it is
-    # what turns the four braid blocks into the final three.
+    # what turns the four braid blocks into the final three.  c is valid, so
+    # chi(later, earlier) already vanishes and only chi(earlier, later) is
+    # left to test.
     mergeable = []
     for i in range(len(c.blocks) - 1):
         a, b = c.blocks[i], c.blocks[i + 1]
-        if all(
-            chi(x, y) == 0 and chi(y, x) == 0
-            for x in a.members
-            for y in b.members
-        ):
+        if all(chi(x, y) == 0 for x in a.members for y in b.members):
             mergeable.append(i)
     if len(mergeable) != 1:
         raise InvariantViolationError(
@@ -432,6 +430,12 @@ def _merge_distinguished(c: BlockCollection) -> BlockCollection:
         raise InvariantViolationError(f"merged collection is invalid: {exc}") from exc
 
 
+def _entry(label: str) -> CatalogEntry:
+    if label not in ENTRIES:
+        raise ValueError(f"unknown catalog label {label!r}; known: {', '.join(ENTRIES)}")
+    return ENTRIES[label]
+
+
 @lru_cache(maxsize=None)
 def build(label: str, solution: int = 0) -> BlockCollection:
     """Construct the cataloged collection for the equation label.
@@ -439,9 +443,7 @@ def build(label: str, solution: int = 0) -> BlockCollection:
     ``solution`` selects among the cataloged minimal solutions when the
     equation has more than one (a second braid word is applied on top).
     """
-    if label not in ENTRIES:
-        raise ValueError(f"unknown catalog label {label!r}; known: {', '.join(ENTRIES)}")
-    entry = ENTRIES[label]
+    entry = _entry(label)
     if not 0 <= solution < entry.solution_count:
         raise ValueError(
             f"{label} has {entry.solution_count} cataloged solution(s); "
@@ -470,7 +472,7 @@ def _block_signature(b: Block) -> frozenset:
 
 def verify_entry(label: str) -> list[CatalogCheck]:
     """Re-run the construction and compare with the stored expected data."""
-    entry = ENTRIES[label]
+    entry = _entry(label)
     checks: list[CatalogCheck] = []
     try:
         c = build(label)
@@ -486,7 +488,8 @@ def verify_entry(label: str) -> list[CatalogCheck]:
 
     triple = block_rank_triple(c)
     solves = check_solution(eq, triple)
-    minimal = triple in minimum_solutions(eq)
+    minima = minimum_solutions(eq)
+    minimal = triple in minima
     checks.append(
         CatalogCheck("ranks solve equation", solves and minimal, f"ranks {triple}")
     )
@@ -526,7 +529,7 @@ def verify_entry(label: str) -> list[CatalogCheck]:
         ok2 = (
             triple2 == entry.extra_ranks
             and check_solution(eq, triple2)
-            and triple2 in minimum_solutions(eq)
+            and triple2 in minima
             and blockcalc.is_complete(c2)
         )
         checks.append(

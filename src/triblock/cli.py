@@ -91,7 +91,11 @@ def collection_from_doc(doc) -> BlockCollection:
 
 
 def _read_doc(path: str) -> BlockCollection:
-    raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -279,7 +283,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    rows = [weyl.orbit_row(args.label)] if args.label else list(weyl.orbit_table())
+    rows = [weyl.orbit_row(args.label)] if args.label is not None else list(weyl.orbit_table())
     payload = {
         "rows": [
             {

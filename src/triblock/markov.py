@@ -11,12 +11,15 @@ Solution mutation follows the usual Markov trick: fixing two coordinates,
 the equation is quadratic in the third, and the mutation swaps its two
 roots.  Every positive solution reduces to a minimum by a chain of strictly
 sum-decreasing mutations, unique at every step.
+
+Each public function checks the solution it is given once.  Internally every
+mutation goes through :func:`_flip`, which trusts its input and checks the
+solution it produces; a failure there is an internal invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Iterable, NamedTuple
 
@@ -131,27 +134,33 @@ def _require_solution(eq: MarkovEquation, s) -> SolutionTriple:
     return s
 
 
-def mutate_solution(eq: MarkovEquation, s, var: str) -> SolutionTriple:
-    """Swap s for the other root of the equation viewed as quadratic in var."""
-    s = _require_solution(eq, s)
-    i = VARIABLES.index(var) if var in VARIABLES else -1
-    if i < 0:
-        raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")
-    others = [s[j] for j in range(3) if j != i]
-    weight = eq.type_vector[i]
-    new = Fraction(eq.coeff * others[0] * others[1], weight) - s[i]
-    if new.denominator != 1:
+def _flip(eq: MarkovEquation, s: SolutionTriple, i: int) -> SolutionTriple:
+    """The other root in coordinate i of the solution s, which is trusted.
+
+    By Vieta the two roots sum to coeff * s_j * s_k / weight_i.
+    """
+    others = s.x * s.y * s.z // s[i]
+    roots, remainder = divmod(eq.coeff * others, eq.type_vector[i])
+    if remainder:
         raise InvariantViolationError(
-            f"mutation of {s} in {var} is not integral for {eq.label}"
+            f"mutation of {s} in {VARIABLES[i]} is not integral for {eq.label}"
         )
     out = list(s)
-    out[i] = int(new)
+    out[i] = roots - s[i]
     result = SolutionTriple(*out)
     if not check_solution(eq, result):
         raise InvariantViolationError(
-            f"mutation of {s} in {var} left the solution set of {eq.label}"
+            f"mutation of {s} in {VARIABLES[i]} left the solution set of {eq.label}"
         )
     return result
+
+
+def mutate_solution(eq: MarkovEquation, s, var: str) -> SolutionTriple:
+    """Swap s for the other root of the equation viewed as quadratic in var."""
+    s = _require_solution(eq, s)
+    if var not in VARIABLES:
+        raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")
+    return _flip(eq, s, VARIABLES.index(var))
 
 
 def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTriple, ...]:
@@ -183,7 +192,7 @@ def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTri
 def is_minimum(eq: MarkovEquation, s) -> bool:
     """Whether no mutation strictly decreases the coordinate sum."""
     s = _require_solution(eq, s)
-    return all(mutate_solution(eq, s, v).total >= s.total for v in VARIABLES)
+    return all(_flip(eq, s, i).total >= s.total for i in range(3))
 
 
 def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
@@ -204,7 +213,7 @@ def reduce_to_minimum(
     s = _require_solution(eq, s)
     path: list[tuple[SolutionTriple, str | None]] = []
     while True:
-        mutations = [(v, mutate_solution(eq, s, v)) for v in VARIABLES]
+        mutations = [(v, _flip(eq, s, i)) for i, v in enumerate(VARIABLES)]
         decreasing = [(v, t) for v, t in mutations if t.total < s.total]
         if not decreasing:
             path.append((s, None))
@@ -282,22 +291,24 @@ def build_solution_graph(eq: MarkovEquation, sum_bound: int) -> SolutionGraph:
     node_set = set(nodes)
     edges = set()
     loops = set()
+    minima = []
     for s in nodes:
-        for v in VARIABLES:
-            t = mutate_solution(eq, s, v)
+        flips = [_flip(eq, s, i) for i in range(3)]
+        for v, t in zip(VARIABLES, flips):
             if t == s:
                 loops.add((s, v))
             elif t in node_set:
                 a, b = sorted((s, t), key=lambda u: (u.total,) + tuple(u))
                 edges.add((a, b, v))
-    minima = tuple(s for s in nodes if is_minimum(eq, s))
+        if all(t.total >= s.total for t in flips):
+            minima.append(s)
     return SolutionGraph(
         eq,
         sum_bound,
         nodes,
         tuple(sorted(edges, key=lambda e: ((e[0].total,) + tuple(e[0]), (e[1].total,) + tuple(e[1]), e[2]))),
         tuple(sorted(loops, key=lambda l: (tuple(l[0]), l[1]))),
-        minima,
+        tuple(minima),
     )
 
 

@@ -230,19 +230,90 @@ def test_parse_move():
             parse_move(bad)
 
 
+def _int_det(rows) -> int:
+    # Bareiss fraction-free elimination; exact over the integers.
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _coordinate_rows(members):
+    return [(m.rank,) + m.c1.coords + (m.ch2x2,) for m in members]
+
+
+def _complete_by_determinant(c) -> bool:
+    # The sheaf classes span an index-two sublattice of the (rank, c1,
+    # 2*ch2) vectors, so a basis of it has coordinate determinant +-2.
+    if len(c.members) != c.surface.k0_rank:
+        return False
+    return abs(_int_det(_coordinate_rows(c.members))) == 2
+
+
 def test_is_complete():
     assert is_complete(catalog.tau0())
     assert is_complete(catalog.quadric_standard())
-    # replace the last line bundle by a too-positive one: the classes no
-    # longer span the lattice over the integers
-    tampered = BlockCollection(
-        (
-            Block((lb(P2, -1),)),
-            Block((lb(P2, 0),)),
-            Block((lb(P2, 2),)),
-        )
-    )
-    assert not is_complete(tampered)
+    # replace the last line bundle by a too-positive one: chi(O(2), O(-1)) = 1
+    # breaks semiorthogonality, and the classes span a sublattice of index 3
+    tampered = [[lb(P2, -1)], [lb(P2, 0)], [lb(P2, 2)]]
+    with pytest.raises(BlockError, match="not semiorthogonal"):
+        validate_collection(tampered)
+    assert abs(_int_det(_coordinate_rows(m for b in tampered for m in b))) == 6
+
+
+def _all_builds():
+    return [
+        catalog.build(label, solution)
+        for label in catalog.labels()
+        for solution in range(catalog.ENTRIES[label].solution_count)
+    ]
+
+
+def test_is_complete_matches_determinant_oracle():
+    moves = ("L1", "L2", "R1", "R2")
+    words = [()] + [(a,) for a in moves] + [(a, b) for a in moves for b in moves]
+    builds = _all_builds()
+    assert len(builds) == 16
+    for c in builds:
+        for word in words:
+            moved = apply_word(c, word)
+            assert is_complete(moved) is _complete_by_determinant(moved) is True
+            for dropped in range(len(moved.blocks)):
+                rest = moved.blocks[:dropped] + moved.blocks[dropped + 1 :]
+                sub = validate_collection(rest)
+                assert is_complete(sub) is _complete_by_determinant(sub) is False
+
+
+def test_euler_form_is_unimodular_on_the_parity_lattice():
+    # Basis of the classes obeying 2*ch2 == c1.K (mod 2): (1, 0, 0),
+    # (0, e_i, e_i.K) and (0, 0, 2).  is_complete relies on det = +-1.
+    surfaces = [Surface.plane(r) for r in range(9)] + [Surface.quadric()]
+    for surface in surfaces:
+        k = canonical_class(surface)
+        zero = DivisorClass.zero(surface)
+        basis = [KClass(surface, 1, zero, 0)]
+        for i in range(surface.picard_rank):
+            e = DivisorClass.basis(surface, i)
+            basis.append(KClass(surface, 0, e, intersect(e, k)))
+        basis.append(KClass(surface, 0, zero, 2))
+        assert len(basis) == surface.k0_rank
+        gram = [[chi(a, b) for b in basis] for a in basis]
+        assert abs(_int_det(gram)) == 1, surface
 
 
 def test_dual_basis_kronecker():

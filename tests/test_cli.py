@@ -1,8 +1,10 @@
 """End-to-end command line tests driven through ``cli.main``."""
 
+import gc
 import io
 import json
 import unittest
+import warnings
 from contextlib import redirect_stdout
 
 import pytest
@@ -165,6 +167,13 @@ def test_catalog_unknown_label(capsys):
     assert "unknown catalog label" in err
 
 
+def test_catalog_verify_unknown_label(capsys):
+    rc, out, err = run(capsys, "catalog", "x2", "--verify")
+    assert rc == 2
+    assert out == ""
+    assert "unknown catalog label 'x2'" in err
+
+
 def test_catalog_solution_out_of_range(capsys):
     rc, _, err = run(capsys, "catalog", "p2", "--solution", "1")
     assert rc == 2
@@ -186,6 +195,16 @@ def test_verify_catalog_document(capsys, tmp_path):
     assert "ok: complete" in out
     assert "ok: ranks solve equation  (x6.2: ranks (2,1,1))" in out
     assert "ok: abc relations" in out
+
+
+def test_verify_closes_the_document(capsys, tmp_path):
+    path = write_catalog_doc(capsys, tmp_path, "p2")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, _ = run(capsys, "verify", str(path))
+        gc.collect()
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_verify_from_stdin(capsys, monkeypatch):

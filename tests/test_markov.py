@@ -6,6 +6,8 @@ a brute-force sweep; the small ones are easy to confirm by hand.
 
 import pytest
 
+from triblock import markov
+from triblock.kclass import InvariantViolationError
 from triblock.markov import (
     EQUATIONS,
     GroupWitness,
@@ -160,6 +162,46 @@ def test_mutation_rejects_bad_input():
         mutate_solution(p2, (1, 2, 2), "x")
     with pytest.raises(ValueError):
         mutate_solution(p2, (1, 1, 1), "w")
+
+
+def test_flip_checks_what_it_produces():
+    # _flip trusts its input, so a non-solution going in shows up as a
+    # broken invariant on the way out.
+    with pytest.raises(InvariantViolationError, match="not integral"):
+        markov._flip(equation_by_label("x8.2"), SolutionTriple(1, 1, 1), 2)
+    with pytest.raises(InvariantViolationError, match="left the solution set"):
+        markov._flip(equation_by_label("x8.4"), SolutionTriple(1, 1, 1), 1)
+
+
+def test_internal_steps_validate_input_once(monkeypatch):
+    checked = []
+    require = markov._require_solution
+    public_is_minimum = markov.is_minimum
+
+    def counting_require(eq, s):
+        checked.append(s)
+        return require(eq, s)
+
+    def forbidden(*args):
+        raise AssertionError("an internal step went through a public function")
+
+    monkeypatch.setattr(markov, "_require_solution", counting_require)
+    monkeypatch.setattr(markov, "mutate_solution", forbidden)
+    p2 = equation_by_label("p2")
+    assert public_is_minimum(p2, (1, 1, 1))
+    assert not public_is_minimum(p2, (2, 5, 29))
+    assert len(checked) == 2
+    monkeypatch.setattr(markov, "is_minimum", forbidden)
+    checked.clear()
+    assert len(reduce_to_minimum(p2, (2, 5, 29))) == 4
+    assert len(checked) == 1
+    checked.clear()
+    graphs = [build_solution_graph(eq, 150) for eq in EQUATIONS]
+    assert checked == []
+    for eq, graph in zip(EQUATIONS, graphs):
+        assert graph.minima == tuple(
+            s for s in graph.nodes if public_is_minimum(eq, s)
+        )
 
 
 def test_solution_counts():
