@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from . import blockcalc, catalog, markov, weyl
@@ -369,7 +370,13 @@ def cmd_disjoint_sets(args) -> int:
 # Parser plumbing.
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing keeps no state in the parser: every parse starts from a fresh
+    namespace filled with the declared defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="triblock",
         description="Exact arithmetic for three-block exceptional collections.",

@@ -4,19 +4,23 @@ The integral automorphisms of the Picard lattice fixing K are generated by
 reflections in roots; on a plane with r >= 3 blowups the simple choices are
 the permutation roots l_i - l_{i+1} and the one non-permutation root
 l0 - l1 - l2 - l3, on the quadric the swap of the two rulings.  The group
-is enormous for large r, so nothing here ever enumerates it; orbits of
-collections are closed over by breadth-first search instead.
+is enormous for large r, so nothing here ever enumerates it: its order
+comes from the Dynkin type of the simple roots, and the orbit of a
+collection up to twist is counted by orbit-stabiliser, with the stabiliser
+read off a dominant-chamber reduction.
 
-Collections are counted up to twist: the search state is the tuple of all
-member c1 coordinates, members sorted inside each block, twisted so that
-the first coordinate vector of the first positive-rank block lies in the
+normal_form gives a canonical twist representative of a collection: the
+tuple of all member c1 coordinates, members sorted inside each block,
+twisted so that the first coordinate vector of the first block lies in the
 fundamental box [0, rank) coordinatewise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul
+from typing import Sequence
 
 from . import catalog
 from .blockcalc import Block, BlockCollection, block_rank_triple, equivalent_up_to_twist
@@ -126,7 +130,7 @@ def divisor_orbit(surface: Surface, start: DivisorClass) -> frozenset:
 
 
 def _structure(c: BlockCollection):
-    # The state below keeps (rank, c1) only; that determines 2*ch2 for
+    # Orbit states keep (rank, c1) only; that determines 2*ch2 for
     # exceptional classes of nonzero rank but not for torsion members, so
     # those are refused rather than silently conflated.
     ranks = tuple(m.rank for m in c.members)
@@ -157,31 +161,6 @@ def _normalize(chunks: list, slices, pivot_start: int, pivot_rank: int, ranks) -
     return tuple(chunks)
 
 
-def _fast_generators(surface: Surface):
-    """Coordinate-level actions of the simple reflections."""
-    gens = []
-    if surface.kind == "quadric":
-        gens.append(lambda ch: (ch[1], ch[0]))
-        return gens
-    r = surface.blowups
-    if r >= 3:
-
-        def cremona(ch):
-            t = ch[0] + ch[1] + ch[2] + ch[3]
-            return (ch[0] + t, ch[1] - t, ch[2] - t, ch[3] - t) + ch[4:]
-
-        gens.append(cremona)
-    for i in range(1, r):
-
-        def swap(ch, i=i):
-            out = list(ch)
-            out[i], out[i + 1] = out[i + 1], out[i]
-            return tuple(out)
-
-        gens.append(swap)
-    return gens
-
-
 def normal_form(c: BlockCollection):
     """Canonical twist representative: (ranks, sizes, sorted c1 table)."""
     ranks, slices, pivot_start, pivot_rank = _structure(c)
@@ -190,37 +169,165 @@ def normal_form(c: BlockCollection):
     return (ranks, c.type_vector, state)
 
 
-def orbit_count(c: BlockCollection) -> int:
-    """Number of twist classes in the Weyl closure of the collection."""
-    ranks, slices, pivot_start, pivot_rank = _structure(c)
-    gens = _fast_generators(c.surface)
-    start = _normalize(
-        [m.c1.coords for m in c.members], slices, pivot_start, pivot_rank, ranks
-    )
-    if not gens:
-        return 1
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for state in frontier:
-            for g in gens:
-                image = _normalize(
-                    [g(ch) for ch in state], slices, pivot_start, pivot_rank, ranks
+# Orders of the exceptional Weyl groups (Manin, Cubic Forms, Ch. IV).
+_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
+
+
+def coxeter_order(roots: Sequence[DivisorClass]) -> int:
+    """Order of the reflection group generated by a system of simple roots.
+
+    The Coxeter graph joins two roots with intersection 1; distinct simple
+    roots meet in 0 or 1 and have square -2.  Each connected component must
+    be of type A_n, D_n or E_6/7/8, as every subgraph of the E_8 diagram
+    is; its group has order (n+1)!, 2^(n-1)*n! or the tabulated E order,
+    and the whole group is their product.
+    """
+    links = []
+    for i, a in enumerate(roots):
+        products = [intersect(a, b) for b in roots]
+        if products[i] != -2 or any(p not in (0, 1) for j, p in enumerate(products) if j != i):
+            raise ValueError("coxeter_order requires a system of simple roots")
+        links.append({j for j, p in enumerate(products) if p == 1})
+    order, unseen = 1, set(range(len(roots)))
+    while unseen:
+        stack = [unseen.pop()]
+        component = set(stack)
+        while stack:
+            fresh = links[stack.pop()] - component
+            component |= fresh
+            stack.extend(fresh)
+        unseen -= component
+        order *= _component_order(component, links)
+    return order
+
+
+def _component_order(component: set, links: list) -> int:
+    size = len(component)
+    hubs = [i for i in component if len(links[i]) > 2]
+    if sum(len(links[i]) for i in component) == 2 * (size - 1):  # a tree
+        if not hubs:
+            return factorial(size + 1)  # A_n
+        if len(hubs) == 1 and len(links[hubs[0]]) == 3:
+            arms = sorted(_arm_length(hubs[0], j, links) for j in links[hubs[0]])
+            if arms[:2] == [1, 1]:
+                return 2 ** (size - 1) * factorial(size)  # D_n
+            if arms[:2] == [1, 2] and size in _E_ORDERS:
+                return _E_ORDERS[size]
+    raise ValueError(f"Coxeter graph on {size} roots is not of type A, D or E")
+
+
+def _arm_length(hub: int, start: int, links: list) -> int:
+    previous, node, length = hub, start, 1
+    while len(links[node]) == 2:
+        (nxt,) = links[node] - {previous}
+        previous, node, length = node, nxt, length + 1
+    return length
+
+
+def _reflection(a: DivisorClass) -> tuple:
+    """The root's coordinates and the coefficients of x -> x.a on coordinates."""
+    n = len(a.coords)
+    return a.coords, tuple(intersect(DivisorClass.basis(a.surface, j), a) for j in range(n))
+
+
+def _reflect(x: tuple, reflection: tuple) -> tuple:
+    """The reflection x -> x + (x.a) a on coordinate tuples."""
+    a, covector = reflection
+    p = sum(map(mul, x, covector))
+    return tuple(xi + p * ai for xi, ai in zip(x, a)) if p else x
+
+
+def _twist_invariants(c: BlockCollection, ranks) -> list:
+    # v_i = (s0*L/r_i)*c1_i - (L/r0)*sum(c1 over block 0) is linear, commutes
+    # with the Weyl group and is unchanged by c1_i -> c1_i + r_i*D.  Equal
+    # v-tuples force c1_i/r_i to differ by one rational D with every r_i*D
+    # integral, which makes D integral exactly when the ranks have gcd 1.
+    g = gcd(*ranks)
+    if g != 1:
+        raise ValueError(f"orbit counting requires ranks with gcd 1, got gcd {g} of {ranks}")
+    lcm_ = lcm(*ranks)
+    head = c.blocks[0]
+    base = (lcm_ // head.rank) * head.class_sum().c1
+    return [((head.size * lcm_ // r) * m.c1 - base).coords for m, r in zip(c.members, ranks)]
+
+
+def _stabiliser_roots(vectors: list, roots: tuple) -> tuple:
+    # Steinberg (Humphreys, Reflection Groups and Coxeter Groups, 1.12): the
+    # stabiliser in W_J of a J-dominant vector is generated by the simple
+    # reflections in J that fix it.  Moving each vector in turn, after the
+    # reflections that moved the vectors before it, into the dominant
+    # chamber of the current W_J shrinks J to simple roots generating the
+    # stabiliser of the whole tuple.
+    chain = [(a, _reflection(a)) for a in roots]
+    word = []
+    for v in vectors:
+        if not chain:
+            break
+        for step in word:
+            v = _reflect(v, step)
+        moved = True
+        while moved:
+            moved = False
+            for _, step in chain:
+                if sum(map(mul, v, step[1])) > 0:
+                    v = _reflect(v, step)
+                    word.append(step)
+                    moved = True
+        chain = [(a, step) for a, step in chain if not sum(map(mul, v, step[1]))]
+    return tuple(a for a, _ in chain)
+
+
+def _check_transpositions(c: BlockCollection, vectors: list) -> None:
+    # Inside a block c1_i - c1_j is a root (see validate_block), and the
+    # pairing of any other member with block members is constant across the
+    # block by semiorthogonality, so the reflection in that root swaps
+    # members i and j and twists the rest: it realises the transposition.
+    members = c.members
+    start = 0
+    for b in c.blocks:
+        for i in range(start, start + b.size - 1):
+            step = _reflection(members[i].c1 - members[i + 1].c1)
+            image = [_reflect(v, step) for v in vectors]
+            swapped = vectors[:i] + [vectors[i + 1], vectors[i]] + vectors[i + 2 :]
+            if image != swapped:
+                raise InvariantViolationError(
+                    f"the reflection in c1 of member {i} minus c1 of member {i + 1} "
+                    "does not swap them up to twist"
                 )
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-    return len(seen)
+        start += b.size
+
+
+def orbit_count(c: BlockCollection) -> int:
+    """Number of twist classes in the Weyl closure of the collection.
+
+    Members count unordered inside each block.  By orbit-stabiliser this is
+    |W| / (|W_J| * prod(s_b!)): W_J is the stabiliser of the ordered
+    collection up to twist, found by a dominant-chamber reduction of
+    twist-invariant vectors, and every in-block permutation is realised by
+    reflections, which is checked transposition by transposition.  The
+    ranks must be nonzero with gcd 1.
+    """
+    ranks = _structure(c)[0]
+    vectors = _twist_invariants(c, ranks)
+    roots = simple_roots(c.surface)
+    stabiliser = _stabiliser_roots(vectors, roots)
+    _check_transpositions(c, vectors)
+    order = coxeter_order(roots)
+    denominator = coxeter_order(stabiliser) * prod(factorial(s) for s in c.type_vector)
+    if order % denominator:
+        raise InvariantViolationError(
+            f"|W| = {order} is not divisible by the stabiliser order {denominator}"
+        )
+    return order // denominator
 
 
 # ---------------------------------------------------------------------------
 # The orbit table.
 
 # Number of twist classes inside one Weyl closure that present the same
-# underlying collection; shipped as data, with the two nontrivial entries
-# independently witnessed by verify_c below.
+# underlying collection; shipped as data.  Six entries are nontrivial (x4,
+# x5, x6.1, x7.1, x7.2 and x8.4); only x5 and x6.1 have an independent
+# witness, verify_c below.
 C_VALUES = {
     "p2": 1,
     "quadric": 1,

@@ -141,6 +141,17 @@ def test_catalog_second_solution(capsys):
     assert cli.collection_from_doc(doc) == catalog.build("x4", 1)
 
 
+def test_parser_is_shared_and_defaults_do_not_leak(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run_json(capsys, "catalog", "x4", "--solution", "1")
+    again = run_json(capsys, "catalog", "x4")
+    assert (first["provenance"]["solution"], again["provenance"]["solution"]) == (1, 0)
+    run_json(capsys, "orbits", "--label", "x4", "--json")
+    rc, out, _ = run(capsys, "orbits", "--label", "x4")
+    assert rc == 0
+    assert out.splitlines()[0].split() == ["label", "N", "C", "orbits"]
+
+
 def test_catalog_verify_single(capsys):
     rc, out, _ = run(capsys, "catalog", "x5", "--verify")
     assert rc == 0

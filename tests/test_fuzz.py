@@ -8,11 +8,8 @@ invariants, so any input the fuzzer can produce must give 0 or 2.
 """
 
 import copy
-import functools
 import json
 import random
-
-import pytest
 
 from triblock import catalog, cli
 
@@ -87,13 +84,6 @@ def _perturb(rng, doc, kind):
 
 def _word(rng):
     return [rng.choice(MOVES) for _ in range(rng.randint(1, 3))]
-
-
-@pytest.fixture(autouse=True)
-def _parser_built_once(monkeypatch):
-    # Building the argparse parser takes about 2 ms, more than most cases;
-    # it keeps no state between parses, so the fuzz builds it once.
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
 
 
 def _run(capsys, argv):

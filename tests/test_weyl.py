@@ -1,8 +1,9 @@
 """Lattice symmetries: reflections, orbit counting and the blowdown recursion.
 
-The orbit sizes frozen here double as the slow-path oracles: the fast
-normal-form walker must reproduce numbers that were originally produced by
-a plain breadth-first closure.
+orbit_count is a closed form; the breadth-first closure of the twist
+normal form under the simple reflections, which used to compute it, lives
+here as its oracle.  The Weyl group orders are checked against divisor
+orbits and (-1)-class counts, never against the code under test.
 """
 
 import random
@@ -11,8 +12,16 @@ from math import comb
 import pytest
 
 from triblock import catalog
-from triblock.blockcalc import apply_word, equivalent_up_to_twist, helix_shift
-from triblock.kclass import chi, line_bundle, torsion_class
+from triblock.blockcalc import (
+    Block,
+    BlockCollection,
+    apply_word,
+    equivalent_up_to_twist,
+    helix_shift,
+    validate_collection,
+)
+from triblock.kclass import InvariantViolationError, chi, line_bundle, torsion_class, twist
+from triblock.markov import EQUATIONS
 from triblock.picard import (
     MINUS_ONE,
     ROOT,
@@ -30,7 +39,11 @@ from triblock.weyl import (
     OrbitRow,
     apply_to_class,
     apply_to_collection,
+    _normalize,
+    _stabiliser_roots,
+    _structure,
     count_disjoint_sets,
+    coxeter_order,
     divisor_orbit,
     normal_form,
     orbit_count,
@@ -41,8 +54,8 @@ from triblock.weyl import (
     verify_c,
 )
 
-# label -> (N solution classes, C repetition, N/C orbits); the two slowest
-# rows (x8.3, x8.4) are exercised by the acceptance suite instead
+# label -> (N solution classes, C repetition, N/C orbits); the x8.3 and
+# x8.4 rows are frozen in the acceptance suite
 ORBIT_ROWS = {
     "p2": (1, 1, 1),
     "quadric": (1, 1, 1),
@@ -57,6 +70,64 @@ ORBIT_ROWS = {
     "x8.1": (1920, 1, 1920),
     "x8.2": (8640, 1, 8640),
 }
+
+
+def _fast_generators(surface: Surface):
+    """Coordinate-level actions of the simple reflections."""
+    gens = []
+    if surface.kind == "quadric":
+        gens.append(lambda ch: (ch[1], ch[0]))
+        return gens
+    r = surface.blowups
+    if r >= 3:
+
+        def cremona(ch):
+            t = ch[0] + ch[1] + ch[2] + ch[3]
+            return (ch[0] + t, ch[1] - t, ch[2] - t, ch[3] - t) + ch[4:]
+
+        gens.append(cremona)
+    for i in range(1, r):
+
+        def swap(ch, i=i):
+            out = list(ch)
+            out[i], out[i + 1] = out[i + 1], out[i]
+            return tuple(out)
+
+        gens.append(swap)
+    return gens
+
+
+def bfs_orbit_count(c) -> int:
+    """Oracle: twist classes in the Weyl closure, by breadth-first search."""
+    ranks, slices, pivot_start, pivot_rank = _structure(c)
+    gens = _fast_generators(c.surface)
+    start = _normalize(
+        [m.c1.coords for m in c.members], slices, pivot_start, pivot_rank, ranks
+    )
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for state in frontier:
+            for g in gens:
+                image = _normalize(
+                    [g(ch) for ch in state], slices, pivot_start, pivot_rank, ranks
+                )
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return len(seen)
+
+
+def _regular_class(s: Surface) -> DivisorClass:
+    """A class off every root hyperplane, so its Weyl orbit has |W| elements."""
+    if s.kind == "quadric":
+        d = DivisorClass(s, (1, 0))
+    else:
+        d = DivisorClass(s, (0,) + tuple(2**i for i in range(s.blowups)))
+    assert all(intersect(d, a) for a in enumerate_classes(s, ROOT))
+    return d
 
 
 def test_simple_root_counts():
@@ -162,8 +233,6 @@ def test_equivariance_with_mutation():
 
 
 def test_normal_form_is_twist_invariant():
-    from triblock.blockcalc import BlockCollection
-
     c = catalog.build("x4")
     d = DivisorClass(c.surface, (3, -1, 0, 2, -2))
     twisted = BlockCollection(tuple(b.twisted(d) for b in c.blocks))
@@ -183,8 +252,6 @@ def test_normal_form_agrees_with_pairwise_twist_test():
 
 
 def test_orbit_machinery_requires_nonzero_ranks():
-    from triblock.blockcalc import validate_collection
-
     x1 = Surface.plane(1)
     c = validate_collection(
         [
@@ -196,6 +263,115 @@ def test_orbit_machinery_requires_nonzero_ranks():
         orbit_count(c)
     with pytest.raises(ValueError, match="nonzero rank"):
         normal_form(c)
+
+
+def test_weyl_group_orders_from_regular_orbits():
+    surfaces = [Surface.quadric()] + [Surface.plane(r) for r in range(6)]
+    expected = {}
+    for s in surfaces:
+        expected[s] = len(divisor_orbit(s, _regular_class(s)))
+        assert coxeter_order(simple_roots(s)) == expected[s]
+    assert [expected[Surface.plane(r)] for r in range(6)] == [1, 1, 2, 12, 120, 1920]
+    assert expected[Surface.quadric()] == 2
+
+
+def test_weyl_group_orders_by_blowdown_recursion():
+    # W(E_r) is transitive on the (-1)-classes of X_r and the stabiliser of
+    # l_r is W(E_{r-1}); the start, |W(D_5)| = 1920, is the regular orbit above.
+    order = len(divisor_orbit(Surface.plane(5), _regular_class(Surface.plane(5))))
+    for r in (6, 7, 8):
+        s = Surface.plane(r)
+        order *= len(enumerate_classes(s, MINUS_ONE))
+        assert coxeter_order(simple_roots(s)) == order
+    assert order == 696729600
+
+
+def test_coxeter_order_rejects_non_simple_systems():
+    x5 = Surface.plane(5)
+    a0, a1, a2, a3, a4 = simple_roots(x5)
+    assert coxeter_order((a0, a2, a3, a4)) == 192  # D_4
+    assert coxeter_order((a1, a4)) == 4
+    assert coxeter_order(()) == 1
+    with pytest.raises(ValueError, match="simple roots"):
+        coxeter_order((a1, -1 * a1))
+    with pytest.raises(ValueError, match="simple roots"):
+        coxeter_order((DivisorClass.basis(x5, 1),))
+    # the extended D_4 diagram: a3 joined to a0, a2, a4 and minus the highest root
+    minus_theta = DivisorClass(x5, (-1, 1, 0, 0, 1, 1))
+    with pytest.raises(ValueError, match="not of type A, D or E"):
+        coxeter_order((a0, a2, a3, a4, minus_theta))
+
+
+def _tuple_orbit_size(s: Surface, classes) -> int:
+    """Oracle: size of the Weyl orbit of a tuple of classes, by closure."""
+    gens = simple_reflections(s)
+    seen = {tuple(d.coords for d in classes)}
+    frontier = [tuple(classes)]
+    while frontier:
+        new = []
+        for t in frontier:
+            for g in gens:
+                image = tuple(g.apply(d) for d in t)
+                key = tuple(d.coords for d in image)
+                if key not in seen:
+                    seen.add(key)
+                    new.append(image)
+        frontier = new
+    return len(seen)
+
+
+def test_stabiliser_chain_matches_orbit_closures():
+    cases = []
+    for r, kind in ((4, ROOT), (6, MINUS_ONE), (7, ROOT), (8, MINUS_ONE)):
+        s = Surface.plane(r)
+        cases += [(s, (d,)) for d in enumerate_classes(s, kind)[:3]]
+    for r in (5, 6):
+        s = Surface.plane(r)
+        classes = enumerate_classes(s, MINUS_ONE)
+        cases += [(s, (classes[0], d)) for d in classes[:4]]
+    for s, classes in cases:
+        roots = simple_roots(s)
+        stabiliser = _stabiliser_roots([d.coords for d in classes], roots)
+        assert coxeter_order(roots) // coxeter_order(stabiliser) == _tuple_orbit_size(s, classes)
+    x6 = Surface.plane(6)
+    assert _stabiliser_roots([DivisorClass.zero(x6).coords], simple_roots(x6)) == simple_roots(x6)
+
+
+ORACLE_LABELS = tuple(eq.label for eq in EQUATIONS if eq.surface.blowups <= 7)
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_orbit_count_matches_bfs_oracle(label):
+    for solution in range(catalog.ENTRIES[label].solution_count):
+        c = catalog.build(label, solution)
+        images = [c] + [apply_word(c, w) for w in (("R1",), ("L2", "R1"), ("R2", "R2", "L1"))]
+        d = DivisorClass(c.surface, tuple(range(1, c.surface.picard_rank + 1)))
+        images.append(BlockCollection(tuple(b.twisted(d) for b in c.blocks)))
+        images += [apply_to_collection(g, c) for g in simple_reflections(c.surface)[-1:]]
+        for image in images:
+            assert orbit_count(image) == bfs_orbit_count(image)
+
+
+def test_orbit_count_requires_coprime_ranks():
+    x71 = catalog.build("x7.1")
+    pair = validate_collection([b.members for b in x71.blocks[:2]])
+    assert pair.ranks == (2, 2)
+    with pytest.raises(ValueError, match="gcd 2"):
+        orbit_count(pair)
+    # the rank-1 block restores gcd 1
+    tail = validate_collection([b.members for b in x71.blocks[1:]])
+    assert orbit_count(tail) == bfs_orbit_count(tail)
+
+
+def test_orbit_count_checks_realised_transpositions():
+    # In a valid block the reflection in a c1 difference swaps the two
+    # members; an unvalidated block with one member twisted away does not.
+    c = catalog.build("x5")
+    first, second = c.blocks[0].members
+    moved = twist(second, DivisorClass.basis(c.surface, 1))
+    forged = BlockCollection((Block((first, moved)),) + c.blocks[1:])
+    with pytest.raises(InvariantViolationError, match="does not swap"):
+        orbit_count(forged)
 
 
 def test_orbit_rows_frozen():
