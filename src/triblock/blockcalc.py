@@ -85,14 +85,14 @@ def validate_block(members: Sequence[KClass]) -> Block:
     if any(m.surface != surface for m in members[1:]):
         raise BlockError("block members live on different surfaces")
     degrees = [degree(m) for m in members]
-    for m, d in zip(members, degrees):
+    for n, (m, d) in enumerate(zip(members, degrees), 1):
         if not m.is_exceptional:
             problem = "is not exceptional"
         elif (m.ch2x2 - d) % 2:
             problem = "breaks the sheaf parity 2*ch2 == c1.K (mod 2)"
         else:
             continue
-        raise BlockError(f"block member (rank {m.rank}, c1 {m.c1}, 2ch2 {m.ch2x2}) {problem}")
+        raise BlockError(f"member {n} (rank {m.rank}, c1 {m.c1}, 2ch2 {m.ch2x2}) {problem}")
     if len({m.rank for m in members}) > 1:
         raise BlockError("block members must share a common rank")
     if len(set(degrees)) > 1:
@@ -102,9 +102,13 @@ def validate_block(members: Sequence[KClass]) -> Block:
     # chi(a,b) = 0 makes chi(b,a) vanish and c1_a - c1_b a root: its square
     # is -2, and the equal degrees make it orthogonal to K.
     for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if chi(a, b) != 0:
-                raise BlockError("block members must be mutually orthogonal")
+        for j in range(i + 1, len(members)):
+            value = chi(a, members[j])
+            if value:
+                raise BlockError(
+                    f"chi(member {i + 1}, member {j + 1}) = {value}; "
+                    "block members must be mutually orthogonal"
+                )
     return Block(members)
 
 
@@ -138,11 +142,15 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
     """Validate blocks and the ordered semiorthogonality between them.
 
     Accepts Block instances or plain sequences of classes.  Every Euler
-    pairing from a later block into an earlier one must vanish.
+    pairing from a later block into an earlier one must vanish.  A failure
+    names the offending block, or the offending pair of members (1-based).
     """
     wrapped = []
-    for b in blocks:
-        wrapped.append(validate_block(b.members if isinstance(b, Block) else b))
+    for n, b in enumerate(blocks, 1):
+        try:
+            wrapped.append(validate_block(b.members if isinstance(b, Block) else b))
+        except BlockError as exc:
+            raise BlockError(f"block {n}: {exc}") from None
     if not wrapped:
         raise BlockError("a collection must contain at least one block")
     surface = wrapped[0].surface
@@ -150,12 +158,13 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
         raise BlockError("blocks live on different surfaces")
     for i in range(len(wrapped)):
         for j in range(i + 1, len(wrapped)):
-            for later in wrapped[j].members:
-                for earlier in wrapped[i].members:
-                    if chi(later, earlier) != 0:
+            for q, later in enumerate(wrapped[j].members, 1):
+                for p, earlier in enumerate(wrapped[i].members, 1):
+                    value = chi(later, earlier)
+                    if value:
                         raise BlockError(
-                            f"chi(block {j + 1} member, block {i + 1} member) != 0; "
-                            "the collection is not semiorthogonal"
+                            f"chi(block {j + 1} member {q}, block {i + 1} member {p}) "
+                            f"= {value}; the collection is not semiorthogonal"
                         )
     return BlockCollection(tuple(wrapped))
 
@@ -290,11 +299,7 @@ def abc(c: BlockCollection) -> tuple[int, int, int]:
     e, f, g = c.blocks
     a_val = chi_block(f, g)
     c_val = chi_block(e, f)
-    k = canonical_class(c.surface)
-    b_set = {chi(twist(gm, k), em) for gm in g.members for em in e.members}
-    if len(b_set) > 1:
-        raise BlockError("the K-twisted pairing is not constant across the pair")
-    b_val = b_set.pop()
+    b_val = chi_block(g.twisted(canonical_class(c.surface)), e)
     if a_val <= 0 or b_val <= 0 or c_val <= 0:
         raise InvariantViolationError(
             f"cross pairings (a,b,c)=({a_val},{b_val},{c_val}) are not all positive"

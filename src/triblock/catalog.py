@@ -11,6 +11,11 @@ collection padded with the torsion block of the extra exceptional curves on
 the right (untwisted), or that torsion block on the left twisted by -1.
 Either way the seed is a valid four-block collection and the braid word
 turns it into a three-block one.
+
+Verification has one path.  :func:`checks` states the paper's claims about
+any valid collection and is exactly what ``triblock verify`` prints;
+:func:`verify_entry` is :func:`build`, then those checks, then the
+comparisons only the catalog can make against its stored data.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from functools import lru_cache
 from .blockcalc import (
     Block,
     BlockCollection,
+    BlockError,
     apply_word,
     block_rank_triple,
     validate_block,
@@ -78,7 +84,7 @@ def _twisted_by_line(c: BlockCollection, amount: int) -> BlockCollection:
 def _seed_pullback_plus_curves(base_label, r, first, last, m=0, line_twist=0):
     def seed() -> BlockCollection:
         surface = Surface.plane(r)
-        base = tau0() if base_label is None else build(base_label)
+        base = tau0() if base_label is None else build(base_label, 0)
         if line_twist:
             base = _twisted_by_line(base, line_twist)
         blocks = _pullback_blocks(base, surface)
@@ -91,7 +97,7 @@ def _seed_pullback_plus_curves(base_label, r, first, last, m=0, line_twist=0):
 def _seed_curves_plus_pullback(base_label, r, first, last, m=-1):
     def seed() -> BlockCollection:
         surface = Surface.plane(r)
-        base = tau0() if base_label is None else build(base_label)
+        base = tau0() if base_label is None else build(base_label, 0)
         blocks: list = [torsion_block(surface, first, last, m)]
         blocks.extend(_pullback_blocks(base, surface))
         return validate_collection(blocks)
@@ -426,7 +432,7 @@ def _merge_distinguished(c: BlockCollection) -> BlockCollection:
     )
     try:
         return validate_collection(blocks)
-    except Exception as exc:
+    except BlockError as exc:
         raise InvariantViolationError(f"merged collection is invalid: {exc}") from exc
 
 
@@ -436,12 +442,19 @@ def _entry(label: str) -> CatalogEntry:
     return ENTRIES[label]
 
 
+def _construct(entry: CatalogEntry, word: tuple[str, ...]) -> BlockCollection:
+    c = apply_word(entry.seed(), word)
+    return c if len(c.blocks) == 3 else _merge_distinguished(c)
+
+
 @lru_cache(maxsize=None)
 def build(label: str, solution: int = 0) -> BlockCollection:
     """Construct the cataloged collection for the equation label.
 
     ``solution`` selects among the cataloged minimal solutions when the
     equation has more than one (a second braid word is applied on top).
+    The cache keys on the call's shape, so internal callers all pass
+    ``build(label, solution)`` positionally.
     """
     entry = _entry(label)
     if not 0 <= solution < entry.solution_count:
@@ -449,90 +462,104 @@ def build(label: str, solution: int = 0) -> BlockCollection:
             f"{label} has {entry.solution_count} cataloged solution(s); "
             f"index {solution} is out of range"
         )
-    c = entry.seed()
-    if entry.word:
-        c = apply_word(c, entry.word)
-    if len(c.blocks) != 3:
-        c = _merge_distinguished(c)
+    c = _construct(entry, entry.word)
     if solution == 1:
         c = apply_word(c, entry.extra_word)
     return c
 
 
 @dataclass(frozen=True)
-class CatalogCheck:
+class Check:
+    """One verification record: the claim, whether it holds, and a detail."""
+
     name: str
     ok: bool
     detail: str = ""
 
 
-def _block_signature(b: Block) -> frozenset:
-    return frozenset((m.rank, m.c1.coords) for m in b.members)
+def checks(c: BlockCollection) -> list[Check]:
+    """The paper's claims about a valid block collection, one record each.
 
-
-def verify_entry(label: str) -> list[CatalogCheck]:
-    """Re-run the construction and compare with the stored expected data."""
-    entry = _entry(label)
-    checks: list[CatalogCheck] = []
-    try:
-        c = build(label)
-    except Exception as exc:  # pragma: no cover - a failed build fails everything
-        return [CatalogCheck("build", False, str(exc))]
-    checks.append(CatalogCheck("build", True, f"type {c.type_vector}, ranks {c.ranks}"))
-
+    c passed validation, so its blocks and semiorthogonality hold.  Then
+    completeness, and for three blocks the block slopes (listed), the rank
+    triple solving the equation of its type and, once complete, the
+    (a, b, c) relations.  The records are the same whoever asks.
+    """
     complete = blockcalc.is_complete(c)
-    checks.append(CatalogCheck("complete", complete))
+    out = [
+        Check("blocks and semiorthogonality", True, f"type {c.type_vector}"),
+        Check("complete", complete, f"{len(c.members)} classes, K0 rank {c.surface.k0_rank}"),
+    ]
+    if len(c.blocks) != 3:
+        return out
+    out.append(Check("block slopes", True, " < ".join(str(slope(b.members[0])) for b in c.blocks)))
+    try:
+        eq = equation_for(c.surface, c.type_vector)
+    except ValueError:
+        out.append(Check("ranks solve equation", False, "no matching equation"))
+    else:
+        triple = block_rank_triple(c)
+        out.append(
+            Check(
+                "ranks solve equation",
+                check_solution(eq, triple),
+                f"{eq.label}: ranks ({','.join(map(str, triple))})",
+            )
+        )
+    if complete:
+        try:
+            a, b, cc = blockcalc.abc(c)
+            out.append(Check("abc relations", True, f"(a,b,c)=({a},{b},{cc})"))
+        except InvariantViolationError as exc:
+            out.append(Check("abc relations", False, str(exc)))
+    return out
+
+
+def _block_signature(c: BlockCollection) -> tuple[frozenset, ...]:
+    return tuple(frozenset((m.rank, m.c1.coords) for m in b.members) for b in c.blocks)
+
+
+def verify_entry(label: str) -> list[Check]:
+    """Build the entry, run :func:`checks` on it, then compare with the
+    stored expected data: the equation, minimality of the rank triple, the
+    block classes and slopes, the alternate words and the second solution.
+    """
+    entry = _entry(label)
+    c = build(label, 0)
+    out = [Check("build", True, f"type {c.type_vector}, ranks {c.ranks}")]
+    out += checks(c)
 
     eq = equation_for(c.surface, c.type_vector)
-    checks.append(CatalogCheck("equation", eq.label == label, f"matched {eq.label}"))
-
-    triple = block_rank_triple(c)
-    solves = check_solution(eq, triple)
     minima = minimum_solutions(eq)
-    minimal = triple in minima
-    checks.append(
-        CatalogCheck("ranks solve equation", solves and minimal, f"ranks {triple}")
-    )
-
-    expected = entry.expected_blocks
-    got = tuple(_block_signature(b) for b in c.blocks)
-    checks.append(
-        CatalogCheck(
+    triple = block_rank_triple(c)
+    got = _block_signature(c)
+    out += [
+        Check("equation", eq.label == label, f"matched {eq.label}"),
+        Check("minimal solution", triple in minima, f"ranks {triple}"),
+        Check(
             "block classes",
-            got == expected,
-            "all members match" if got == expected else f"mismatch: {got}",
-        )
-    )
-
-    slopes_ok = all(
-        slope(c.blocks[i].members[0]) == mu for i, mu in entry.expected_slopes.items()
-    )
-    checks.append(CatalogCheck("slopes", slopes_ok))
-
-    try:
-        a, b, cc = blockcalc.abc(c)
-        checks.append(CatalogCheck("abc relations", True, f"(a,b,c)=({a},{b},{cc})"))
-    except Exception as exc:
-        checks.append(CatalogCheck("abc relations", False, str(exc)))
-
-    for j, word in enumerate(entry.alt_words):
-        alt = entry.seed()
-        alt = apply_word(alt, word)
-        if len(alt.blocks) != 3:
-            alt = _merge_distinguished(alt)
-        same = tuple(_block_signature(b) for b in alt.blocks) == got
-        checks.append(CatalogCheck(f"alternate word {j + 1}", same))
-
+            got == entry.expected_blocks,
+            "all members match" if got == entry.expected_blocks else f"mismatch: {got}",
+        ),
+        Check(
+            "slopes",
+            all(
+                slope(c.blocks[i].members[0]) == mu
+                for i, mu in entry.expected_slopes.items()
+            ),
+        ),
+    ]
+    out += [
+        Check(f"alternate word {j + 1}", _block_signature(_construct(entry, word)) == got)
+        for j, word in enumerate(entry.alt_words)
+    ]
     if entry.extra_word:
         c2 = build(label, 1)
         triple2 = block_rank_triple(c2)
         ok2 = (
             triple2 == entry.extra_ranks
-            and check_solution(eq, triple2)
             and triple2 in minima
-            and blockcalc.is_complete(c2)
+            and all(check.ok for check in checks(c2))
         )
-        checks.append(
-            CatalogCheck("second solution", ok2, f"ranks {triple2}")
-        )
-    return checks
+        out.append(Check("second solution", ok2, f"ranks {triple2}"))
+    return out

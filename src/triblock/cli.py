@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 bad input or failed verification, 3 broken internal
 invariant.  All numeric output is exact; rationals print as p/q and JSON
-carries integers only.
+carries integers only.  ``verify`` and ``catalog --verify`` only render the
+records of :func:`catalog.checks` and :func:`catalog.verify_entry`.
 """
 
 from __future__ import annotations
@@ -10,22 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
-from math import inf
 
 from . import blockcalc, catalog, markov, weyl
-from .blockcalc import BlockCollection, BlockError, block_rank_triple, validate_collection
-from .kclass import InvariantViolationError, KClass, slope
+from .blockcalc import BlockCollection, BlockError, validate_collection
+from .kclass import InvariantViolationError, KClass
 from .markov import SolutionTriple, equation_by_label
 from .picard import DivisorClass, LatticeMismatchError, Surface, enumerate_classes
-
-
-def _fmt_rational(value) -> str:
-    if value == inf:
-        return "inf"
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _triple_str(s: SolutionTriple) -> str:
@@ -199,42 +191,11 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _verify_report(c: BlockCollection) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-    checks.append(("blocks and semiorthogonality", True, f"type {c.type_vector}"))
-    complete = blockcalc.is_complete(c)
-    checks.append(
-        ("complete", complete, f"{len(c.members)} classes, K0 rank {c.surface.k0_rank}")
-    )
-    if len(c.blocks) == 3:
-        slopes = " < ".join(_fmt_rational(slope(b.members[0])) for b in c.blocks)
-        checks.append(("block slopes", True, slopes))
-        try:
-            eq = markov.equation_for(c.surface, c.type_vector)
-            triple = block_rank_triple(c)
-            ok = markov.check_solution(eq, triple)
-            checks.append(
-                ("ranks solve equation", ok, f"{eq.label}: ranks ({_triple_str(SolutionTriple(*triple))})")
-            )
-        except ValueError:
-            checks.append(("ranks solve equation", False, "no matching equation"))
-        if complete:
-            try:
-                a, b, cc = blockcalc.abc(c)
-                checks.append(("abc relations", True, f"(a,b,c)=({a},{b},{cc})"))
-            except InvariantViolationError as exc:
-                checks.append(("abc relations", False, str(exc)))
-    return checks
-
-
-def _print_checks(checks) -> int:
-    failed = False
-    for name, ok, detail in checks:
-        status = "ok" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        print(f"{status}: {name}{suffix}")
-        failed = failed or not ok
-    return 2 if failed else 0
+def _print_checks(checks: list[catalog.Check]) -> int:
+    for check in checks:
+        suffix = f"  ({check.detail})" if check.detail else ""
+        print(f"{'ok' if check.ok else 'FAIL'}: {check.name}{suffix}")
+    return 0 if all(check.ok for check in checks) else 2
 
 
 def cmd_verify(args) -> int:
@@ -243,7 +204,7 @@ def cmd_verify(args) -> int:
     except (BlockError, ValueError) as exc:
         print(f"FAIL: {exc}")
         return 2
-    return _print_checks(_verify_report(c))
+    return _print_checks(catalog.checks(c))
 
 
 def cmd_mutate(args) -> int:
@@ -265,7 +226,7 @@ def cmd_catalog(args) -> int:
     exit_code = 0
     for label in wanted:
         if args.verify:
-            checks = [(c.name, c.ok, c.detail) for c in catalog.verify_entry(label)]
+            checks = catalog.verify_entry(label)
             if len(wanted) > 1:
                 print(f"[{label}]")
             exit_code = max(exit_code, _print_checks(checks))

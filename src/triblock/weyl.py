@@ -383,7 +383,7 @@ def verify_c(label: str) -> bool:
     from .blockcalc import apply_word, helix_shift
 
     if label == "x6.1":
-        c = catalog.build(label)
+        c = catalog.build(label, 0)
         shifted = [c, helix_shift(c, -1), helix_shift(c, -2)]
         for i in range(3):
             for j in range(i + 1, 3):
@@ -391,7 +391,7 @@ def verify_c(label: str) -> bool:
                     return False
         return True
     if label == "x5":
-        c = catalog.build(label)
+        c = catalog.build(label, 0)
         other = apply_word(c, ("R1", "R2", "R2"))
         if other.type_vector != c.type_vector:
             return False

@@ -150,6 +150,35 @@ def test_validate_collection_semiorthogonality():
         validate_collection([[lb(P2, 1)], [lb(P2, 0)]])
 
 
+def test_failures_name_offending_members():
+    # O, O(-1), O(1) on the plane: chi(O(-1), O) = h0(O(1)) = 3
+    with pytest.raises(BlockError) as err:
+        validate_collection([[lb(P2, 0)], [lb(P2, -1)], [lb(P2, 1)]])
+    assert str(err.value) == (
+        "chi(block 2 member 1, block 1 member 1) = 3; the collection is not semiorthogonal"
+    )
+    # chi(O(E2), O(E1)) = 0 and chi(O(E1), O(E1)) = 1 on X2
+    x2 = Surface.plane(2)
+    with pytest.raises(BlockError) as err:
+        validate_collection([[lb(x2, 0, 1, 0)], [lb(x2, 0, 0, 1), lb(x2, 0, 1, 0)]])
+    assert str(err.value).startswith("chi(block 2 member 2, block 1 member 1) = 1;")
+    with pytest.raises(BlockError) as err:
+        validate_block([lb(x2, 0, 1, 0), lb(x2, 0, 0, 1), lb(x2, 0, 1, 0)])
+    assert str(err.value) == (
+        "chi(member 1, member 3) = 1; block members must be mutually orthogonal"
+    )
+    with pytest.raises(BlockError) as err:
+        validate_collection([[lb(P2, -1)], [lb(P2, 0), lb(P2, 0)]])
+    assert str(err.value) == (
+        "block 2: chi(member 1, member 2) = 1; block members must be mutually orthogonal"
+    )
+    x1 = Surface.plane(1)
+    with pytest.raises(BlockError) as err:
+        validate_collection([[lb(x1, 0, 0)], [lb(x1, 1, 0), KClass(x1, 1, DivisorClass.zero(x1), 2)]])
+    assert str(err.value).startswith("block 2: member 2 (rank 1, c1 (0,0), 2ch2 2)")
+    assert str(err.value).endswith("is not exceptional")
+
+
 def test_chi_block_requires_constant_pairing():
     x2 = Surface.plane(2)
     e = validate_block([lb(x2, 0, 1, 0)])

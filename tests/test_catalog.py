@@ -7,7 +7,7 @@ exact move that broke.
 
 import pytest
 
-from triblock import catalog
+from triblock import catalog, weyl
 from triblock.blockcalc import apply_word
 from triblock.kclass import InvariantViolationError
 from triblock.picard import DivisorClass, Surface
@@ -76,6 +76,19 @@ def test_build_is_cached():
     assert catalog.build("x8.1") is catalog.build("x8.1")
 
 
+def test_one_build_per_collection():
+    # orbit table, both C witnesses and every verify_entry touch the 16
+    # cataloged collections; each is built once, seeds included
+    catalog.build.cache_clear()
+    weyl.orbit_table()
+    for label in weyl.C_WITNESS_LABELS:
+        assert weyl.verify_c(label)
+    for label in catalog.labels():
+        catalog.verify_entry(label)
+    info = catalog.build.cache_info()
+    assert (info.misses, info.currsize) == (16, 16)
+
+
 def test_verify_every_entry():
     for label in catalog.labels():
         checks = catalog.verify_entry(label)
@@ -98,12 +111,15 @@ def test_verify_reports_second_solution():
     names = [c.name for c in catalog.verify_entry("x4")]
     assert names == [
         "build",
+        "blocks and semiorthogonality",
         "complete",
-        "equation",
+        "block slopes",
         "ranks solve equation",
+        "abc relations",
+        "equation",
+        "minimal solution",
         "block classes",
         "slopes",
-        "abc relations",
         "second solution",
     ]
     assert "second solution" not in [c.name for c in catalog.verify_entry("x5")]

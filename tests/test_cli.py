@@ -323,6 +323,62 @@ def test_internal_invariant_is_exit_three(capsys, monkeypatch, tmp_path):
     assert err.startswith("internal invariant violated:")
 
 
+def test_broken_catalog_build_is_exit_three(capsys, monkeypatch):
+    def broken(c):
+        raise InvariantViolationError("no mergeable pair")
+
+    catalog.build.cache_clear()
+    monkeypatch.setattr(catalog, "_merge_distinguished", broken)
+    try:
+        rc, out, err = run(capsys, "catalog", "x5", "--verify")
+    finally:
+        catalog.build.cache_clear()
+    assert rc == 3
+    assert out == ""
+    assert err == "internal invariant violated: no mergeable pair\n"
+
+
+def _rendered(checks):
+    return [
+        f"{'ok' if c.ok else 'FAIL'}: {c.name}" + (f"  ({c.detail})" if c.detail else "")
+        for c in checks
+    ]
+
+
+def test_verify_and_catalog_verify_share_one_check_path(capsys, tmp_path):
+    for label in catalog.labels():
+        rc, listing, _ = run(capsys, "catalog", label, "--verify")
+        assert rc == 0
+        listing = listing.splitlines()
+        for solution in range(catalog.ENTRIES[label].solution_count):
+            rc, doc, err = run(capsys, "catalog", label, "--solution", str(solution))
+            assert rc == 0, err
+            path = tmp_path / f"{label}-{solution}.json"
+            path.write_text(doc, encoding="utf-8")
+            rc, out, _ = run(capsys, "verify", str(path))
+            assert rc == 0
+            lines = _rendered(catalog.checks(catalog.build(label, solution)))
+            assert out.splitlines() == lines
+            if solution == 0:
+                # catalog --verify prints the build line, then these checks
+                assert listing[1 : 1 + len(lines)] == lines
+
+
+def test_verify_names_the_offending_members(capsys, tmp_path):
+    path = tmp_path / "plane.json"
+    doc = {
+        "surface": "P2",
+        "blocks": [[{"rank": 1, "c1": [d], "ch2x2": d * d}] for d in (0, -1, 1)],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 2
+    assert out == (
+        "FAIL: chi(block 2 member 1, block 1 member 1) = 3; "
+        "the collection is not semiorthogonal\n"
+    )
+
+
 def test_mutate_round_trip(capsys, tmp_path):
     first = write_catalog_doc(capsys, tmp_path, "x8.2", "first.json")
     rc, out, _ = run(capsys, "mutate", str(first), "R1", "R2")
