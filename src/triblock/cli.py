@@ -298,9 +298,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_curves(args) -> int:
     surface = Surface.from_name(args.surface)
-    classes = enumerate_classes(
-        surface, args.kind, bound_multiplier=args.bound_multiplier
-    )
+    classes = enumerate_classes(surface, args.kind)
     if args.json:
         _print_json(
             {
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="enumerate minus-one or root classes")
     p.add_argument("surface")
     p.add_argument("--kind", choices=("minus-one", "root"), default="minus-one")
-    p.add_argument("--bound-multiplier", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curves)
 

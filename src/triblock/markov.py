@@ -10,7 +10,9 @@ row order, and the enumeration is re-derived exhaustively in the tests.
 Solution mutation follows the usual Markov trick: fixing two coordinates,
 the equation is quadratic in the third, and the mutation swaps its two
 roots.  Every positive solution reduces to a minimum by a chain of strictly
-sum-decreasing mutations, unique at every step.
+sum-decreasing mutations, unique at every step: the solutions form a forest
+rooted at the minima, which come from a proven finite region.  One walk up
+that forest gives the solutions within a bound and their mutation graph.
 
 Each public function checks the solution it is given once.  Internally every
 mutation goes through :func:`_flip`, which trusts its input and checks the
@@ -20,6 +22,7 @@ solution it produces; a failure there is an internal invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import isqrt
 from typing import Iterable, NamedTuple
 
@@ -163,30 +166,35 @@ def mutate_solution(eq: MarkovEquation, s, var: str) -> SolutionTriple:
     return _flip(eq, s, VARIABLES.index(var))
 
 
-def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTriple, ...]:
-    """All positive solutions with x + y + z <= sum_bound.
+def _key(s: SolutionTriple) -> tuple[int, ...]:
+    return (s.total,) + tuple(s)
 
-    For fixed (x, y) the equation is an integer quadratic in z; both roots
-    are read off the discriminant, so the sweep is quadratic in the bound.
+
+def _walk(eq: MarkovEquation, sum_bound: int):
+    """Yield (s, its flips in x, y, z) once for each solution within the bound.
+
+    A flip changes one coordinate, so it fixes s or changes the sum
+    strictly.  With u_i = sqrt(w_i)*s_i it lowers the sum exactly when
+    u_i^2 > u_j^2 + u_k^2, as the two roots multiply to u_j^2 + u_k^2; that
+    holds for at most one i, the strictly largest.  So a non-minimum has
+    exactly one sum-decreasing flip, its parent, and the solutions form a
+    forest rooted at the minima.  Parents have smaller sums, so walking up
+    from the minima within the bound by flips that raise the sum and stay
+    within it reaches each solution there once, with no visited set.
     """
-    found = set()
-    for x in range(1, sum_bound - 1):
-        for y in range(1, sum_bound - x):
-            # gamma*z^2 - coeff*x*y*z + (alpha*x^2 + beta*y^2) = 0
-            b = eq.coeff * x * y
-            const = eq.alpha * x * x + eq.beta * y * y
-            disc = b * b - 4 * eq.gamma * const
-            if disc < 0:
-                continue
-            root = isqrt(disc)
-            if root * root != disc:
-                continue
-            for z2 in (b - root, b + root):
-                if z2 > 0 and z2 % (2 * eq.gamma) == 0:
-                    z = z2 // (2 * eq.gamma)
-                    if x + y + z <= sum_bound:
-                        found.add(SolutionTriple(x, y, z))
-    return tuple(sorted(found, key=lambda s: (s.total,) + tuple(s)))
+    stack = [m for m in minimum_solutions(eq) if m.total <= sum_bound]
+    while stack:
+        s = stack.pop()
+        flips = [_flip(eq, s, i) for i in range(3)]
+        yield s, flips
+        stack.extend(t for t in flips if s.total < t.total <= sum_bound)
+
+
+def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTriple, ...]:
+    """All positive solutions with x + y + z <= sum_bound, by sum, then x, y, z:
+    the nodes of the mutation forest below the bound (see :func:`_walk`).
+    """
+    return tuple(sorted((s for s, _ in _walk(eq, sum_bound)), key=_key))
 
 
 def is_minimum(eq: MarkovEquation, s) -> bool:
@@ -196,8 +204,49 @@ def is_minimum(eq: MarkovEquation, s) -> bool:
 
 
 def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
-    """The minimal solutions, ordered by the key (z, x, y)."""
-    minima = [s for s in enumerate_solutions(eq, 64) if is_minimum(eq, s)]
+    """The minimal solutions, ordered by the key (z, x, y).
+
+    Write u_i = sqrt(w_i)*s_i for the weights w = (alpha, beta, gamma) and
+    k = sqrt(K^2); a solution is then sum(u_i^2) = k*u_1*u_2*u_3.  Order
+    u_a <= u_b <= u_c.  A minimum has u_c^2 <= u_a^2 + u_b^2 (see
+    :func:`_walk`), so u_c is the smaller root of
+    f(t) = t^2 - k*u_a*u_b*t + u_a^2 + u_b^2, whose roots multiply to
+    u_a^2 + u_b^2.  Then:
+
+    * k*u_a*u_b*u_c = u_a^2 + u_b^2 + u_c^2 > 2*u_b*u_c, so k*u_a > 2;
+    * k*u_a*u_b*u_c <= 2*(u_a^2 + u_b^2) <= 4*u_b*u_c, so k*u_a <= 4;
+    * u_b <= u_c is at most the smaller root, so f(u_b) >= 0, which is
+      u_b^2*(k*u_a - 2) <= u_a^2.
+
+    Squared, with U_i = w_i*s_i^2, these read 4 < K^2*U_a <= 16 and
+    K^2*U_a*U_b^2 <= (U_a + 2*U_b)^2, a downward parabola in U_b that is
+    positive at 0: finitely many (s_a, s_b) for each ordered pair of
+    positions (a, b), with s_c the smaller root of the integer quadratic in
+    the third coordinate.  Every minimum is among these candidates, and a
+    candidate is kept when no flip lowers its sum.
+    """
+    w = eq.type_vector
+    found = set()
+    for a, b, c in permutations(range(3)):
+        s_a = 1
+        while eq.ksq * w[a] * s_a * s_a <= 16:
+            big_a = w[a] * s_a * s_a
+            s_b = 1
+            while eq.ksq * big_a > 4:
+                big_b = w[b] * s_b * s_b
+                if eq.ksq * big_a * big_b * big_b > (big_a + 2 * big_b) ** 2:
+                    break
+                # w_c*t^2 - coeff*s_a*s_b*t + U_a + U_b = 0
+                linear = eq.coeff * s_a * s_b
+                disc = linear * linear - 4 * w[c] * (big_a + big_b)
+                root = isqrt(disc) if disc >= 0 else -1
+                s_c, remainder = divmod(linear - root, 2 * w[c])
+                if root * root == disc and not remainder:
+                    s = {a: s_a, b: s_b, c: s_c}
+                    found.add(SolutionTriple(s[0], s[1], s[2]))
+                s_b += 1
+            s_a += 1
+    minima = (s for s in found if all(_flip(eq, s, i).total >= s.total for i in range(3)))
     return tuple(sorted(minima, key=lambda s: (s.z, s.x, s.y)))
 
 
@@ -229,7 +278,12 @@ def reduce_to_minimum(
 
 @dataclass(frozen=True)
 class SolutionGraph:
-    """Mutation pseudograph on the solutions within a sum bound."""
+    """Mutation pseudograph on the solutions within a sum bound.
+
+    Built by :func:`build_solution_graph`, it is the mutation forest plus
+    loops: each edge is a node's unique sum-lowering flip, to its parent, so
+    each component is a tree on one minimum and every cycle is a loop.
+    """
 
     equation: MarkovEquation
     sum_bound: int
@@ -239,76 +293,36 @@ class SolutionGraph:
     minima: tuple[SolutionTriple, ...]
 
     def component_count(self) -> int:
-        index = {s: i for i, s in enumerate(self.nodes)}
-        parent = list(range(len(self.nodes)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b, _ in self.edges:
-            ra, rb = find(index[a]), find(index[b])
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(len(self.nodes))})
+        return len(self.minima)
 
     def is_acyclic(self) -> bool:
-        if self.loops:
-            return False
-        seen = set()
-        adjacency = self._adjacency()
-        for start in self.nodes:
-            if start in seen:
-                continue
-            stack = [(start, None)]
-            seen.add(start)
-            while stack:
-                node, come_from = stack.pop()
-                for nxt in adjacency[node]:
-                    if nxt == come_from:
-                        continue
-                    if nxt in seen:
-                        return False
-                    seen.add(nxt)
-                    stack.append((nxt, node))
-        return True
-
-    def _adjacency(self) -> dict[SolutionTriple, list[SolutionTriple]]:
-        adjacency: dict[SolutionTriple, list[SolutionTriple]] = {
-            s: [] for s in self.nodes
-        }
-        for a, b, _ in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        return adjacency
+        return not self.loops
 
 
 def build_solution_graph(eq: MarkovEquation, sum_bound: int) -> SolutionGraph:
-    """Nodes are solutions within the bound; edges are mutations between them."""
-    nodes = enumerate_solutions(eq, sum_bound)
-    node_set = set(nodes)
-    edges = set()
-    loops = set()
-    minima = []
-    for s in nodes:
-        flips = [_flip(eq, s, i) for i in range(3)]
+    """Nodes are solutions within the bound; edges are mutations between them.
+
+    One walk of the forest (:func:`_walk`) gives all four parts: a flip that
+    fixes a node is a loop, one that lowers its sum is the edge (parent,
+    node, variable), and a node without one is a minimum.
+    """
+    nodes, edges, loops, minima = [], [], [], []
+    for s, flips in _walk(eq, sum_bound):
+        nodes.append(s)
         for v, t in zip(VARIABLES, flips):
             if t == s:
-                loops.add((s, v))
-            elif t in node_set:
-                a, b = sorted((s, t), key=lambda u: (u.total,) + tuple(u))
-                edges.add((a, b, v))
+                loops.append((s, v))
+            elif t.total < s.total:
+                edges.append((t, s, v))
         if all(t.total >= s.total for t in flips):
             minima.append(s)
     return SolutionGraph(
         eq,
         sum_bound,
-        nodes,
-        tuple(sorted(edges, key=lambda e: ((e[0].total,) + tuple(e[0]), (e[1].total,) + tuple(e[1]), e[2]))),
+        tuple(sorted(nodes, key=_key)),
+        tuple(sorted(edges, key=lambda e: (_key(e[0]), _key(e[1]), e[2]))),
         tuple(sorted(loops, key=lambda l: (tuple(l[0]), l[1]))),
-        tuple(minima),
+        tuple(sorted(minima, key=_key)),
     )
 
 

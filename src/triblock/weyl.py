@@ -18,6 +18,7 @@ fundamental box [0, rank) coordinatewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -405,21 +406,24 @@ def verify_c(label: str) -> bool:
 # Disjoint minus-one classes and the blowdown recursion.
 
 
+@cache
+def _disjoint_masks(surface: Surface) -> tuple[int, ...]:
+    # Bit j of mask i: minus-one classes i < j are disjoint.  X8 has 240.
+    classes = enumerate_classes(surface, MINUS_ONE)
+    n = len(classes)
+    return tuple(
+        sum(1 << j for j in range(i + 1, n) if intersect(classes[i], classes[j]) == 0)
+        for i in range(n)
+    )
+
+
 def count_disjoint_sets(surface: Surface, m: int) -> int:
     """Number of m-element sets of pairwise disjoint minus-one classes."""
     if m < 0:
         raise ValueError("set size must be nonnegative")
     if m == 0:
         return 1
-    classes = enumerate_classes(surface, MINUS_ONE)
-    n = len(classes)
-    forward = []
-    for i in range(n):
-        mask = 0
-        for j in range(i + 1, n):
-            if intersect(classes[i], classes[j]) == 0:
-                mask |= 1 << j
-        forward.append(mask)
+    forward = _disjoint_masks(surface)
 
     def extend(allowed: int, need: int) -> int:
         if need == 1:
@@ -436,7 +440,7 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
                 total += extend(nxt, need - 1)
         return total
 
-    return extend((1 << n) - 1, m)
+    return extend((1 << len(forward)) - 1, m)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ exact move that broke.
 import pytest
 
 from triblock import catalog, weyl
-from triblock.blockcalc import apply_word
+from triblock.blockcalc import BlockCollection, apply_word
 from triblock.kclass import InvariantViolationError
-from triblock.picard import DivisorClass, Surface
+from triblock.picard import DivisorClass, Surface, canonical_class
 
 # label -> (surface name, block sizes, block ranks), in collection order
 TABLE = {
@@ -119,10 +119,36 @@ def test_verify_reports_second_solution():
         "equation",
         "minimal solution",
         "block classes",
-        "slopes",
         "second solution",
     ]
     assert "second solution" not in [c.name for c in catalog.verify_entry("x5")]
+
+
+def test_block_slopes_compare_exactly():
+    # mu(E) < mu(F) < mu(G) < mu(E) + K^2 on every build and on its images
+    # under every braid word of length <= 2; every other record holds too.
+    moves = ("L1", "L2", "R1", "R2")
+    words = [()] + [(m,) for m in moves] + [(m, n) for m in moves for n in moves]
+    for label in catalog.labels():
+        for solution in range(catalog.ENTRIES[label].solution_count):
+            c = catalog.build(label, solution)
+            for word in words:
+                records = catalog.checks(apply_word(c, word))
+                assert [r.name for r in records if r.name == "block slopes"] == ["block slopes"]
+                assert all(r.ok for r in records), (label, word, records)
+
+
+def test_block_slopes_fail_out_of_order():
+    # Unvalidated on purpose: permuted blocks break the slope order, and
+    # G(-K) keeps it but has mu(G) + K^2 > mu(E) + K^2.
+    c = catalog.build("x3", 0)
+    e, f, g = c.blocks
+    g_minus_k = g.twisted(-canonical_class(c.surface))
+    for blocks in ((f, e, g), (e, g, f), (g, e, f), (e, f, g_minus_k)):
+        record = next(
+            r for r in catalog.checks(BlockCollection(blocks)) if r.name == "block slopes"
+        )
+        assert not record.ok, record
 
 
 def test_standard_plane_and_quadric():

@@ -238,6 +238,25 @@ def test_verify_flags_incomplete_collection(capsys, tmp_path):
     assert "FAIL: complete" in out
 
 
+def test_incomplete_collection_reports_no_block_slopes(capsys, tmp_path):
+    # [O_E(-1)], [O], [O(H)] on X1 is valid but incomplete; the slope claim
+    # is about complete collections, so it is not reported at all.
+    members = ((0, [0, 1], -1), (1, [0, 0], 0), (1, [1, 0], 1))
+    doc = {
+        "surface": "X1",
+        "blocks": [[{"rank": r, "c1": c1, "ch2x2": ch2}] for r, c1, ch2 in members],
+    }
+    path = tmp_path / "x1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 2
+    assert out.splitlines() == [
+        "ok: blocks and semiorthogonality  (type (1, 1, 1))",
+        "FAIL: complete  (3 classes, K0 rank 4)",
+        "FAIL: ranks solve equation  (no matching equation)",
+    ]
+
+
 def test_verify_rejects_malformed_documents(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all", encoding="utf-8")
@@ -437,6 +456,15 @@ def test_curves_quadric_and_errors(capsys):
     rc, _, err = run(capsys, "curves", "X9")
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_curves_has_no_bound_multiplier_option(capsys):
+    # The default box already holds every class, so the command line takes
+    # no multiplier; the library keyword stays as the tests' stability check.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curves", "X3", "--bound-multiplier", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound-multiplier" in capsys.readouterr().err
 
 
 def test_disjoint_sets_cli(capsys):

@@ -1,8 +1,13 @@
 """The fourteen weighted Markov-type equations and their solution dynamics.
 
 Solution counts and graph shapes below were frozen from independent runs of
-a brute-force sweep; the small ones are easy to confirm by hand.
+a brute-force sweep; the small ones are easy to confirm by hand.  That sweep,
+a union-find and a cycle search stay here as oracles for the library's walk
+of the mutation forest.
 """
+
+from functools import lru_cache
+from math import isqrt
 
 import pytest
 
@@ -81,6 +86,67 @@ GROUPS = {
     "III": ["x3", "x6.2", "x7.3", "x8.3"],
     "IV": ["x4", "x8.4"],
 }
+
+
+@lru_cache(maxsize=None)
+def sweep(eq, sum_bound):
+    """Every solution within the bound, by brute force over (x, y).
+
+    For fixed (x, y) the equation is an integer quadratic in z; both roots
+    are read off the discriminant, so the sweep is quadratic in the bound.
+    """
+    found = set()
+    for x in range(1, sum_bound - 1):
+        for y in range(1, sum_bound - x):
+            b = eq.coeff * x * y
+            disc = b * b - 4 * eq.gamma * (eq.alpha * x * x + eq.beta * y * y)
+            root = isqrt(disc) if disc >= 0 else -1
+            if root * root != disc:
+                continue
+            for z2 in (b - root, b + root):
+                z, remainder = divmod(z2, 2 * eq.gamma)
+                if z > 0 and not remainder and x + y + z <= sum_bound:
+                    found.add(SolutionTriple(x, y, z))
+    return tuple(sorted(found, key=lambda s: (s.total,) + tuple(s)))
+
+
+def union_find_components(graph):
+    parent = {s: s for s in graph.nodes}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    for a, b, _ in graph.edges:
+        parent[find(a)] = find(b)
+    return len({find(s) for s in graph.nodes})
+
+
+def has_cycle(graph):
+    if graph.loops:
+        return True
+    adjacency = {s: [] for s in graph.nodes}
+    for a, b, _ in graph.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen = set()
+    for start in graph.nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [(start, None)]
+        while stack:
+            node, come_from = stack.pop()
+            for nxt in adjacency[node]:
+                if nxt == come_from:
+                    continue
+                if nxt in seen:
+                    return True
+                seen.add(nxt)
+                stack.append((nxt, node))
+    return False
 
 
 def test_equation_table():
@@ -343,3 +409,59 @@ def test_transport_rejects_non_solutions():
 def test_solution_triple_total():
     assert SolutionTriple(2, 5, 29).total == 36
     assert str(SolutionTriple(1, 2, 3)) == "(1,2,3)"
+
+
+def test_walk_matches_the_sweep():
+    for eq in EQUATIONS:
+        assert enumerate_solutions(eq, 400) == sweep(eq, 400), eq.label
+        # the bound is inclusive: stop exactly at the largest sum found
+        assert enumerate_solutions(eq, sweep(eq, 400)[-1].total) == sweep(eq, 400)
+    p2 = equation_by_label("p2")
+    assert enumerate_solutions(p2, 2000) == sweep(p2, 2000)
+
+
+def test_minima_region_matches_the_sweep():
+    # No minimum lies outside the proven region, here up to sum 300.
+    for eq in EQUATIONS:
+        swept = [s for s in sweep(eq, 300) if is_minimum(eq, s)]
+        assert sorted(minimum_solutions(eq)) == sorted(swept), eq.label
+
+
+def test_graph_matches_the_oracles():
+    # Nodes from the sweep, edges and loops from every mutation between
+    # them, shape from a union-find and a cycle search.
+    for eq in EQUATIONS:
+        g = build_solution_graph(eq, 400)
+        assert g.nodes == sweep(eq, 400), eq.label
+        nodes = set(g.nodes)
+        edges, loops = set(), set()
+        for s in g.nodes:
+            for var in "xyz":
+                t = mutate_solution(eq, s, var)
+                if t == s:
+                    loops.add((s, var))
+                elif t in nodes:
+                    edges.add((*sorted((s, t), key=lambda u: (u.total,) + tuple(u)), var))
+        assert set(g.edges) == edges and set(g.loops) == loops, eq.label
+        assert g.component_count() == union_find_components(g), eq.label
+        assert g.is_acyclic() == (not has_cycle(g)), eq.label
+
+
+def test_large_graph_is_the_forest_below_the_bound():
+    bound = 10**6
+    p2 = equation_by_label("p2")
+    g = build_solution_graph(p2, bound)
+    nodes = set(g.nodes)
+    assert len(nodes) == len(g.nodes)
+    assert all(check_solution(p2, s) and s.total <= bound for s in g.nodes)
+    assert g.minima == (SolutionTriple(1, 1, 1),)
+    edges = set(g.edges)
+    for s in g.nodes:
+        path = reduce_to_minimum(p2, s)
+        if len(path) > 1:
+            var = path[0][1]
+            assert path[1][0] in nodes
+            assert (path[1][0], s, var) in edges
+    assert len(g.edges) == len(g.nodes) - len(g.minima)
+    assert g.loops == ()
+    assert g.component_count() == 1 and g.is_acyclic()

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from triblock import catalog
+from triblock import catalog, weyl
 from triblock.blockcalc import (
     Block,
     BlockCollection,
@@ -408,6 +408,22 @@ def test_count_disjoint_sets_small():
         assert count_disjoint_sets(s, 1) == len(enumerate_classes(s, MINUS_ONE))
     with pytest.raises(ValueError):
         count_disjoint_sets(x2, -1)
+
+
+def test_disjointness_masks_built_once_per_surface(monkeypatch):
+    calls = []
+    real_enumerate = weyl.enumerate_classes
+
+    def counting(surface, kind):
+        calls.append(surface)
+        return real_enumerate(surface, kind)
+
+    monkeypatch.setattr(weyl, "enumerate_classes", counting)
+    weyl._disjoint_masks.cache_clear()
+    x5 = Surface.plane(5)
+    assert count_disjoint_sets(x5, 3) == count_disjoint_sets(x5, 3)
+    assert count_disjoint_sets(x5, 2) > 0
+    assert calls == [x5]
 
 
 def test_count_disjoint_sets_pinned():
