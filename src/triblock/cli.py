@@ -91,13 +91,22 @@ def _read_doc(path: str) -> BlockCollection:
             raw = f.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise ValueError(f"not valid JSON: {exc}") from None
     return collection_from_doc(doc)
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # Exact results can run past CPython's int-to-str digit limit.  Lift it
+    # only while serialising, so that parsing documents keeps it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(obj, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def chi(e: KClass, f: KClass) -> int:
 def chi_minus(e: KClass, f: KClass) -> int:
     """The antisymmetrized pairing chi(E,F) - chi(F,E) = r(E)d(F) - r(F)d(E)."""
     if e.surface != f.surface:
-        raise ValueError("cannot pair classes on different surfaces")
+        raise LatticeMismatchError("cannot pair classes on different surfaces")
     return e.rank * degree(f) - f.rank * degree(e)
 
 
@@ -134,7 +134,7 @@ def torsion_class(surface: Surface, curve: DivisorClass, m: int) -> KClass:
 def exceptional_ch2(surface: Surface, rank: int, c1: DivisorClass) -> int:
     """The unique 2*ch2 making (rank, c1) exceptional, when it exists."""
     if c1.surface != surface:
-        raise ValueError("c1 lives on a different surface")
+        raise LatticeMismatchError("c1 lives on a different surface")
     if rank == 0:
         raise ValueError("no exceptional class with these (r, c1): rank must be nonzero")
     num = 1 + intersect(c1, c1) - rank * rank

@@ -5,9 +5,11 @@ reflections in roots; on a plane with r >= 3 blowups the simple choices are
 the permutation roots l_i - l_{i+1} and the one non-permutation root
 l0 - l1 - l2 - l3, on the quadric the swap of the two rulings.  The group
 is enormous for large r, so nothing here ever enumerates it: its order
-comes from the Dynkin type of the simple roots, and the orbit of a
-collection up to twist is counted by orbit-stabiliser, with the stabiliser
-read off a dominant-chamber reduction.
+comes from the Dynkin type of the simple roots, and both the orbit of a
+collection up to twist and the sets of disjoint minus-one classes behind
+the blowdown recursion are counted by orbit-stabiliser, with each
+stabiliser read off a dominant-chamber reduction.  Neither enumerates
+minus-one classes.
 
 normal_form gives a canonical twist representative of a collection: the
 tuple of all member c1 coordinates, members sorted inside each block,
@@ -18,7 +20,6 @@ fundamental box [0, rank) coordinatewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -26,15 +27,8 @@ from typing import Sequence
 from . import catalog
 from .blockcalc import Block, BlockCollection, block_rank_triple, equivalent_up_to_twist
 from .kclass import InvariantViolationError, KClass
-from .markov import EQUATIONS
-from .picard import (
-    MINUS_ONE,
-    DivisorClass,
-    Surface,
-    canonical_class,
-    enumerate_classes,
-    intersect,
-)
+from .markov import EQUATIONS, equation_by_label
+from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class LatticeAutomorphism:
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.surface != self.surface:
-            raise ValueError("class lives on a different surface")
+            raise LatticeMismatchError("class lives on a different surface")
         return DivisorClass(
             self.surface,
             tuple(sum(row[j] * d.coords[j] for j in range(len(row))) for row in self.matrix),
@@ -406,41 +400,81 @@ def verify_c(label: str) -> bool:
 # Disjoint minus-one classes and the blowdown recursion.
 
 
-@cache
-def _disjoint_masks(surface: Surface) -> tuple[int, ...]:
-    # Bit j of mask i: minus-one classes i < j are disjoint.  X8 has 240.
-    classes = enumerate_classes(surface, MINUS_ONE)
-    n = len(classes)
-    return tuple(
-        sum(1 << j for j in range(i + 1, n) if intersect(classes[i], classes[j]) == 0)
-        for i in range(n)
-    )
+def _disjoint_representatives(surface: Surface, m: int) -> list:
+    # One tuple per W-orbit of ordered m-tuples of disjoint minus-one
+    # classes; see count_disjoint_sets for why these are all of them.
+    r = surface.blowups
+    l = [DivisorClass.basis(surface, i) for i in range(r + 1)]
+    representatives = [l[1 : m + 1]]
+    if r - m == 1:
+        representatives.append([l[0] - l[1] - l[2]] + l[3 : m + 2])
+    return representatives
+
+
+def _check_disjoint_minus_ones(classes: list) -> None:
+    k = canonical_class(classes[0].surface)
+    for i, e in enumerate(classes):
+        if intersect(e, e) != -1 or intersect(e, k) != -1:
+            raise InvariantViolationError(
+                f"representative member {i} ({e}) is not a minus-one class"
+            )
+        for j in range(i):
+            if intersect(e, classes[j]):
+                raise InvariantViolationError(
+                    f"representative members {j} and {i} ({classes[j]}, {e}) meet"
+                )
 
 
 def count_disjoint_sets(surface: Surface, m: int) -> int:
-    """Number of m-element sets of pairwise disjoint minus-one classes."""
+    """Number of m-element sets of pairwise disjoint minus-one classes.
+
+    By orbit-stabiliser this is sum(|W| / |W_J|) / m! over the W-orbits of
+    ordered m-tuples, W_J the stabiliser of a representative tuple.  The
+    orbits, for 1 <= m <= r on X_r (the quadric has no minus-one class):
+
+    * Tuples that extend to an exceptional configuration (r disjoint
+      minus-one classes) form one orbit, represented by (l1, ..., lm): W
+      acts simply transitively on exceptional configurations (Manin, Cubic
+      Forms, Ch. IV; cited, not proven here), and the w taking one
+      extension to another takes the tuple along.
+    * A tuple that does not extend has an orthogonal complement, unimodular
+      of signature (1, r - m), that holds no configuration of its own.  By
+      the same classification (cited) the complement is then even, which
+      for signature (1, n) needs n = 1 mod 8: so r - m = 1, and the
+      complement is the quadric's lattice, as a degree-8 blowdown is X1 or
+      the quadric.  With f1, f2 its rulings, (e1, ..., e_{m-1}, f1 - em,
+      f2 - em) is an exceptional configuration whose l0 - l_m - l_r is em,
+      so the w carrying one such configuration to another carries the
+      tuple too: one more orbit, represented by
+      (l0 - l1 - l2, l3, ..., l_{m+1}).
+
+    The count certifies itself: each representative is checked to be
+    pairwise disjoint minus-one classes, and |W_J| must divide |W| and m!
+    the sum.  The enumeration of minus-one classes, which this replaces,
+    is the oracle in the tests for every surface and m <= 9.
+    """
     if m < 0:
         raise ValueError("set size must be nonnegative")
     if m == 0:
         return 1
-    forward = _disjoint_masks(surface)
-
-    def extend(allowed: int, need: int) -> int:
-        if need == 1:
-            return allowed.bit_count()
-        total = 0
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rest.bit_count() + 1 < need:
-                break
-            nxt = allowed & forward[low.bit_length() - 1]
-            if nxt.bit_count() >= need - 1:
-                total += extend(nxt, need - 1)
-        return total
-
-    return extend((1 << len(forward)) - 1, m)
+    if surface.kind == "quadric" or m > surface.blowups:
+        return 0
+    roots = simple_roots(surface)
+    order = coxeter_order(roots)
+    ordered = 0
+    for representative in _disjoint_representatives(surface, m):
+        _check_disjoint_minus_ones(representative)
+        stabiliser = coxeter_order(_stabiliser_roots([e.coords for e in representative], roots))
+        if order % stabiliser:
+            raise InvariantViolationError(
+                f"|W| = {order} is not divisible by the stabiliser order {stabiliser}"
+            )
+        ordered += order // stabiliser
+    if ordered % factorial(m):
+        raise InvariantViolationError(
+            f"{ordered} ordered disjoint {m}-tuples on {surface} are not divisible by {m}!"
+        )
+    return ordered // factorial(m)
 
 
 @dataclass(frozen=True)
@@ -449,18 +483,16 @@ class RecursionCase:
     block_length: int
     contracted: int
     smaller_label: str
-    sets_surface: Surface
-    sets_size: int
 
 
 RECURSION_CASES = {
     case.label: case
     for case in (
-        RecursionCase("x3", 2, 1, "p2", Surface.plane(3), 3),
-        RecursionCase("x6.2", 2, 1, "p2", Surface.plane(6), 6),
-        RecursionCase("x7.1", 8, 7, "p2", Surface.plane(7), 7),
-        RecursionCase("x8.1", 9, 8, "p2", Surface.plane(8), 8),
-        RecursionCase("x8.2", 8, 5, "x3", Surface.plane(8), 5),
+        RecursionCase("x3", 2, 1, "p2"),
+        RecursionCase("x6.2", 2, 1, "p2"),
+        RecursionCase("x7.1", 8, 7, "p2"),
+        RecursionCase("x8.1", 9, 8, "p2"),
+        RecursionCase("x8.2", 8, 5, "x3"),
     )
 }
 
@@ -476,7 +508,11 @@ class RecursionReport:
 
 
 def recursion_check(label: str) -> RecursionReport:
-    """Check N * C(n, m) == N' * #sets for a pinned blowdown case."""
+    """Check N * C(n, m) == N' * #sets for a pinned blowdown case.
+
+    The sets are those of r - r' disjoint minus-one classes on the label's
+    surface X_r, where X_r' is the smaller label's surface.
+    """
     if label not in RECURSION_CASES:
         raise ValueError(
             f"no recursion case stored for {label!r}; "
@@ -486,7 +522,9 @@ def recursion_check(label: str) -> RecursionReport:
     n = orbit_row(label).solution_classes
     n_small = orbit_row(case.smaller_label).solution_classes
     binom = comb(case.block_length, case.contracted)
-    sets = count_disjoint_sets(case.sets_surface, case.sets_size)
+    surface = equation_by_label(label).surface
+    size = surface.blowups - equation_by_label(case.smaller_label).surface.blowups
+    sets = count_disjoint_sets(surface, size)
     return RecursionReport(
         label, n, binom, n_small, sets, n * binom == n_small * sets
     )

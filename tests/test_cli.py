@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import sys
 import unittest
 import warnings
 from contextlib import redirect_stdout
@@ -321,6 +322,38 @@ def test_parity_violation_is_bad_input(capsys, tmp_path):
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "parity" in err
+
+
+def test_deeply_nested_document_is_bad_input(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    for raw in ("[" * 100000, "[" * 100000 + "]" * 100000, '{"a":' * 100000):
+        bad.write_text(raw, encoding="utf-8")
+        rc, out, err = run(capsys, "verify", str(bad))
+        assert rc == 2
+        assert out.startswith("FAIL: not valid JSON")
+        assert err == ""
+
+
+def test_mutate_prints_results_past_the_digit_limit(capsys, tmp_path):
+    path = write_catalog_doc(capsys, tmp_path, "p2")
+    word = ["R1", "L2"] * 10
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "mutate", str(path), *word)
+    assert (rc, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    expected = blockcalc.apply_word(catalog.build("p2"), word)
+    assert max(abs(m.ch2x2) for m in expected.members) >= 10**limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == json.dumps(cli.collection_to_doc(expected, {"word": word}), indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # documents are still parsed under the limit
+    big = tmp_path / "big.json"
+    big.write_text(out, encoding="utf-8")
+    rc, out, _ = run(capsys, "verify", str(big))
+    assert rc == 2
+    assert out.startswith("FAIL:") and "limit" in out
 
 
 def test_verify_missing_file(capsys, tmp_path):

@@ -28,7 +28,7 @@ from triblock.kclass import (
     torsion_class,
     twist,
 )
-from triblock.picard import DivisorClass, Surface
+from triblock.picard import DivisorClass, LatticeMismatchError, Surface
 
 P2 = Surface.plane(0)
 QUADRIC = Surface.quadric()
@@ -240,3 +240,7 @@ def test_cross_surface_guards():
         twist(o2, DivisorClass.zero(Surface.plane(1)))
     with pytest.raises(ValueError):
         KClass(P2, 1, DivisorClass.zero(Surface.plane(1)), 0)
+    with pytest.raises(LatticeMismatchError):
+        chi_minus(o2, o3)
+    with pytest.raises(LatticeMismatchError):
+        exceptional_ch2(P2, 1, DivisorClass.zero(Surface.plane(1)))

@@ -1,8 +1,9 @@
 """Lattice symmetries: reflections, orbit counting and the blowdown recursion.
 
-orbit_count is a closed form; the breadth-first closure of the twist
-normal form under the simple reflections, which used to compute it, lives
-here as its oracle.  The Weyl group orders are checked against divisor
+orbit_count and count_disjoint_sets are closed forms; the breadth-first
+closure of the twist normal form under the simple reflections and the
+enumeration of disjoint (-1)-class sets, which used to compute them, live
+here as their oracles.  The Weyl group orders are checked against divisor
 orbits and (-1)-class counts, never against the code under test.
 """
 
@@ -26,6 +27,7 @@ from triblock.picard import (
     MINUS_ONE,
     ROOT,
     DivisorClass,
+    LatticeMismatchError,
     Surface,
     canonical_class,
     enumerate_classes,
@@ -174,6 +176,9 @@ def test_automorphism_validation():
         LatticeAutomorphism(s, shear)
     with pytest.raises(ValueError, match="root class"):
         LatticeAutomorphism.from_root(DivisorClass.basis(s, 1))
+    g = LatticeAutomorphism.from_root(simple_roots(s)[0])
+    with pytest.raises(LatticeMismatchError):
+        g.apply(DivisorClass.basis(Surface.plane(3), 1))
 
 
 def test_minus_one_transitivity():
@@ -410,27 +415,68 @@ def test_count_disjoint_sets_small():
         count_disjoint_sets(x2, -1)
 
 
-def test_disjointness_masks_built_once_per_surface(monkeypatch):
-    calls = []
-    real_enumerate = weyl.enumerate_classes
-
-    def counting(surface, kind):
-        calls.append(surface)
-        return real_enumerate(surface, kind)
-
-    monkeypatch.setattr(weyl, "enumerate_classes", counting)
-    weyl._disjoint_masks.cache_clear()
-    x5 = Surface.plane(5)
-    assert count_disjoint_sets(x5, 3) == count_disjoint_sets(x5, 3)
-    assert count_disjoint_sets(x5, 2) > 0
-    assert calls == [x5]
-
-
 def test_count_disjoint_sets_pinned():
     assert count_disjoint_sets(Surface.plane(6), 6) == 72
     assert count_disjoint_sets(Surface.plane(7), 7) == 576
     assert count_disjoint_sets(Surface.plane(8), 8) == 17280
     assert count_disjoint_sets(Surface.plane(8), 5) == 483840
+
+
+def enumerated_disjoint_sets(surface: Surface, sizes) -> list:
+    """Oracle: m-sets of pairwise disjoint minus-one classes, by enumeration."""
+    classes = enumerate_classes(surface, MINUS_ONE)
+    n = len(classes)
+    # bit j of forward[i]: classes i < j are disjoint
+    forward = [
+        sum(1 << j for j in range(i + 1, n) if intersect(classes[i], classes[j]) == 0)
+        for i in range(n)
+    ]
+
+    def extend(allowed: int, need: int) -> int:
+        if need == 0:
+            return 1
+        total = 0
+        while allowed.bit_count() >= need:
+            low = allowed & -allowed
+            allowed ^= low
+            total += extend(allowed & forward[low.bit_length() - 1], need - 1)
+        return total
+
+    return [extend((1 << n) - 1, m) for m in sizes]
+
+
+ALL_SURFACES = [Surface.quadric()] + [Surface.plane(r) for r in range(9)]
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_count_disjoint_sets_matches_enumeration(surface):
+    sizes = range(10)
+    assert [count_disjoint_sets(surface, m) for m in sizes] == enumerated_disjoint_sets(
+        surface, sizes
+    )
+
+
+def test_count_disjoint_sets_certifies_representatives(monkeypatch):
+    # forged representatives: two classes that meet, and a class of square 0
+    x4 = Surface.plane(4)
+    l0, l1, l2 = (DivisorClass.basis(x4, i) for i in range(3))
+    monkeypatch.setattr(weyl, "_disjoint_representatives", lambda s, m: [[l1, l0 - l1 - l2]])
+    with pytest.raises(InvariantViolationError, match="members 0 and 1"):
+        count_disjoint_sets(x4, 2)
+    monkeypatch.setattr(weyl, "_disjoint_representatives", lambda s, m: [[l1, l0 - l1]])
+    with pytest.raises(InvariantViolationError, match="not a minus-one class"):
+        count_disjoint_sets(x4, 2)
+    monkeypatch.undo()
+    # forged stabilisers: an order that is no subgroup order, and all of W
+    x3 = Surface.plane(3)
+    real_order = weyl.coxeter_order
+    monkeypatch.setattr(weyl, "coxeter_order", lambda roots: real_order(roots) if roots else 7)
+    with pytest.raises(InvariantViolationError, match="not divisible by the stabiliser order 7"):
+        count_disjoint_sets(x3, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(weyl, "_stabiliser_roots", lambda vectors, roots: roots)
+    with pytest.raises(InvariantViolationError, match=r"not divisible by 3!"):
+        count_disjoint_sets(x3, 3)
 
 
 def test_recursion_cases():
