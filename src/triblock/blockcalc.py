@@ -5,9 +5,13 @@ and degree; a block collection is an ordered tuple of blocks with all
 backwards Euler pairings zero.  Mutations act on adjacent pairs of blocks
 and come in three arithmetic flavours (division, recoil, extension)
 depending on the sign of chi across the pair and on a rank inequality.
-Every mutation revalidates its output; a failure there means the arithmetic
-itself is broken and is reported as :class:`InvariantViolationError`, never
-as bad input.
+A mutation takes a validated collection and rewrites one block, so it
+rechecks only what that block touches: the block axioms on its new members
+and the Euler pairings between it and every other block, computed afresh
+from the new classes.  Pairings between the untouched blocks are the
+input's and keep their order, so they need no recheck.  A failed recheck
+means the arithmetic itself is broken and is reported as
+:class:`InvariantViolationError`, never as bad input.
 """
 
 from __future__ import annotations
@@ -145,12 +149,10 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
     pairing from a later block into an earlier one must vanish.  A failure
     names the offending block, or the offending pair of members (1-based).
     """
-    wrapped = []
-    for n, b in enumerate(blocks, 1):
-        try:
-            wrapped.append(validate_block(b.members if isinstance(b, Block) else b))
-        except BlockError as exc:
-            raise BlockError(f"block {n}: {exc}") from None
+    wrapped = [
+        _validate_block_at(b.members if isinstance(b, Block) else b, n)
+        for n, b in enumerate(blocks, 1)
+    ]
     if not wrapped:
         raise BlockError("a collection must contain at least one block")
     surface = wrapped[0].surface
@@ -158,15 +160,29 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
         raise BlockError("blocks live on different surfaces")
     for i in range(len(wrapped)):
         for j in range(i + 1, len(wrapped)):
-            for q, later in enumerate(wrapped[j].members, 1):
-                for p, earlier in enumerate(wrapped[i].members, 1):
-                    value = chi(later, earlier)
-                    if value:
-                        raise BlockError(
-                            f"chi(block {j + 1} member {q}, block {i + 1} member {p}) "
-                            f"= {value}; the collection is not semiorthogonal"
-                        )
+            _require_semiorthogonal(wrapped, i, j)
     return BlockCollection(tuple(wrapped))
+
+
+def _validate_block_at(members: Sequence[KClass], n: int) -> Block:
+    # validate_block, naming the block by its 1-based position n on failure.
+    try:
+        return validate_block(members)
+    except BlockError as exc:
+        raise BlockError(f"block {n}: {exc}") from None
+
+
+def _require_semiorthogonal(blocks: Sequence[Block], i: int, j: int) -> None:
+    # chi(later, earlier) == 0 from block j into block i (0-based, i < j);
+    # a failure names both members by their 1-based positions in `blocks`.
+    for q, later in enumerate(blocks[j].members, 1):
+        for p, earlier in enumerate(blocks[i].members, 1):
+            value = chi(later, earlier)
+            if value:
+                raise BlockError(
+                    f"chi(block {j + 1} member {q}, block {i + 1} member {p}) "
+                    f"= {value}; the collection is not semiorthogonal"
+                )
 
 
 def chi_block(e: Block, f: Block) -> int:
@@ -219,6 +235,13 @@ def block_mutation(
     side="left" moves block i+1 leftwards through block i; side="right"
     moves block i rightwards through block i+1.  Returns the new collection
     and the arithmetic flavour of the move.
+
+    The rewritten block is rechecked against everything it touches: the
+    block axioms on its members (validate_block), chi(new, earlier) = 0
+    into every block before it and chi(later, new) = 0 from every block
+    after it, each pairing computed afresh from the produced classes.  The
+    other blocks are the input's, in the input's relative order, so every
+    pairing between them was already checked when ``c`` was validated.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -228,17 +251,25 @@ def block_mutation(
     chi_val = chi_block(e, f)
     if side == "left":
         new_members, mtype = _mutate_members(f, e, chi_val, "left")
-        new_pair = (Block(new_members), e)
+        at = i - 1
     else:
         new_members, mtype = _mutate_members(e, f, chi_val, "right")
-        new_pair = (f, Block(new_members))
-    blocks = c.blocks[: i - 1] + new_pair + c.blocks[i + 1 :]
+        at = i
     try:
-        return validate_collection(blocks), mtype
+        new = _validate_block_at(new_members, at + 1)
+        if new.surface != c.surface:
+            raise BlockError(f"block {at + 1} lives on a different surface")
+        pair = (new, e) if side == "left" else (f, new)
+        blocks = c.blocks[: i - 1] + pair + c.blocks[i + 1 :]
+        for j in range(at):
+            _require_semiorthogonal(blocks, j, at)
+        for j in range(at + 1, len(blocks)):
+            _require_semiorthogonal(blocks, at, j)
     except BlockError as exc:
         raise InvariantViolationError(
             f"mutation {side}@{i} produced an invalid collection: {exc}"
         ) from exc
+    return BlockCollection(blocks), mtype
 
 
 def apply_word(c: BlockCollection, word: Iterable[str]) -> BlockCollection:

@@ -6,6 +6,13 @@ genuine sheaves satisfy the parity 2*ch2 == c1.K (mod 2), which makes the
 Euler pairing below integral.  Block validation rejects a class breaking
 that parity as bad input; :func:`chi` keeps its own parity check as an
 internal invariant, whose failure means a bug rather than bad input.
+
+The lattice form and the degree functional come from the surface
+(:meth:`Surface.dot`, :meth:`Surface.degree`), so :func:`degree`,
+:func:`chi`, :func:`twist` and ``is_exceptional`` are integer dot products
+on coordinate tuples.  A KClass's c1 lives on its surface by construction,
+so each function that takes two arguments checks their surfaces once and
+raises LatticeMismatchError when they differ.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect
+from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect, same_surface
 
 HOM = "hom"
 EXT = "ext"
@@ -35,7 +42,7 @@ class KClass:
     ch2x2: int
 
     def __post_init__(self) -> None:
-        if self.c1.surface != self.surface:
+        if self.c1.surface is not self.surface and self.c1.surface != self.surface:
             raise LatticeMismatchError("c1 lives on a different surface")
 
     def __add__(self, other: "KClass") -> "KClass":
@@ -65,7 +72,8 @@ class KClass:
     @property
     def is_exceptional(self) -> bool:
         """Whether rank*ch2x2 == 1 + c1^2 - rank^2 (rank 0: c1^2 == -1)."""
-        c1sq = intersect(self.c1, self.c1)
+        x = self.c1.coords
+        c1sq = self.surface.dot(x, x)
         if self.rank == 0:
             return c1sq == -1
         return self.rank * self.ch2x2 == 1 + c1sq - self.rank * self.rank
@@ -73,7 +81,7 @@ class KClass:
 
 def degree(e: KClass) -> int:
     """Degree against the anticanonical polarization, d = c1.(-K)."""
-    return -intersect(e.c1, canonical_class(e.surface))
+    return e.surface.degree(e.c1.coords)
 
 
 def slope(e: KClass):
@@ -85,11 +93,14 @@ def slope(e: KClass):
 
 def chi(e: KClass, f: KClass) -> int:
     """Euler pairing chi(E, F), by Riemann-Roch on the numerical invariants."""
+    s = same_surface(e, f)
+    x, y = e.c1.coords, f.c1.coords
+    r, q = e.rank, f.rank
     twice = (
-        2 * e.rank * f.rank
-        + (e.rank * degree(f) - f.rank * degree(e))
-        + (e.rank * f.ch2x2 + f.rank * e.ch2x2)
-        - 2 * intersect(e.c1, f.c1)
+        2 * r * q
+        + (r * s.degree(y) - q * s.degree(x))
+        + (r * f.ch2x2 + q * e.ch2x2)
+        - 2 * s.dot(x, y)
     )
     if twice % 2:
         raise InvariantViolationError(
@@ -101,19 +112,16 @@ def chi(e: KClass, f: KClass) -> int:
 
 def chi_minus(e: KClass, f: KClass) -> int:
     """The antisymmetrized pairing chi(E,F) - chi(F,E) = r(E)d(F) - r(F)d(E)."""
-    if e.surface != f.surface:
-        raise LatticeMismatchError("cannot pair classes on different surfaces")
-    return e.rank * degree(f) - f.rank * degree(e)
+    s = same_surface(e, f)
+    return e.rank * s.degree(f.c1.coords) - f.rank * s.degree(e.c1.coords)
 
 
 def twist(e: KClass, d: DivisorClass) -> KClass:
     """The class of E tensored with the line bundle O(d)."""
-    return KClass(
-        e.surface,
-        e.rank,
-        e.c1 + e.rank * d,
-        e.ch2x2 + 2 * intersect(e.c1, d) + e.rank * intersect(d, d),
-    )
+    s = same_surface(e, d)
+    x, y, r = e.c1.coords, d.coords, e.rank
+    c1 = DivisorClass(s, tuple([a + r * b for a, b in zip(x, y)]))
+    return KClass(s, r, c1, e.ch2x2 + 2 * s.dot(x, y) + r * s.dot(y, y))
 
 
 def line_bundle(d: DivisorClass) -> KClass:

@@ -5,6 +5,13 @@ Two families of surfaces are supported: the plane blown up in r points
 carries the basis (l0, l1, ..., lr) with l0^2 = 1, li^2 = -1 and all mixed
 products zero; for the quadric the basis (f1, f2) of the two rulings with
 f1^2 = f2^2 = 0 and f1.f2 = 1.  Everything is exact integer arithmetic.
+
+This module is the only one that knows the intersection form and the
+canonical class K.  :meth:`Surface.dot` and :meth:`Surface.degree` (the
+functional d -> d.(-K)) evaluate them on bare coordinate tuples as plain
+integer dot products, with no surface check.  The checked entry points,
+:func:`intersect` and the ``kclass`` functions, check surfaces once per call
+and then use these.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
+from operator import add, mul, neg, sub
 from typing import Iterator
 
 PLANE = "plane"
@@ -74,6 +82,20 @@ class Surface:
         """Rank of the Grothendieck group, i.e. 2 + picard rank."""
         return 12 - self.k_squared
 
+    def dot(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+        """The intersection form on two coordinate tuples of this lattice."""
+        if self.kind == QUADRIC:
+            return x[0] * y[1] + x[1] * y[0]
+        # l0^2 = 1 and li^2 = -1: x0*y0 - sum over i >= 1 of xi*yi.
+        return 2 * x[0] * y[0] - sum(map(mul, x, y))
+
+    def degree(self, x: tuple[int, ...]) -> int:
+        """The degree x.(-K) of a coordinate tuple of this lattice."""
+        # -K is 2f1 + 2f2 on the quadric and 3l0 - l1 - ... - lr on the plane.
+        if self.kind == QUADRIC:
+            return 2 * (x[0] + x[1])
+        return 2 * x[0] + sum(x)
+
     def __str__(self) -> str:
         return self.name
 
@@ -112,24 +134,20 @@ class DivisorClass:
         return intersect(self, other)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _require_same_surface(self, other)
-        return DivisorClass(
-            self.surface, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        same_surface(self, other)
+        return DivisorClass(self.surface, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _require_same_surface(self, other)
-        return DivisorClass(
-            self.surface, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        same_surface(self, other)
+        return DivisorClass(self.surface, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coords))
+        return DivisorClass(self.surface, tuple(map(neg, self.coords)))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
         if not isinstance(scalar, int):
             return NotImplemented
-        return DivisorClass(self.surface, tuple(scalar * a for a in self.coords))
+        return DivisorClass(self.surface, tuple([scalar * a for a in self.coords]))
 
     __rmul__ = __mul__
 
@@ -137,20 +155,17 @@ class DivisorClass:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def _require_same_surface(a: DivisorClass, b: DivisorClass) -> None:
-    if a.surface != b.surface:
-        raise LatticeMismatchError(
-            f"incompatible lattices: {a.surface} and {b.surface}"
-        )
+def same_surface(a, b) -> Surface:
+    """The common surface of two classes, or LatticeMismatchError."""
+    s, t = a.surface, b.surface
+    if s is not t and s != t:
+        raise LatticeMismatchError(f"incompatible lattices: {s} and {t}")
+    return s
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection number of two divisor classes on the same surface."""
-    _require_same_surface(a, b)
-    if a.surface.kind == QUADRIC:
-        return a.coords[0] * b.coords[1] + a.coords[1] * b.coords[0]
-    head = a.coords[0] * b.coords[0]
-    return head - sum(x * y for x, y in zip(a.coords[1:], b.coords[1:]))
+    return same_surface(a, b).dot(a.coords, b.coords)
 
 
 @cache

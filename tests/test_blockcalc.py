@@ -4,11 +4,14 @@ Each mutation case below was worked out by hand on a small surface before
 being frozen here; the arithmetic fits on the back of an envelope.
 """
 
+import json
 import random
+import re
 from itertools import product
 
 import pytest
 
+from triblock import blockcalc, cli
 from triblock.blockcalc import (
     DIVISION,
     EXTENSION,
@@ -16,6 +19,7 @@ from triblock.blockcalc import (
     Block,
     BlockCollection,
     BlockError,
+    MutationType,
     abc,
     apply_word,
     block_mutation,
@@ -465,3 +469,85 @@ def test_mutation_preserves_completeness_and_type():
         moved = apply_word(c, (token,))
         assert is_complete(moved)
         assert sorted(moved.type_vector) == sorted(c.type_vector)
+
+
+def test_mutation_matches_full_revalidation_oracle():
+    # block_mutation rechecks only the rewritten block; full revalidation of
+    # every result stays here as the oracle.  All 84 braid words of length
+    # 1..3 on the 16 builds, one step at a time: every step is a nontrivial
+    # division (the flavours frozen from the fully revalidating version),
+    # and undoing it gives the step's input back.
+    moves = [("left", 1), ("left", 2), ("right", 1), ("right", 2)]
+    inverse = {"left": "right", "right": "left"}
+    steps = 0
+    for start in _all_builds():
+        frontier = [(start, 0)]
+        while frontier:
+            node, depth = frontier.pop()
+            for side, i in moves:
+                child, kind = block_mutation(node, i, side)
+                assert validate_collection(child.blocks) == child
+                assert kind == MutationType(DIVISION)
+                assert block_mutation(child, i, inverse[side])[0] == node
+                steps += 1
+                if depth < 2:
+                    frontier.append((child, depth + 1))
+    assert steps == 16 * (4 + 16 + 64)
+
+
+def _plus_point(members):
+    # Adding a point class keeps rank, c1 and the parity but breaks
+    # chi(m, m) = 1 for nonzero rank.
+    point = KClass(members[1].surface, 0, DivisorClass.zero(members[1].surface), 2)
+    return members[:1] + (members[1] + point,) + members[2:]
+
+
+# left@2 on x3 (type (1, 2, 3)) rewrites the last block into position 2; the
+# old block 2 becomes block 3.  Each fault replaces the rewritten members.
+FAULTS = {
+    "not-exceptional": (
+        lambda c, new: _plus_point(new),
+        r"block 2: member 2 \(rank 1, c1 \(.*\), 2ch2 -?\d+\) is not exceptional",
+    ),
+    "not-orthogonal": (
+        lambda c, new: (new[0], new[0]),
+        r"block 2: chi\(member 1, member 2\) = 1; block members must be mutually orthogonal",
+    ),
+    "into-earlier": (
+        lambda c, new: c.blocks[0].members,
+        r"chi\(block 2 member 1, block 1 member 1\) = 1; the collection is not semiorthogonal",
+    ),
+    "from-later": (
+        lambda c, new: c.blocks[1].members,
+        r"chi\(block 3 member 1, block 2 member 1\) = 1; the collection is not semiorthogonal",
+    ),
+    "other-surface": (
+        lambda c, new: (lb(Surface.plane(2), 0, 0, 0),),
+        r"block 2 lives on a different surface",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_mutation_recheck_catches_broken_arithmetic(fault, monkeypatch, tmp_path, capsys):
+    c = catalog.build("x3")
+    tamper, message = FAULTS[fault]
+    real = blockcalc._mutate_members
+
+    def broken(moving, through, chi_val, side):
+        new, kind = real(moving, through, chi_val, side)
+        return tamper(c, new), kind
+
+    monkeypatch.setattr(blockcalc, "_mutate_members", broken)
+    with pytest.raises(InvariantViolationError) as err:
+        block_mutation(c, 2, "left")
+    assert re.fullmatch(
+        "mutation left@2 produced an invalid collection: " + message, str(err.value)
+    ), str(err.value)
+
+    path = tmp_path / "x3.json"
+    path.write_text(json.dumps(cli.collection_to_doc(c)), encoding="utf-8")
+    assert cli.main(["mutate", str(path), "L2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal invariant violated: {err.value}\n"

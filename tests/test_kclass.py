@@ -28,7 +28,7 @@ from triblock.kclass import (
     torsion_class,
     twist,
 )
-from triblock.picard import DivisorClass, LatticeMismatchError, Surface
+from triblock.picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect
 
 P2 = Surface.plane(0)
 QUADRIC = Surface.quadric()
@@ -232,15 +232,107 @@ def test_classify_pair():
 def test_cross_surface_guards():
     o2 = structure_sheaf(P2)
     o3 = structure_sheaf(Surface.plane(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(LatticeMismatchError):
         chi(o2, o3)
+    with pytest.raises(LatticeMismatchError):
+        chi(o3, o2)
     with pytest.raises(ValueError):
         o2 + o3
-    with pytest.raises(ValueError):
+    with pytest.raises(LatticeMismatchError):
         twist(o2, DivisorClass.zero(Surface.plane(1)))
+    with pytest.raises(LatticeMismatchError):
+        twist(structure_sheaf(QUADRIC), DivisorClass.zero(Surface.plane(1)))
     with pytest.raises(ValueError):
         KClass(P2, 1, DivisorClass.zero(Surface.plane(1)), 0)
     with pytest.raises(LatticeMismatchError):
         chi_minus(o2, o3)
     with pytest.raises(LatticeMismatchError):
         exceptional_ch2(P2, 1, DivisorClass.zero(Surface.plane(1)))
+
+
+# The reference Euler form: the intersection form written out coordinate by
+# coordinate, and degree, chi, twist and exceptionality through it and the
+# canonical class, as the library computed them before it evaluated them as
+# dot products on coordinate tuples.
+def _intersect_ref(a, b):
+    assert a.surface == b.surface
+    if a.surface == QUADRIC:
+        return a.coords[0] * b.coords[1] + a.coords[1] * b.coords[0]
+    return a.coords[0] * b.coords[0] - sum(x * y for x, y in zip(a.coords[1:], b.coords[1:]))
+
+
+def _degree_ref(e):
+    return -_intersect_ref(e.c1, canonical_class(e.surface))
+
+
+def _twice_chi_ref(e, f):
+    return (
+        2 * e.rank * f.rank
+        + (e.rank * _degree_ref(f) - f.rank * _degree_ref(e))
+        + (e.rank * f.ch2x2 + f.rank * e.ch2x2)
+        - 2 * _intersect_ref(e.c1, f.c1)
+    )
+
+
+def _twist_ref(e, d):
+    return KClass(
+        e.surface,
+        e.rank,
+        e.c1 + e.rank * d,
+        e.ch2x2 + 2 * _intersect_ref(e.c1, d) + e.rank * _intersect_ref(d, d),
+    )
+
+
+def _is_exceptional_ref(e):
+    c1sq = _intersect_ref(e.c1, e.c1)
+    if e.rank == 0:
+        return c1sq == -1
+    return e.rank * e.ch2x2 == 1 + c1sq - e.rank * e.rank
+
+
+def _random_classes(surface, rng, count):
+    # Unconstrained classes (about half break the sheaf parity), plus
+    # exceptional ones so that is_exceptional sees both answers.
+    k = canonical_class(surface)
+    out = []
+    while len(out) < count:
+        c1 = DivisorClass(surface, tuple(rng.randint(-5, 5) for _ in range(surface.picard_rank)))
+        if rng.random() < 0.4:
+            try:
+                out.append(exceptional_class(surface, rng.randint(1, 3), c1))
+            except ValueError:
+                pass
+            continue
+        rank = rng.randint(-3, 4)
+        if rank == 0 and rng.random() < 0.5:
+            ch2x2 = _intersect_ref(c1, k) + 2 * rng.randint(-3, 3)  # parity holds
+        else:
+            ch2x2 = rng.randint(-20, 20)
+        out.append(KClass(surface, rank, c1, ch2x2))
+    return out
+
+
+def test_euler_form_core_matches_reference():
+    rng = random.Random(1987)
+    surfaces = [Surface.plane(r) for r in range(9)] + [QUADRIC]
+    odd = exceptional = 0
+    for surface in surfaces:
+        classes = _random_classes(surface, rng, 24)
+        for e in classes:
+            assert degree(e) == _degree_ref(e)
+            assert surface.degree(e.c1.coords) == _degree_ref(e)
+            assert e.is_exceptional is _is_exceptional_ref(e)
+            exceptional += e.is_exceptional
+            d = DivisorClass(surface, tuple(rng.randint(-4, 4) for _ in range(surface.picard_rank)))
+            assert twist(e, d) == _twist_ref(e, d)
+            for f in classes:
+                assert intersect(e.c1, f.c1) == _intersect_ref(e.c1, f.c1)
+                twice = _twice_chi_ref(e, f)
+                if twice % 2:
+                    odd += 1
+                    with pytest.raises(InvariantViolationError):
+                        chi(e, f)
+                else:
+                    assert chi(e, f) == twice // 2
+                    assert chi_minus(e, f) == (twice - _twice_chi_ref(f, e)) // 2
+    assert odd > 1000 and exceptional > 50
