@@ -11,6 +11,12 @@ the blowdown recursion are counted by orbit-stabiliser, with each
 stabiliser read off a dominant-chamber reduction.  Neither enumerates
 minus-one classes.
 
+What depends only on the surface is computed once per surface and cached,
+like picard.canonical_class: the simple roots, the reflection in each as a
+pair of coordinate tuples, and |W|.  Each orbit row is computed once per
+process, so the orbit table and the recursion checks share rows; every
+certificate still runs on each count.
+
 normal_form gives a canonical twist representative of a collection: the
 tuple of all member c1 coordinates, members sorted inside each block,
 twisted so that the first coordinate vector of the first block lies in the
@@ -20,12 +26,21 @@ fundamental box [0, rank) coordinatewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from . import catalog
-from .blockcalc import Block, BlockCollection, block_rank_triple, equivalent_up_to_twist
+from .blockcalc import (
+    Block,
+    BlockCollection,
+    apply_word,
+    block_rank_triple,
+    equivalent_up_to_twist,
+    helix_shift,
+)
 from .kclass import InvariantViolationError, KClass
 from .markov import EQUATIONS, equation_by_label
 from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect
@@ -74,18 +89,30 @@ class LatticeAutomorphism:
         )
 
 
-def simple_roots(surface: Surface) -> tuple[DivisorClass, ...]:
+class SimpleSystem(NamedTuple):
+    """A surface's simple roots, the reflection in each, and |W|."""
+
+    roots: tuple[DivisorClass, ...]
+    reflections: Mapping[DivisorClass, tuple]  # read-only: root -> _reflection(root)
+    order: int
+
+
+@cache
+def simple_system(surface: Surface) -> SimpleSystem:
+    """The simple system of the surface's Weyl group, built once per surface."""
     if surface.kind == "quadric":
-        return (DivisorClass(surface, (1, -1)),)
-    r = surface.blowups
-    roots = []
-    if r >= 3:
-        roots.append(DivisorClass(surface, (1, -1, -1, -1) + (0,) * (r - 3)))
-    for i in range(1, r):
-        coords = [0] * (r + 1)
-        coords[i], coords[i + 1] = 1, -1
-        roots.append(DivisorClass(surface, tuple(coords)))
-    return tuple(roots)
+        roots = (DivisorClass(surface, (1, -1)),)
+    else:
+        r = surface.blowups
+        cremona = [(1, -1, -1, -1) + (0,) * (r - 3)] if r >= 3 else []
+        swaps = [(0,) * i + (1, -1) + (0,) * (r - 1 - i) for i in range(1, r)]
+        roots = tuple(DivisorClass(surface, coords) for coords in cremona + swaps)
+    reflections = MappingProxyType({a: _reflection(a) for a in roots})
+    return SimpleSystem(roots, reflections, coxeter_order(roots))
+
+
+def simple_roots(surface: Surface) -> tuple[DivisorClass, ...]:
+    return simple_system(surface).roots
 
 
 def simple_reflections(surface: Surface) -> tuple[LatticeAutomorphism, ...]:
@@ -221,15 +248,15 @@ def _arm_length(hub: int, start: int, links: list) -> int:
 
 def _reflection(a: DivisorClass) -> tuple:
     """The root's coordinates and the coefficients of x -> x.a on coordinates."""
-    n = len(a.coords)
-    return a.coords, tuple(intersect(DivisorClass.basis(a.surface, j), a) for j in range(n))
+    dot, n = a.surface.dot, len(a.coords)
+    return a.coords, tuple([dot((0,) * j + (1,) + (0,) * (n - 1 - j), a.coords) for j in range(n)])
 
 
 def _reflect(x: tuple, reflection: tuple) -> tuple:
     """The reflection x -> x + (x.a) a on coordinate tuples."""
     a, covector = reflection
     p = sum(map(mul, x, covector))
-    return tuple(xi + p * ai for xi, ai in zip(x, a)) if p else x
+    return tuple([xi + p * ai for xi, ai in zip(x, a)]) if p else x
 
 
 def _twist_invariants(c: BlockCollection, ranks) -> list:
@@ -253,7 +280,8 @@ def _stabiliser_roots(vectors: list, roots: tuple) -> tuple:
     # reflections that moved the vectors before it, into the dominant
     # chamber of the current W_J shrinks J to simple roots generating the
     # stabiliser of the whole tuple.
-    chain = [(a, _reflection(a)) for a in roots]
+    reflections = simple_system(roots[0].surface).reflections if roots else {}
+    chain = [(a, reflections[a]) for a in roots]
     word = []
     for v in vectors:
         if not chain:
@@ -304,10 +332,10 @@ def orbit_count(c: BlockCollection) -> int:
     """
     ranks = _structure(c)[0]
     vectors = _twist_invariants(c, ranks)
-    roots = simple_roots(c.surface)
-    stabiliser = _stabiliser_roots(vectors, roots)
+    system = simple_system(c.surface)
+    stabiliser = _stabiliser_roots(vectors, system.roots)
     _check_transpositions(c, vectors)
-    order = coxeter_order(roots)
+    order = system.order
     denominator = coxeter_order(stabiliser) * prod(factorial(s) for s in c.type_vector)
     if order % denominator:
         raise InvariantViolationError(
@@ -351,8 +379,9 @@ class OrbitRow:
     orbits: int
 
 
+@cache
 def orbit_row(label: str) -> OrbitRow:
-    """N, C and N/C for one equation label."""
+    """N, C and N/C for one equation label, computed once per process."""
     if label not in catalog.ENTRIES:
         raise ValueError(f"unknown equation label {label!r}")
     entry = catalog.ENTRIES[label]
@@ -375,8 +404,6 @@ def verify_c(label: str) -> bool:
     inequivalent presentation of the same solution.  Labels without a
     stored witness return True vacuously.
     """
-    from .blockcalc import apply_word, helix_shift
-
     if label == "x6.1":
         c = catalog.build(label, 0)
         shifted = [c, helix_shift(c, -1), helix_shift(c, -2)]
@@ -459,8 +486,7 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
         return 1
     if surface.kind == "quadric" or m > surface.blowups:
         return 0
-    roots = simple_roots(surface)
-    order = coxeter_order(roots)
+    roots, _, order = simple_system(surface)
     ordered = 0
     for representative in _disjoint_representatives(surface, m):
         _check_disjoint_minus_ones(representative)

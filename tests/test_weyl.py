@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from triblock import catalog, weyl
+from triblock import catalog, cli, weyl
 from triblock.blockcalc import (
     Block,
     BlockCollection,
@@ -42,6 +42,8 @@ from triblock.weyl import (
     apply_to_class,
     apply_to_collection,
     _normalize,
+    _reflect,
+    _reflection,
     _stabiliser_roots,
     _structure,
     count_disjoint_sets,
@@ -53,6 +55,7 @@ from triblock.weyl import (
     recursion_check,
     simple_reflections,
     simple_roots,
+    simple_system,
     verify_c,
 )
 
@@ -145,6 +148,38 @@ def test_simple_roots_are_roots():
         for root in simple_roots(s):
             assert intersect(root, root) == -2
             assert intersect(root, k) == 0
+
+
+def test_reflection_covector_matches_intersection_formula():
+    # the covector of x -> x.a against intersect on basis classes, and the
+    # coordinate reflection against the validated lattice automorphism
+    rng = random.Random(20261018)
+    for s in ALL_SURFACES:
+        n = s.picard_rank
+        probes = [DivisorClass.basis(s, j) for j in range(n)] + [canonical_class(s)]
+        probes += [DivisorClass(s, tuple(rng.randint(-5, 5) for _ in range(n))) for _ in range(3)]
+        for a in enumerate_classes(s, ROOT):
+            reflection = _reflection(a)
+            assert reflection == (
+                a.coords,
+                tuple(intersect(DivisorClass.basis(s, j), a) for j in range(n)),
+            )
+            g = LatticeAutomorphism.from_root(a)
+            for x in probes:
+                assert _reflect(x.coords, reflection) == g.apply(x).coords
+
+
+def test_simple_system_is_built_once_per_surface():
+    simple_system.cache_clear()
+    for s in ALL_SURFACES:
+        assert simple_roots(s) is simple_roots(s)
+        roots, reflections, order = simple_system(s)
+        assert order == coxeter_order(roots)
+        assert reflections == {a: _reflection(a) for a in roots}
+        for m in range(s.blowups + 1):
+            count_disjoint_sets(s, m)
+    info = simple_system.cache_info()
+    assert (info.misses, info.currsize) == (len(ALL_SURFACES), len(ALL_SURFACES))
 
 
 def test_reflections_are_involutive_isometries():
@@ -386,6 +421,26 @@ def test_orbit_rows_frozen():
         assert row.solution_classes == row.repetition * row.orbits
     with pytest.raises(ValueError, match="unknown equation label"):
         orbit_row("x9.9")
+
+
+def test_orbit_table_counts_each_collection_once(monkeypatch, capsys):
+    # the table and the recursion checks share rows: from empty caches the
+    # CLI command counts each of the 16 cataloged collections once
+    calls = []
+    real_orbit_count = weyl.orbit_count
+
+    def counting(c):
+        calls.append(c)
+        return real_orbit_count(c)
+
+    catalog.build.cache_clear()
+    weyl.orbit_row.cache_clear()
+    simple_system.cache_clear()
+    monkeypatch.setattr(weyl, "orbit_count", counting)
+    assert cli.main(["orbits", "--check-c", "--check-recursion"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 16
+    assert len({id(c) for c in calls}) == 16
 
 
 def test_orbit_count_splits_across_solutions():
