@@ -9,14 +9,20 @@ row order, and the enumeration is re-derived exhaustively in the tests.
 
 Solution mutation follows the usual Markov trick: fixing two coordinates,
 the equation is quadratic in the third, and the mutation swaps its two
-roots.  Every positive solution reduces to a minimum by a chain of strictly
-sum-decreasing mutations, unique at every step: the solutions form a forest
-rooted at the minima, which come from a proven finite region.  One walk up
-that forest gives the solutions within a bound and their mutation graph.
+roots.  Descent is one rule: with U_i = w_i*s_i^2 for the weights w, the
+flip in coordinate i lowers the sum exactly when 2*U_i > U_x + U_y + U_z,
+and at most one i passes (:func:`_descent`, proof in :func:`_walk`).  So
+every positive solution reduces to a minimum by a unique chain of strictly
+sum-decreasing mutations: the solutions form a forest rooted at the minima,
+which come from a proven finite region.  One walk up that forest gives the
+solutions within a bound and their mutation graph.
 
 Each public function checks the solution it is given once.  Internally every
 mutation goes through :func:`_flip`, which trusts its input and checks the
-solution it produces; a failure there is an internal invariant.
+solution it produces; a failure there is an internal invariant.  The rule
+picks the flip, and the flip's result is certified: each descent step must
+solve the equation and lower the sum, and the minimum a reduction ends at
+must have no sum-lowering flip among its three.
 """
 
 from __future__ import annotations
@@ -140,10 +146,10 @@ def _require_solution(eq: MarkovEquation, s) -> SolutionTriple:
 def _flip(eq: MarkovEquation, s: SolutionTriple, i: int) -> SolutionTriple:
     """The other root in coordinate i of the solution s, which is trusted.
 
-    By Vieta the two roots sum to coeff * s_j * s_k / weight_i.
+    By Vieta the two roots sum to coeff * s_j * s_k / weight_i, where
+    s[i - 1] and s[i - 2] are the other two coordinates.
     """
-    others = s.x * s.y * s.z // s[i]
-    roots, remainder = divmod(eq.coeff * others, eq.type_vector[i])
+    roots, remainder = divmod(eq.coeff * s[i - 1] * s[i - 2], eq.type_vector[i])
     if remainder:
         raise InvariantViolationError(
             f"mutation of {s} in {VARIABLES[i]} is not integral for {eq.label}"
@@ -170,6 +176,19 @@ def _key(s: SolutionTriple) -> tuple[int, ...]:
     return (s.total,) + tuple(s)
 
 
+def _descent(eq: MarkovEquation, s: SolutionTriple) -> int | None:
+    """The coordinate whose flip lowers the sum of s, or None at a minimum.
+
+    That is the unique i with 2*w_i*s_i^2 > sum_j w_j*s_j^2 (see :func:`_walk`).
+    """
+    big = [w * v * v for w, v in zip(eq.type_vector, s)]
+    total = sum(big)
+    for i in range(3):
+        if 2 * big[i] > total:
+            return i
+    return None
+
+
 def _walk(eq: MarkovEquation, sum_bound: int):
     """Yield (s, its flips in x, y, z) once for each solution within the bound.
 
@@ -181,13 +200,19 @@ def _walk(eq: MarkovEquation, sum_bound: int):
     forest rooted at the minima.  Parents have smaller sums, so walking up
     from the minima within the bound by flips that raise the sum and stay
     within it reaches each solution there once, with no visited set.
+
+    A child is pushed with the coordinate it was flipped in and its parent,
+    which is the child's flip in that coordinate (flips are involutions), so
+    a child's other two flips are all that is computed for it.
     """
-    stack = [m for m in minimum_solutions(eq) if m.total <= sum_bound]
+    stack = [(m, None, None) for m in minimum_solutions(eq) if m.total <= sum_bound]
     while stack:
-        s = stack.pop()
-        flips = [_flip(eq, s, i) for i in range(3)]
+        s, up, parent = stack.pop()
+        flips = [parent if i == up else _flip(eq, s, i) for i in range(3)]
         yield s, flips
-        stack.extend(t for t in flips if s.total < t.total <= sum_bound)
+        stack.extend(
+            (t, i, s) for i, t in enumerate(flips) if s.total < t.total <= sum_bound
+        )
 
 
 def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTriple, ...]:
@@ -198,9 +223,13 @@ def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTri
 
 
 def is_minimum(eq: MarkovEquation, s) -> bool:
-    """Whether no mutation strictly decreases the coordinate sum."""
+    """Whether no mutation strictly decreases the coordinate sum.
+
+    Decided by the descent rule (:func:`_descent`): s is a minimum exactly
+    when no i has 2*w_i*s_i^2 > sum_j w_j*s_j^2.  No flip is computed.
+    """
     s = _require_solution(eq, s)
-    return all(_flip(eq, s, i).total >= s.total for i in range(3))
+    return _descent(eq, s) is None
 
 
 def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
@@ -223,7 +252,8 @@ def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
     positive at 0: finitely many (s_a, s_b) for each ordered pair of
     positions (a, b), with s_c the smaller root of the integer quadratic in
     the third coordinate.  Every minimum is among these candidates, and a
-    candidate is kept when no flip lowers its sum.
+    candidate is kept when the descent rule (:func:`_descent`) finds no
+    flip that lowers its sum.
     """
     w = eq.type_vector
     found = set()
@@ -246,7 +276,7 @@ def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
                     found.add(SolutionTriple(s[0], s[1], s[2]))
                 s_b += 1
             s_a += 1
-    minima = (s for s in found if all(_flip(eq, s, i).total >= s.total for i in range(3)))
+    minima = (s for s in found if _descent(eq, s) is None)
     return tuple(sorted(minima, key=lambda s: (s.z, s.x, s.y)))
 
 
@@ -256,24 +286,28 @@ def reduce_to_minimum(
     """The strictly sum-decreasing mutation chain from s down to a minimum.
 
     Returns [(s0, var0), (s1, var1), ..., (minimum, None)].  At every
-    non-minimal solution exactly one of the three mutations decreases the
-    sum; the chain records which.
+    non-minimal solution exactly one mutation decreases the sum, the one the
+    descent rule names (:func:`_descent`), and only that one is computed.
+    Each step is certified: the mutation must solve the equation and lower
+    the sum.  So is the end: none of the minimum's three mutations may lower
+    its sum.  A failure raises :class:`InvariantViolationError`.
     """
     s = _require_solution(eq, s)
     path: list[tuple[SolutionTriple, str | None]] = []
-    while True:
-        mutations = [(v, _flip(eq, s, i)) for i, v in enumerate(VARIABLES)]
-        decreasing = [(v, t) for v, t in mutations if t.total < s.total]
-        if not decreasing:
-            path.append((s, None))
-            return path
-        if len(decreasing) > 1:
+    while (i := _descent(eq, s)) is not None:
+        nxt = _flip(eq, s, i)
+        if nxt.total >= s.total:
             raise InvariantViolationError(
-                f"{s} has several sum-decreasing mutations for {eq.label}"
+                f"mutation of {s} in {VARIABLES[i]} does not lower the sum for {eq.label}"
             )
-        var, nxt = decreasing[0]
-        path.append((s, var))
+        path.append((s, VARIABLES[i]))
         s = nxt
+    if any(_flip(eq, s, i).total < s.total for i in range(3)):
+        raise InvariantViolationError(
+            f"{s} was taken as a minimum of {eq.label} but a mutation lowers its sum"
+        )
+    path.append((s, None))
+    return path
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Solution counts and graph shapes below were frozen from independent runs of
 a brute-force sweep; the small ones are easy to confirm by hand.  That sweep,
 a union-find and a cycle search stay here as oracles for the library's walk
-of the mutation forest.
+of the mutation forest, and a three-flip descent and minimum test stay as
+oracles for the descent rule.
 """
 
+import random
 from functools import lru_cache
 from math import isqrt
 
@@ -108,6 +110,33 @@ def sweep(eq, sum_bound):
                 if z > 0 and not remainder and x + y + z <= sum_bound:
                     found.add(SolutionTriple(x, y, z))
     return tuple(sorted(found, key=lambda s: (s.total,) + tuple(s)))
+
+
+def lowering_flips(eq, s):
+    """Every mutation of s that lowers its sum, found by trying all three."""
+    flips = ((v, mutate_solution(eq, s, v)) for v in "xyz")
+    return [(v, t) for v, t in flips if t.total < s.total]
+
+
+def descend_by_three_flips(eq, s):
+    """The descent path: flip every coordinate and keep the one that lowers
+    the sum, until none does."""
+    path = []
+    while lower := lowering_flips(eq, s):
+        (v, t), = lower
+        path.append((s, v))
+        s = t
+    path.append((s, None))
+    return path
+
+
+def upward_walk(eq, rng, depth):
+    """A seeded random walk of the given depth up the mutation forest."""
+    s = rng.choice(minimum_solutions(eq))
+    for _ in range(depth):
+        flips = (mutate_solution(eq, s, v) for v in "xyz")
+        s = rng.choice([t for t in flips if t.total > s.total])
+    return s
 
 
 def union_find_components(graph):
@@ -288,15 +317,12 @@ def test_minimum_solutions():
 
 
 def test_exactly_one_decreasing_mutation_off_minimum():
+    # is_minimum decides by the descent rule alone; the oracle flips all three.
     for eq in EQUATIONS:
-        for s in enumerate_solutions(eq, 200):
-            decreasing = sum(
-                mutate_solution(eq, s, v).total < s.total for v in "xyz"
-            )
-            if is_minimum(eq, s):
-                assert decreasing == 0
-            else:
-                assert decreasing == 1
+        for s in sweep(eq, 400):
+            decreasing = len(lowering_flips(eq, s))
+            assert decreasing <= 1, (eq.label, s)
+            assert is_minimum(eq, s) == (decreasing == 0), (eq.label, s)
 
 
 def test_reduce_path_frozen():
@@ -323,6 +349,65 @@ def test_reduction_terminates_at_table_minimum():
             assert tuple(end) in minima
             totals = [p[0].total for p in path]
             assert totals == sorted(totals, reverse=True)
+
+
+def test_reduce_matches_the_three_flip_descent():
+    rng = random.Random(10)
+    largest = 0
+    for eq in EQUATIONS:
+        for depth in (0, 1, 2, 3, 5, 8, 12, 18, 25):
+            s = upward_walk(eq, rng, depth)
+            path = reduce_to_minimum(eq, s)
+            assert len(path) == depth + 1, eq.label
+            assert path == descend_by_three_flips(eq, s), eq.label
+            largest = max(largest, s.total)
+    # Some walks pass CPython's 4300-digit int-to-str limit.
+    assert largest > 10**4300
+
+
+def test_reduce_certifies_each_step_and_the_minimum(monkeypatch):
+    p2 = equation_by_label("p2")
+    descent = markov._descent
+    # A rule naming, once, a flip that raises the sum: (2,5,29) -> (433,5,29).
+    lies = [0]
+    monkeypatch.setattr(
+        markov, "_descent", lambda eq, s: lies.pop() if lies else descent(eq, s)
+    )
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"mutation of \(2,5,29\) in x does not lower the sum for p2",
+    ):
+        reduce_to_minimum(p2, (2, 5, 29))
+    # A rule that misses the descent of a non-minimum.
+    monkeypatch.setattr(markov, "_descent", lambda eq, s: None)
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"\(2,5,29\) was taken as a minimum of p2 but a mutation lowers its sum",
+    ):
+        reduce_to_minimum(p2, (2, 5, 29))
+
+
+def test_flips_per_descent_step_and_per_walk_node(monkeypatch):
+    calls = []
+    flip = markov._flip
+
+    def counting_flip(eq, s, i):
+        calls.append(i)
+        return flip(eq, s, i)
+
+    monkeypatch.setattr(markov, "_flip", counting_flip)
+    rng = random.Random(11)
+    for eq in EQUATIONS:
+        s = upward_walk(eq, rng, 12)
+        calls.clear()
+        path = reduce_to_minimum(eq, s)
+        # one flip per step down, and three to certify the minimum
+        assert len(calls) == (len(path) - 1) + 3, eq.label
+        calls.clear()
+        g = build_solution_graph(eq, 400)
+        # three per root; a child's flip back to its parent is not recomputed
+        roots = len(g.minima)
+        assert len(calls) == 3 * roots + 2 * (len(g.nodes) - roots), eq.label
 
 
 def test_plane_graph_shape():
