@@ -12,6 +12,24 @@ from the new classes.  Pairings between the untouched blocks are the
 input's and keep their order, so they need no recheck.  A failed recheck
 means the arithmetic itself is broken and is reported as
 :class:`InvariantViolationError`, never as bad input.
+
+Closed forms.  For blocks E before F of one valid collection, Riemann-Roch
+gives chi(e, f) - chi(f, e) = r_E*d_F - r_F*d_E for members e of E and f of
+F, semiorthogonality gives chi(f, e) = 0, and each block has one rank and
+degree, so the cross pairing chi(E, F) = r_E*d_F - r_F*d_E is constant by
+construction.  Serre duality, chi(E, G(K)) = chi(G, E) = 0, gives abc's b
+the same way.  The mutation calculus reads these closed forms
+(:func:`_cross`, :func:`abc`); the brute-force :func:`chi_block` checks an
+arbitrary block pair and is their oracle in the tests.  Their precondition
+is a valid collection, which every BlockCollection is: validate_collection
+and the mutations check theirs, and the direct constructions (the twist in
+:func:`helix_shift` and ``catalog``, ``weyl.apply_to_collection``) apply a
+twist or a lattice isometry, both of which preserve the Euler form.
+
+The rechecks compute every pairing afresh from the produced classes by
+Riemann-Roch, with each block's one rank and degree hoisted out of the
+member loops, so a pair costs one :meth:`Surface.dot`; :func:`chi` runs only
+on a nonzero pairing, to report it.
 """
 
 from __future__ import annotations
@@ -19,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .kclass import InvariantViolationError, KClass, chi, degree, twist
+from .kclass import InvariantViolationError, KClass, chi, degree, describe, render_int, twist
 from .picard import DivisorClass, Surface, canonical_class
 
 DIVISION = "division"
@@ -96,7 +114,7 @@ def validate_block(members: Sequence[KClass]) -> Block:
             problem = "breaks the sheaf parity 2*ch2 == c1.K (mod 2)"
         else:
             continue
-        raise BlockError(f"member {n} (rank {m.rank}, c1 {m.c1}, 2ch2 {m.ch2x2}) {problem}")
+        raise BlockError(f"member {n} {describe(m)} {problem}")
     if len({m.rank for m in members}) > 1:
         raise BlockError("block members must share a common rank")
     if len(set(degrees)) > 1:
@@ -104,13 +122,17 @@ def validate_block(members: Sequence[KClass]) -> Block:
     # For exceptional a, b of equal rank r and degree, chi(a,b) - chi(b,a) =
     # r*(d_b - d_a) = 0 and 2*chi(a,b) = 2 + (c1_a - c1_b)^2 (rank 0 too), so
     # chi(a,b) = 0 makes chi(b,a) vanish and c1_a - c1_b a root: its square
-    # is -2, and the equal degrees make it orthogonal to K.
-    for i, a in enumerate(members):
+    # is -2, and the equal degrees make it orthogonal to K.  With the rank r
+    # and degree shared, 2*chi(a,b) = r*(r + ch_a) + r*(r + ch_b) - 2*c1_a.c1_b.
+    r, dot = members[0].rank, surface.dot
+    halves = [(r * (r + m.ch2x2), m.c1.coords) for m in members]
+    for i, (u, x) in enumerate(halves):
         for j in range(i + 1, len(members)):
-            value = chi(a, members[j])
-            if value:
+            v, y = halves[j]
+            if u + v != 2 * dot(x, y):
+                value = chi(members[i], members[j])
                 raise BlockError(
-                    f"chi(member {i + 1}, member {j + 1}) = {value}; "
+                    f"chi(member {i + 1}, member {j + 1}) = {render_int(value)}; "
                     "block members must be mutually orthogonal"
                 )
     return Block(members)
@@ -173,20 +195,43 @@ def _validate_block_at(members: Sequence[KClass], n: int) -> Block:
 
 
 def _require_semiorthogonal(blocks: Sequence[Block], i: int, j: int) -> None:
-    # chi(later, earlier) == 0 from block j into block i (0-based, i < j);
-    # a failure names both members by their 1-based positions in `blocks`.
-    for q, later in enumerate(blocks[j].members, 1):
-        for p, earlier in enumerate(blocks[i].members, 1):
-            value = chi(later, earlier)
-            if value:
+    # chi(later, earlier) == 0 from block j into block i (0-based, i < j) for
+    # validated blocks on one surface; a failure names both members by their
+    # 1-based positions in `blocks`.  Riemann-Roch with each block's rank and
+    # degree hoisted: 2*chi(l, e) = (2rq + r*d_E - q*d_L + q*ch_l) + r*ch_e
+    # - 2*c1_l.c1_e for l of rank r in block L and e of rank q in block E.
+    later, earlier = blocks[j], blocks[i]
+    r, q, dot = later.rank, earlier.rank, later.surface.dot
+    base = 2 * r * q + r * earlier.degree - q * later.degree
+    rows = [(base + q * m.ch2x2, m.c1.coords) for m in later.members]
+    cols = [(r * m.ch2x2, m.c1.coords) for m in earlier.members]
+    for a, (u, x) in enumerate(rows):
+        for b, (v, y) in enumerate(cols):
+            if u + v != 2 * dot(x, y):
+                value = chi(later.members[a], earlier.members[b])
                 raise BlockError(
-                    f"chi(block {j + 1} member {q}, block {i + 1} member {p}) "
-                    f"= {value}; the collection is not semiorthogonal"
+                    f"chi(block {j + 1} member {a + 1}, block {i + 1} member {b + 1}) "
+                    f"= {render_int(value)}; the collection is not semiorthogonal"
                 )
 
 
+def _cross(e: Block, f: Block) -> int:
+    """chi(E_i, F_j) for a block E before a block F of one valid collection.
+
+    Riemann-Roch and chi(F_j, E_i) = 0 make it r_E*d_F - r_F*d_E, the same
+    for every pair (module docstring); :func:`chi_block` is its oracle.
+    """
+    return e.rank * f.degree - f.rank * e.degree
+
+
 def chi_block(e: Block, f: Block) -> int:
-    """The common Euler pairing chi(E_i, F_j) across a block pair."""
+    """The common Euler pairing chi(E_i, F_j) across an arbitrary block pair.
+
+    Brute force over all |E|*|F| pairs, raising BlockError when the pairing
+    is not constant.  For E before F in one valid collection the mutation
+    calculus uses the closed form r_E*d_F - r_F*d_E (:func:`_cross`)
+    instead; the tests keep this as its oracle.
+    """
     values = {chi(a, b) for a in e.members for b in f.members}
     if len(values) > 1:
         raise BlockError(
@@ -212,19 +257,30 @@ def is_complete(c: BlockCollection) -> bool:
 def _mutate_members(
     moving: Block, through: Block, chi_val: int, side: str
 ) -> tuple[tuple[KClass, ...], MutationType]:
-    # The three arithmetic flavours.  `moving` is the block being rewritten.
+    # The three arithmetic flavours.  `moving` is the block being rewritten;
+    # each new member is +-(chi_val * sum(through) - m), built once from the
+    # integer coordinates (rank, c1, 2*ch2).
     if chi_val == 0:
         return moving.members, MutationType(RECOIL, trivial=True)
-    total = through.class_sum()
     if side == "left":
         division = chi_val > 0 and through.size * chi_val * through.rank > moving.rank
     else:
         division = chi_val > 0 and moving.rank <= through.size * chi_val * through.rank
-    if division:
-        new = tuple(chi_val * total - m for m in moving.members)
-        return new, MutationType(DIVISION)
-    new = tuple(m - chi_val * total for m in moving.members)
-    return new, MutationType(RECOIL if chi_val > 0 else EXTENSION)
+    sign = 1 if division else -1
+    s, parts = moving.surface, through.members
+    t_rank = chi_val * through.size * through.rank
+    t_c1 = [chi_val * sum(col) for col in zip(*(m.c1.coords for m in parts))]
+    t_ch = chi_val * sum(m.ch2x2 for m in parts)
+    new = tuple(
+        KClass(
+            s,
+            sign * (t_rank - m.rank),
+            DivisorClass(s, tuple([sign * (t - x) for t, x in zip(t_c1, m.c1.coords)])),
+            sign * (t_ch - m.ch2x2),
+        )
+        for m in moving.members
+    )
+    return new, MutationType(DIVISION if division else RECOIL if chi_val > 0 else EXTENSION)
 
 
 def block_mutation(
@@ -242,13 +298,17 @@ def block_mutation(
     after it, each pairing computed afresh from the produced classes.  The
     other blocks are the input's, in the input's relative order, so every
     pairing between them was already checked when ``c`` was validated.
+
+    Precondition: ``c`` is valid, as every BlockCollection is (module
+    docstring).  The move is fixed by the cross pairing chi(E_i, F_j) of the
+    pair, read off in closed form as r_E*d_F - r_F*d_E.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not 1 <= i < len(c.blocks):
         raise BlockError(f"no adjacent block pair at position {i}")
     e, f = c.blocks[i - 1], c.blocks[i]
-    chi_val = chi_block(e, f)
+    chi_val = _cross(e, f)
     if side == "left":
         new_members, mtype = _mutate_members(f, e, chi_val, "left")
         at = i - 1
@@ -292,13 +352,15 @@ def dual_basis(c: BlockCollection) -> tuple[KClass, ...]:
 
     chi(member_i, dual_j) is the Kronecker delta.  The first block is self
     dual, the middle block recoils off the first, the last block twists by K.
+    The recoil uses the closed-form cross pairing r_E*d_F - r_F*d_E of the
+    first two blocks, so c must be valid (module docstring).
     """
     if len(c.blocks) != 3:
         raise BlockError("dual basis requires a three-block collection")
     if not is_complete(c):
         raise BlockError("dual basis requires a complete collection")
     e, f, g = c.blocks
-    c_ef = chi_block(e, f)
+    c_ef = _cross(e, f)
     e_total = e.class_sum()
     k = canonical_class(c.surface)
     duals = list(e.members)
@@ -321,23 +383,29 @@ def abc(c: BlockCollection) -> tuple[int, int, int]:
     collection: a across the last pair, c across the first pair, and b from
     the K-twisted last block back into the first.
 
-    Checks the quadratic relations tying (a, b, c) to the type (alpha, beta,
-    gamma), the ranks (x, y, z) and K^2, and the trace identity
-    a^2/alpha + b^2/beta + c^2/gamma == abc.
+    For a valid collection (module docstring) they are closed forms: a =
+    r_F*d_G - r_G*d_F and c = r_E*d_F - r_F*d_E, and Serre duality gives
+    chi(E, G(K)) = chi(G, E) = 0, so b = chi(G(K), E) = r_G*d_E - r_E*d_G +
+    r_E*r_G*K^2, as G(K) has degree d_G - r_G*K^2.
+
+    Checks that all three are positive, the quadratic relations tying
+    (a, b, c) to the type (alpha, beta, gamma), the ranks (x, y, z) and K^2,
+    and the trace identity a^2/alpha + b^2/beta + c^2/gamma == abc.
     """
     if len(c.blocks) != 3:
         raise BlockError("abc requires a three-block collection")
     e, f, g = c.blocks
-    a_val = chi_block(f, g)
-    c_val = chi_block(e, f)
-    b_val = chi_block(g.twisted(canonical_class(c.surface)), e)
+    ksq = c.surface.k_squared
+    a_val = _cross(f, g)
+    c_val = _cross(e, f)
+    b_val = g.rank * e.degree - e.rank * g.degree + e.rank * g.rank * ksq
+    shown = ",".join(map(render_int, (a_val, b_val, c_val)))
     if a_val <= 0 or b_val <= 0 or c_val <= 0:
         raise InvariantViolationError(
-            f"cross pairings (a,b,c)=({a_val},{b_val},{c_val}) are not all positive"
+            f"cross pairings (a,b,c)=({shown}) are not all positive"
         )
     alpha, beta, gamma = c.type_vector
     x, y, z = c.ranks
-    ksq = c.surface.k_squared
     ok = (
         a_val * a_val * beta * gamma == ksq * alpha * x * x
         and b_val * b_val * alpha * gamma == ksq * beta * y * y
@@ -347,7 +415,7 @@ def abc(c: BlockCollection) -> tuple[int, int, int]:
     )
     if not ok:
         raise InvariantViolationError(
-            f"cross pairings ({a_val},{b_val},{c_val}) violate the quadratic relations"
+            f"cross pairings ({shown}) violate the quadratic relations"
         )
     return a_val, b_val, c_val
 

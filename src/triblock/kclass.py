@@ -13,6 +13,10 @@ The lattice form and the degree functional come from the surface
 on coordinate tuples.  A KClass's c1 lives on its surface by construction,
 so each function that takes two arguments checks their surfaces once and
 raises LatticeMismatchError when they differ.
+
+Error messages render their integers through :func:`render_int`, which
+never meets CPython's limit on int-to-str conversion, so a failed check on
+a class with thousands of digits still reports the failure it found.
 """
 
 from __future__ import annotations
@@ -30,6 +34,35 @@ ZERO = "zero"
 
 class InvariantViolationError(RuntimeError):
     """An arithmetic identity that must hold internally failed to hold."""
+
+
+_LONG = 10**40  # render_int writes shorter integers in full
+_PREFIX_DIGITS = 20
+
+
+def render_int(n: int) -> str:
+    """n in decimal, or past 40 digits its sign, first 20 digits and length.
+
+    str(n) raises ValueError past 4300 digits (CPython's default limit), so
+    messages that may carry huge values use this instead.
+    """
+    m = abs(n)
+    if m < _LONG:
+        return str(n)
+    # 10**(k-1) <= m < 10**k: the bit length times log10(2) fixes k to within one.
+    k = int((m.bit_length() - 1) * 0.30102999566398120) + 1
+    while m >= 10**k:
+        k += 1
+    while m < 10 ** (k - 1):
+        k -= 1
+    head = m // 10 ** (k - _PREFIX_DIGITS)
+    return f"{'-' if n < 0 else ''}{head}...({k} digits)"
+
+
+def describe(e: KClass) -> str:
+    """A class as (rank r, c1 (..), 2ch2 n), for messages; see render_int."""
+    c1 = ",".join(map(render_int, e.c1.coords))
+    return f"(rank {render_int(e.rank)}, c1 ({c1}), 2ch2 {render_int(e.ch2x2)})"
 
 
 @dataclass(frozen=True)
@@ -104,7 +137,7 @@ def chi(e: KClass, f: KClass) -> int:
     )
     if twice % 2:
         raise InvariantViolationError(
-            f"Euler pairing is not integral on {e} x {f}; "
+            f"Euler pairing is not integral on {describe(e)} x {describe(f)}; "
             "a class violates the sheaf parity 2*ch2 == c1.K (mod 2)"
         )
     return twice // 2

@@ -32,7 +32,7 @@ from itertools import permutations
 from math import isqrt
 from typing import Iterable, NamedTuple
 
-from .kclass import InvariantViolationError
+from .kclass import InvariantViolationError, render_int
 from .picard import Surface
 
 VARIABLES = ("x", "y", "z")
@@ -136,10 +136,15 @@ def check_solution(eq: MarkovEquation, s: SolutionTriple) -> bool:
     )
 
 
+def _show(s) -> str:
+    # str(s) for messages, safe past CPython's int-to-str digit limit.
+    return "(" + ",".join(map(render_int, s)) + ")"
+
+
 def _require_solution(eq: MarkovEquation, s) -> SolutionTriple:
     s = SolutionTriple(*s)
     if not check_solution(eq, s):
-        raise ValueError(f"{s} does not solve {eq.label}: {eq}")
+        raise ValueError(f"{_show(s)} does not solve {eq.label}: {eq}")
     return s
 
 
@@ -152,14 +157,14 @@ def _flip(eq: MarkovEquation, s: SolutionTriple, i: int) -> SolutionTriple:
     roots, remainder = divmod(eq.coeff * s[i - 1] * s[i - 2], eq.type_vector[i])
     if remainder:
         raise InvariantViolationError(
-            f"mutation of {s} in {VARIABLES[i]} is not integral for {eq.label}"
+            f"mutation of {_show(s)} in {VARIABLES[i]} is not integral for {eq.label}"
         )
     out = list(s)
     out[i] = roots - s[i]
     result = SolutionTriple(*out)
     if not check_solution(eq, result):
         raise InvariantViolationError(
-            f"mutation of {s} in {VARIABLES[i]} left the solution set of {eq.label}"
+            f"mutation of {_show(s)} in {VARIABLES[i]} left the solution set of {eq.label}"
         )
     return result
 
@@ -298,13 +303,13 @@ def reduce_to_minimum(
         nxt = _flip(eq, s, i)
         if nxt.total >= s.total:
             raise InvariantViolationError(
-                f"mutation of {s} in {VARIABLES[i]} does not lower the sum for {eq.label}"
+                f"mutation of {_show(s)} in {VARIABLES[i]} does not lower the sum for {eq.label}"
             )
         path.append((s, VARIABLES[i]))
         s = nxt
     if any(_flip(eq, s, i).total < s.total for i in range(3)):
         raise InvariantViolationError(
-            f"{s} was taken as a minimum of {eq.label} but a mutation lowers its sum"
+            f"{_show(s)} was taken as a minimum of {eq.label} but a mutation lowers its sum"
         )
     path.append((s, None))
     return path
@@ -405,7 +410,7 @@ def to_representative(eq: MarkovEquation, s) -> SolutionTriple:
     for value, factor in zip(s, w.scale):
         if value % factor:
             raise InvariantViolationError(
-                f"solution {s} of {eq.label} is not divisible by the scale {w.scale}"
+                f"solution {_show(s)} of {eq.label} is not divisible by the scale {w.scale}"
             )
         scaled.append(value // factor)
     t = SolutionTriple(*(scaled[w.perm[i]] for i in range(3)))

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from triblock import blockcalc, cli
+from triblock import blockcalc, cli, weyl
 from triblock.blockcalc import (
     DIVISION,
     EXTENSION,
@@ -471,28 +471,84 @@ def test_mutation_preserves_completeness_and_type():
         assert sorted(moved.type_vector) == sorted(c.type_vector)
 
 
-def test_mutation_matches_full_revalidation_oracle():
-    # block_mutation rechecks only the rewritten block; full revalidation of
-    # every result stays here as the oracle.  All 84 braid words of length
-    # 1..3 on the 16 builds, one step at a time: every step is a nontrivial
-    # division (the flavours frozen from the fully revalidating version),
-    # and undoing it gives the step's input back.
+def _braid_closure():
+    # Every step (node, side, i, child, kind) of the 84 braid words of length
+    # 1..3 on the 16 builds, one step at a time.
     moves = [("left", 1), ("left", 2), ("right", 1), ("right", 2)]
-    inverse = {"left": "right", "right": "left"}
-    steps = 0
     for start in _all_builds():
         frontier = [(start, 0)]
         while frontier:
             node, depth = frontier.pop()
             for side, i in moves:
                 child, kind = block_mutation(node, i, side)
-                assert validate_collection(child.blocks) == child
-                assert kind == MutationType(DIVISION)
-                assert block_mutation(child, i, inverse[side])[0] == node
-                steps += 1
+                yield node, side, i, child, kind
                 if depth < 2:
                     frontier.append((child, depth + 1))
+
+
+def test_mutation_matches_full_revalidation_oracle():
+    # block_mutation rechecks only the rewritten block; full revalidation of
+    # every result stays here as the oracle.  Every step of the closure is a
+    # nontrivial division (the flavours frozen from the fully revalidating
+    # version), and undoing it gives the step's input back.
+    inverse = {"left": "right", "right": "left"}
+    steps = 0
+    for node, side, i, child, kind in _braid_closure():
+        assert validate_collection(child.blocks) == child
+        assert kind == MutationType(DIVISION)
+        assert block_mutation(child, i, inverse[side])[0] == node
+        steps += 1
     assert steps == 16 * (4 + 16 + 64)
+
+
+def _abc_by_brute_force(c):
+    e, f, g = c.blocks
+    return chi_block(f, g), chi_block(g.twisted(canonical_class(c.surface)), e), chi_block(e, f)
+
+
+def test_closed_forms_match_brute_force_oracle():
+    # The closure, and each of its collections twisted, moved by a simple
+    # reflection and shifted one step either way along its helix.
+    closure = _all_builds() + [child for _, _, _, child, _ in _braid_closure()]
+    reflections = {s: weyl.simple_reflections(s) for s in {c.surface for c in closure}}
+    checked = 0
+    for n, c in enumerate(closure):
+        s = c.surface
+        images = [c, helix_shift(c, 1), helix_shift(c, -1)]
+        d = DivisorClass.basis(s, n % s.picard_rank)
+        images.append(BlockCollection(tuple(b.twisted(d) for b in c.blocks)))
+        if reflections[s]:
+            images.append(weyl.apply_to_collection(reflections[s][n % len(reflections[s])], c))
+        for image in images:
+            blocks = image.blocks
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    assert blockcalc._cross(blocks[i], blocks[j]) == chi_block(blocks[i], blocks[j])
+            assert abc(image) == _abc_by_brute_force(image)
+            checked += 1
+    assert len(closure) == 16 * 85
+    assert checked == 5 * len(closure) - 85  # P2 has no simple roots
+
+
+def test_valid_mutations_call_no_pairing_by_brute_force(monkeypatch):
+    # The closed form and the hoisted rechecks replace chi_block and chi on
+    # the valid path; chi is left to report a nonzero pairing.
+    calls = {"chi_block": 0, "chi": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(blockcalc, name, counting(name, getattr(blockcalc, name)))
+    steps = sum(1 for _ in _braid_closure())
+    assert steps == 16 * (4 + 16 + 64)
+    assert calls == {"chi_block": 0, "chi": 0}
+    with pytest.raises(BlockError, match="mutually orthogonal"):
+        validate_block([lb(P2, 0), lb(P2, 0)])
+    assert calls == {"chi_block": 0, "chi": 1}
 
 
 def _plus_point(members):
@@ -525,6 +581,17 @@ FAULTS = {
         lambda c, new: (lb(Surface.plane(2), 0, 0, 0),),
         r"block 2 lives on a different surface",
     ),
+    # chi(O(-l0 + l1), O) = 2: the message reports the pairing of the classes.
+    "into-earlier-twice": (
+        lambda c, new: (lb(c.surface, -1, 1, 0, 0),),
+        r"chi\(block 2 member 1, block 1 member 1\) = 2; the collection is not semiorthogonal",
+    ),
+    # O_C for the curve l1 has 2*ch2 = 1; rank 0 stays exceptional at 2.
+    "parity": (
+        lambda c, new: (KClass(c.surface, 0, DivisorClass.basis(c.surface, 1), 2),) + new[1:],
+        r"block 2: member 1 \(rank 0, c1 \(0,1,0,0\), 2ch2 2\) "
+        r"breaks the sheaf parity 2\*ch2 == c1\.K \(mod 2\)",
+    ),
 }
 
 
@@ -551,3 +618,38 @@ def test_mutation_recheck_catches_broken_arithmetic(fault, monkeypatch, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal invariant violated: {err.value}\n"
+
+
+LARGE_FAULTS = {
+    "not-exceptional": (
+        lambda moving, new: (new[0] + KClass(new[0].surface, 0, DivisorClass.zero(new[0].surface), 2),),
+        r"block 2: member 1 \(rank \d{20}\.\.\.\(\d+ digits\), c1 \(.*\), 2ch2 .*\) is not exceptional",
+    ),
+    "unmoved": (
+        lambda moving, new: moving.members,
+        r"chi\(block 2 member 1, block 1 member 1\) = \d{20}\.\.\.\(\d+ digits\); "
+        r"the collection is not semiorthogonal",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LARGE_FAULTS))
+def test_recheck_failure_past_the_int_to_str_limit(fault, monkeypatch):
+    # 103 seeded right moves on P2 pass 10^4400; the failure must still
+    # report the broken invariant, not the int-to-str limit.
+    rng = random.Random(1)
+    c = apply_word(catalog.build("p2"), [rng.choice(("R1", "R2")) for _ in range(103)])
+    assert max(c.ranks) > 10**4400
+    tamper, message = LARGE_FAULTS[fault]
+    real = blockcalc._mutate_members
+
+    def broken(moving, through, chi_val, side):
+        new, kind = real(moving, through, chi_val, side)
+        return tamper(moving, new), kind
+
+    monkeypatch.setattr(blockcalc, "_mutate_members", broken)
+    with pytest.raises(InvariantViolationError) as err:
+        block_mutation(c, 1, "right")
+    assert re.fullmatch(
+        "mutation right@1 produced an invalid collection: " + message, str(err.value)
+    ), str(err.value)[:200]

@@ -24,6 +24,7 @@ from triblock.kclass import (
     exceptional_ch2,
     exceptional_class,
     line_bundle,
+    render_int,
     slope,
     torsion_class,
     twist,
@@ -336,3 +337,16 @@ def test_euler_form_core_matches_reference():
                     assert chi(e, f) == twice // 2
                     assert chi_minus(e, f) == (twice - _twice_chi_ref(f, e)) // 2
     assert odd > 1000 and exceptional > 50
+
+
+def test_render_int_past_the_int_to_str_limit():
+    assert render_int(0) == "0"
+    assert render_int(-(10**40 - 1)) == "-" + "9" * 40
+    assert render_int(10**40) == "1" + "0" * 19 + "...(41 digits)"
+    assert render_int(-(10**5000 - 1)) == "-" + "9" * 20 + "...(5000 digits)"
+    assert render_int(12345678901234567890123 * 10**6000) == "12345678901234567890...(6023 digits)"
+    # the parity failure still reports itself on a class past the limit
+    huge = KClass(P2, 10**5000 + 1, pl(P2, 0), 0)
+    odd = KClass(P2, 1, pl(P2, 0), 1)
+    with pytest.raises(InvariantViolationError, match=r"not integral on \(rank 1{1}0{19}\.\.\.\(5001 digits\)"):
+        chi(huge, odd)

@@ -387,6 +387,22 @@ def test_reduce_certifies_each_step_and_the_minimum(monkeypatch):
         reduce_to_minimum(p2, (2, 5, 29))
 
 
+def test_invariant_failures_past_the_int_to_str_limit(monkeypatch):
+    # A depth-25 walk passes CPython's 4300-digit int-to-str limit; a failed
+    # certificate on it must still report the broken invariant.
+    p2 = equation_by_label("p2")
+    s = upward_walk(p2, random.Random(10), 25)
+    assert s.total > 10**4300
+    with pytest.raises(ValueError, match=r"^\(\d{20}\.\.\.\(\d+ digits\),.*\) does not solve p2"):
+        reduce_to_minimum(p2, (s.x + 1, s.y, s.z))
+    monkeypatch.setattr(markov, "_descent", lambda eq, s: None)
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"^\(\d{20}\.\.\.\(\d+ digits\),.*\) was taken as a minimum of p2",
+    ):
+        reduce_to_minimum(p2, s)
+
+
 def test_flips_per_descent_step_and_per_walk_node(monkeypatch):
     calls = []
     flip = markov._flip
