@@ -18,18 +18,20 @@ gives chi(e, f) - chi(f, e) = r_E*d_F - r_F*d_E for members e of E and f of
 F, semiorthogonality gives chi(f, e) = 0, and each block has one rank and
 degree, so the cross pairing chi(E, F) = r_E*d_F - r_F*d_E is constant by
 construction.  Serre duality, chi(E, G(K)) = chi(G, E) = 0, gives abc's b
-the same way.  The mutation calculus reads these closed forms
-(:func:`_cross`, :func:`abc`); the brute-force :func:`chi_block` checks an
-arbitrary block pair and is their oracle in the tests.  Their precondition
-is a valid collection, which every BlockCollection is: validate_collection
-and the mutations check theirs, and the direct constructions (the twist in
-:func:`helix_shift` and ``catalog``, ``weyl.apply_to_collection``) apply a
-twist or a lattice isometry, both of which preserve the Euler form.
+the same way.  :func:`abc` and :func:`dual_basis` read these closed forms
+(:func:`_cross`), and :func:`block_mutation` reads its pair's pairing off
+one member pair with a single :func:`chi`, which the constancy allows.  The
+brute-force :func:`chi_block` checks an arbitrary block pair and is their
+oracle in the tests.  Their precondition is a valid collection, which every
+BlockCollection is: validate_collection and the mutations check theirs, and
+the direct constructions (the twist in :func:`helix_shift` and ``catalog``,
+``weyl.apply_to_collection``) apply a twist or a lattice isometry, both of
+which preserve the Euler form.
 
-The rechecks compute every pairing afresh from the produced classes by
-Riemann-Roch, with each block's one rank and degree hoisted out of the
-member loops, so a pair costs one :meth:`Surface.dot`; :func:`chi` runs only
-on a nonzero pairing, to report it.
+The rechecks compute every pairing afresh from the produced classes with
+:func:`kclass.first_nonzero_chi`, Riemann-Roch with each block's one rank
+and degree hoisted out of the member loops, so a pair costs one
+:meth:`Surface.dot`; :func:`chi` reports a nonzero pairing it finds.
 """
 
 from __future__ import annotations
@@ -37,7 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .kclass import InvariantViolationError, KClass, chi, degree, describe, render_int, twist
+from .kclass import (
+    InvariantViolationError,
+    KClass,
+    chi,
+    degree,
+    describe,
+    first_nonzero_chi,
+    render_int,
+    twist,
+)
 from .picard import DivisorClass, Surface, canonical_class
 
 DIVISION = "division"
@@ -122,19 +133,14 @@ def validate_block(members: Sequence[KClass]) -> Block:
     # For exceptional a, b of equal rank r and degree, chi(a,b) - chi(b,a) =
     # r*(d_b - d_a) = 0 and 2*chi(a,b) = 2 + (c1_a - c1_b)^2 (rank 0 too), so
     # chi(a,b) = 0 makes chi(b,a) vanish and c1_a - c1_b a root: its square
-    # is -2, and the equal degrees make it orthogonal to K.  With the rank r
-    # and degree shared, 2*chi(a,b) = r*(r + ch_a) + r*(r + ch_b) - 2*c1_a.c1_b.
-    r, dot = members[0].rank, surface.dot
-    halves = [(r * (r + m.ch2x2), m.c1.coords) for m in members]
-    for i, (u, x) in enumerate(halves):
-        for j in range(i + 1, len(members)):
-            v, y = halves[j]
-            if u + v != 2 * dot(x, y):
-                value = chi(members[i], members[j])
-                raise BlockError(
-                    f"chi(member {i + 1}, member {j + 1}) = {render_int(value)}; "
-                    "block members must be mutually orthogonal"
-                )
+    # is -2, and the equal degrees make it orthogonal to K.
+    bad = first_nonzero_chi(members, members, upper=True)
+    if bad is not None:
+        i, j = bad
+        raise BlockError(
+            f"chi(member {i + 1}, member {j + 1}) = {render_int(chi(members[i], members[j]))}; "
+            "block members must be mutually orthogonal"
+        )
     return Block(members)
 
 
@@ -197,22 +203,15 @@ def _validate_block_at(members: Sequence[KClass], n: int) -> Block:
 def _require_semiorthogonal(blocks: Sequence[Block], i: int, j: int) -> None:
     # chi(later, earlier) == 0 from block j into block i (0-based, i < j) for
     # validated blocks on one surface; a failure names both members by their
-    # 1-based positions in `blocks`.  Riemann-Roch with each block's rank and
-    # degree hoisted: 2*chi(l, e) = (2rq + r*d_E - q*d_L + q*ch_l) + r*ch_e
-    # - 2*c1_l.c1_e for l of rank r in block L and e of rank q in block E.
-    later, earlier = blocks[j], blocks[i]
-    r, q, dot = later.rank, earlier.rank, later.surface.dot
-    base = 2 * r * q + r * earlier.degree - q * later.degree
-    rows = [(base + q * m.ch2x2, m.c1.coords) for m in later.members]
-    cols = [(r * m.ch2x2, m.c1.coords) for m in earlier.members]
-    for a, (u, x) in enumerate(rows):
-        for b, (v, y) in enumerate(cols):
-            if u + v != 2 * dot(x, y):
-                value = chi(later.members[a], earlier.members[b])
-                raise BlockError(
-                    f"chi(block {j + 1} member {a + 1}, block {i + 1} member {b + 1}) "
-                    f"= {render_int(value)}; the collection is not semiorthogonal"
-                )
+    # 1-based positions in `blocks`.
+    later, earlier = blocks[j].members, blocks[i].members
+    bad = first_nonzero_chi(later, earlier)
+    if bad is not None:
+        a, b = bad
+        raise BlockError(
+            f"chi(block {j + 1} member {a + 1}, block {i + 1} member {b + 1}) "
+            f"= {render_int(chi(later[a], earlier[b]))}; the collection is not semiorthogonal"
+        )
 
 
 def _cross(e: Block, f: Block) -> int:
@@ -228,9 +227,10 @@ def chi_block(e: Block, f: Block) -> int:
     """The common Euler pairing chi(E_i, F_j) across an arbitrary block pair.
 
     Brute force over all |E|*|F| pairs, raising BlockError when the pairing
-    is not constant.  For E before F in one valid collection the mutation
-    calculus uses the closed form r_E*d_F - r_F*d_E (:func:`_cross`)
-    instead; the tests keep this as its oracle.
+    is not constant.  For E before F in one valid collection the pairing
+    is constant, and the mutation calculus reads it from the closed form
+    r_E*d_F - r_F*d_E (:func:`_cross`) or from one member pair instead;
+    the tests keep this as their oracle.
     """
     values = {chi(a, b) for a in e.members for b in f.members}
     if len(values) > 1:
@@ -301,14 +301,15 @@ def block_mutation(
 
     Precondition: ``c`` is valid, as every BlockCollection is (module
     docstring).  The move is fixed by the cross pairing chi(E_i, F_j) of the
-    pair, read off in closed form as r_E*d_F - r_F*d_E.
+    pair, which is then the constant r_E*d_F - r_F*d_E, so one Riemann-Roch
+    evaluation on the first members reads it.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not 1 <= i < len(c.blocks):
         raise BlockError(f"no adjacent block pair at position {i}")
     e, f = c.blocks[i - 1], c.blocks[i]
-    chi_val = _cross(e, f)
+    chi_val = chi(e.members[0], f.members[0])
     if side == "left":
         new_members, mtype = _mutate_members(f, e, chi_val, "left")
         at = i - 1

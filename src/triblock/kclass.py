@@ -12,7 +12,10 @@ The lattice form and the degree functional come from the surface
 :func:`chi`, :func:`twist` and ``is_exceptional`` are integer dot products
 on coordinate tuples.  A KClass's c1 lives on its surface by construction,
 so each function that takes two arguments checks their surfaces once and
-raises LatticeMismatchError when they differ.
+raises LatticeMismatchError when they differ.  This module is the one
+place that writes out Riemann-Roch: :func:`chi` for one pair, and
+:func:`first_nonzero_chi` for all pairs of two blocks, with each block's
+rank and degree hoisted.
 
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
+from typing import Sequence
 
 from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect, same_surface
 
@@ -141,6 +145,31 @@ def chi(e: KClass, f: KClass) -> int:
             "a class violates the sheaf parity 2*ch2 == c1.K (mod 2)"
         )
     return twice // 2
+
+
+def first_nonzero_chi(
+    rows: Sequence[KClass], cols: Sequence[KClass], upper: bool = False
+) -> tuple[int, int] | None:
+    """The first (a, b), row by row, with chi(rows[a], cols[b]) != 0, or None.
+
+    The rows share one rank and degree, and so do the columns, as the
+    members of a block do.  Riemann-Roch as in :func:`chi` with those
+    hoisted: 2*chi(l, e) = (2rq + r*d_e - q*d_l + q*ch_l) + r*ch_e
+    - 2*c1_l.c1_e for l of rank r among the rows and e of rank q among the
+    columns, so a pair costs one Surface.dot.  With upper, rows and cols
+    are one sequence and only the pairs b > a are checked.
+    """
+    s = same_surface(rows[0], cols[0])
+    r, q, dot = rows[0].rank, cols[0].rank, s.dot
+    base = 2 * r * q + r * s.degree(cols[0].c1.coords) - q * s.degree(rows[0].c1.coords)
+    us = [(base + q * m.ch2x2, m.c1.coords) for m in rows]
+    vs = [(r * m.ch2x2, m.c1.coords) for m in cols]
+    for a, (u, x) in enumerate(us):
+        for b in range(a + 1 if upper else 0, len(vs)):
+            v, y = vs[b]
+            if u + v != 2 * dot(x, y):
+                return a, b
+    return None
 
 
 def chi_minus(e: KClass, f: KClass) -> int:

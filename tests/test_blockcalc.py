@@ -531,8 +531,9 @@ def test_closed_forms_match_brute_force_oracle():
 
 
 def test_valid_mutations_call_no_pairing_by_brute_force(monkeypatch):
-    # The closed form and the hoisted rechecks replace chi_block and chi on
-    # the valid path; chi is left to report a nonzero pairing.
+    # One chi per mutation reads the cross pairing, and the hoisted rechecks
+    # replace chi_block and chi on the valid path; chi is otherwise left to
+    # report a nonzero pairing.
     calls = {"chi_block": 0, "chi": 0}
 
     def counting(name, fn):
@@ -545,10 +546,10 @@ def test_valid_mutations_call_no_pairing_by_brute_force(monkeypatch):
         monkeypatch.setattr(blockcalc, name, counting(name, getattr(blockcalc, name)))
     steps = sum(1 for _ in _braid_closure())
     assert steps == 16 * (4 + 16 + 64)
-    assert calls == {"chi_block": 0, "chi": 0}
+    assert calls == {"chi_block": 0, "chi": steps}
     with pytest.raises(BlockError, match="mutually orthogonal"):
         validate_block([lb(P2, 0), lb(P2, 0)])
-    assert calls == {"chi_block": 0, "chi": 1}
+    assert calls == {"chi_block": 0, "chi": steps + 1}
 
 
 def _plus_point(members):

@@ -23,6 +23,7 @@ from triblock.kclass import (
     degree,
     exceptional_ch2,
     exceptional_class,
+    first_nonzero_chi,
     line_bundle,
     render_int,
     slope,
@@ -337,6 +338,35 @@ def test_euler_form_core_matches_reference():
                     assert chi(e, f) == twice // 2
                     assert chi_minus(e, f) == (twice - _twice_chi_ref(f, e)) // 2
     assert odd > 1000 and exceptional > 50
+
+
+def test_first_nonzero_chi_matches_pairwise_reference():
+    # Groups of classes sharing a rank and degree, paired every way; the
+    # first nonzero pairing must be the one a pair-by-pair scan finds.
+    rng = random.Random(2718)
+    found = 0
+    for surface in [Surface.plane(r) for r in range(9)] + [QUADRIC]:
+        groups = {}
+        for e in _random_classes(surface, rng, 80):
+            groups.setdefault((e.rank, degree(e)), []).append(e)
+        for rows in groups.values():
+            for cols in groups.values():
+                pairs = [(a, b) for a in range(len(rows)) for b in range(len(cols))]
+                expected = next((p for p in pairs if _twice_chi_ref(rows[p[0]], cols[p[1]])), None)
+                assert first_nonzero_chi(rows, cols) == expected
+                found += expected is not None
+            upper = next(
+                ((a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
+                 if _twice_chi_ref(rows[a], rows[b])),
+                None,
+            )
+            assert first_nonzero_chi(rows, rows, upper=True) == upper
+    assert found > 100
+    # The exceptional curves O(E_1), ..., O(E_8) are mutually orthogonal.
+    x8 = Surface.plane(8)
+    curves = [line_bundle(pl(x8, 0, *(int(i == j) for i in range(8)))) for j in range(8)]
+    assert first_nonzero_chi(curves, curves, upper=True) is None
+    assert first_nonzero_chi(curves, curves) == (0, 0)
 
 
 def test_render_int_past_the_int_to_str_limit():
