@@ -32,6 +32,9 @@ The rechecks compute every pairing afresh from the produced classes with
 :func:`kclass.first_nonzero_chi`, Riemann-Roch with each block's one rank
 and degree hoisted out of the member loops, so a pair costs one
 :meth:`Surface.dot`; :func:`chi` reports a nonzero pairing it finds.
+
+Twist classes are decided in one place, by the key of
+:func:`twist_normal_form`; every other twist test compares such keys.
 """
 
 from __future__ import annotations
@@ -343,7 +346,7 @@ def apply_word(c: BlockCollection, word: Iterable[str]) -> BlockCollection:
 
 def parse_move(token: str) -> tuple[str, int]:
     t = token.strip().upper()
-    if len(t) >= 2 and t[0] in ("L", "R") and t[1:].isdigit():
+    if len(t) >= 2 and t[0] in ("L", "R") and t[1:].isascii() and t[1:].isdigit():
         return ("left" if t[0] == "L" else "right", int(t[1:]))
     raise ValueError(f"invalid mutation token {token!r}; expected like 'L2' or 'R1'")
 
@@ -459,27 +462,43 @@ def block_rank_triple(c: BlockCollection) -> tuple[int, int, int]:
     return (ranks[order[0]], ranks[order[1]], ranks[order[2]])
 
 
+def twist_normal_form(c: BlockCollection) -> tuple[tuple, DivisorClass]:
+    """A hashable key of c's twist class, and the twist d that gives it.
+
+    Sort each block by (c1, 2*ch2); the pivot is the first member of the
+    first block of nonzero rank r, d = -floor(c1(pivot)/r) coordinatewise,
+    and the key is the surface and each block's twist(m, d) as (rank, c1,
+    2*ch2).  Two keys are equal exactly when the collections differ by the
+    twist d1 - d2, members unordered inside blocks: a twist by e adds r*e
+    to c1 and 2*c1.e + r*e^2 to 2*ch2 of a member of rank r, and a block
+    has one rank, so it keeps each block's order and moves the pivot's d to
+    d - e, reaching the same key; equal keys are equal twisted collections.
+    """
+    blocks = [(b.rank, sorted([(m.c1.coords, m.ch2x2) for m in b.members])) for b in c.blocks]
+    pivot = next(((r, rows[0][0]) for r, rows in blocks if r), None)
+    if pivot is None:
+        raise BlockError("cannot determine a twist from torsion-only collections")
+    # twist(m, d) on integer coordinates, as _mutate_members builds members.
+    s, (r, head) = c.surface, pivot
+    y = tuple([-(x // r) for x in head])
+    dot, yy = s.dot, s.dot(y, y)
+    key = (s,) + tuple(
+        tuple(
+            (q, tuple([a + q * b for a, b in zip(x, y)]), ch + 2 * dot(x, y) + q * yy)
+            for x, ch in rows
+        )
+        for q, rows in blocks
+    )
+    return key, DivisorClass(s, y)
+
+
 def equivalent_up_to_twist(c1: BlockCollection, c2: BlockCollection):
     """The divisor d with c2 == c1 twisted by d, or None.
 
-    Collections are compared blockwise with members sorted by c1, so member
-    order inside blocks does not matter.
+    Members count unordered inside blocks; the twist_normal_form keys decide.
     """
     if c1.surface != c2.surface or c1.type_vector != c2.type_vector or c1.ranks != c2.ranks:
         return None
-    pivot = next((i for i, b in enumerate(c1.blocks) if b.rank != 0), None)
-    if pivot is None:
-        raise BlockError("cannot determine a twist from torsion-only collections")
-    key = lambda m: m.c1.coords
-    first1 = min(c1.blocks[pivot].members, key=key)
-    first2 = min(c2.blocks[pivot].members, key=key)
-    r = first1.rank
-    diff = first2.c1 - first1.c1
-    if any(x % r for x in diff.coords):
-        return None
-    d = DivisorClass(c1.surface, tuple(x // r for x in diff.coords))
-    for b1, b2 in zip(c1.blocks, c2.blocks):
-        twisted = sorted((twist(m, d) for m in b1.members), key=key)
-        if twisted != sorted(b2.members, key=key):
-            return None
-    return d
+    key1, d1 = twist_normal_form(c1)
+    key2, d2 = twist_normal_form(c2)
+    return d1 - d2 if key1 == key2 else None

@@ -32,7 +32,7 @@ from .blockcalc import (
     validate_block,
     validate_collection,
 )
-from .kclass import InvariantViolationError, KClass, chi, line_bundle, slope, torsion_class
+from .kclass import InvariantViolationError, KClass, chi_minus, line_bundle, slope, torsion_class
 from .markov import check_solution, equation_for, minimum_solutions
 from .picard import DivisorClass, Surface, embed
 
@@ -80,24 +80,24 @@ def _twisted_by_line(c: BlockCollection, amount: int) -> BlockCollection:
     return BlockCollection(tuple(b.twisted(d) for b in c.blocks))
 
 
-def _seed_pullback_plus_curves(base_label, r, first, last, m=0, line_twist=0):
+def _seed_pullback_plus_curves(base_label, r, first, last, line_twist=0):
     def seed() -> BlockCollection:
         surface = Surface.plane(r)
         base = tau0() if base_label is None else build(base_label, 0)
         if line_twist:
             base = _twisted_by_line(base, line_twist)
         blocks = _pullback_blocks(base, surface)
-        blocks.append(torsion_block(surface, first, last, m))
+        blocks.append(torsion_block(surface, first, last))
         return validate_collection(blocks)
 
     return seed
 
 
-def _seed_curves_plus_pullback(base_label, r, first, last, m=-1):
+def _seed_curves_plus_pullback(base_label, r, first, last):
     def seed() -> BlockCollection:
         surface = Surface.plane(r)
         base = tau0() if base_label is None else build(base_label, 0)
-        blocks: list = [torsion_block(surface, first, last, m)]
+        blocks: list = [torsion_block(surface, first, last, -1)]
         blocks.extend(_pullback_blocks(base, surface))
         return validate_collection(blocks)
 
@@ -397,13 +397,10 @@ def labels() -> tuple[str, ...]:
 def _merge_distinguished(c: BlockCollection) -> BlockCollection:
     # Exactly one adjacent pair must be mutually orthogonal; gluing it is
     # what turns the four braid blocks into the final three.  c is valid, so
-    # chi(later, earlier) already vanishes and only chi(earlier, later) is
-    # left to test.
-    mergeable = []
-    for i in range(len(c.blocks) - 1):
-        a, b = c.blocks[i], c.blocks[i + 1]
-        if all(chi(x, y) == 0 for x in a.members for y in b.members):
-            mergeable.append(i)
+    # chi(later, earlier) already vanishes, so chi(earlier, later) is the
+    # constant chi_minus of one member pair; validating the merge certifies it.
+    firsts = [b.members[0] for b in c.blocks]
+    mergeable = [i for i in range(len(firsts) - 1) if chi_minus(firsts[i], firsts[i + 1]) == 0]
     if len(mergeable) != 1:
         raise InvariantViolationError(
             f"expected exactly one mergeable adjacent pair, found {len(mergeable)}"

@@ -4,8 +4,9 @@ Each equation has the shape alpha*x^2 + beta*y^2 + gamma*z^2 = q*x*y*z with
 q = sqrt(K^2 * alpha * beta * gamma), where (alpha, beta, gamma) is the type
 of a collection on a surface with the given K^2 and alpha + beta + gamma +
 K^2 = 12.  There are exactly fourteen such equations; they are shipped as an
-explicit table because no single ordering rule reproduces the conventional
-row order, and the enumeration is re-derived exhaustively in the tests.
+explicit table of labels and types (K^2 and q are derived) because no single
+ordering rule reproduces the conventional row order, and the enumeration is
+re-derived exhaustively in the tests.
 
 Solution mutation follows the usual Markov trick: fixing two coordinates,
 the equation is quadratic in the third, and the mutation swaps its two
@@ -72,31 +73,36 @@ class MarkovEquation:
         return " + ".join(terms) + f" = {self.coeff}xyz"
 
 
-def _eq(label: str, alpha: int, beta: int, gamma: int, ksq: int, coeff: int) -> MarkovEquation:
+def _eq(label: str, alpha: int, beta: int, gamma: int) -> MarkovEquation:
     if label == "p2":
         surface = Surface.plane(0)
     elif label == "quadric":
         surface = Surface.quadric()
     else:
         surface = Surface.plane(int(label[1]))
+    ksq = surface.k_squared
+    square = ksq * alpha * beta * gamma
+    coeff = isqrt(square)
+    if coeff * coeff != square:
+        raise InvariantViolationError(f"{label}: K^2*alpha*beta*gamma = {square} is not a square")
     return MarkovEquation(label, alpha, beta, gamma, ksq, coeff, surface)
 
 
 EQUATIONS: tuple[MarkovEquation, ...] = (
-    _eq("p2", 1, 1, 1, 9, 3),
-    _eq("quadric", 1, 1, 2, 8, 4),
-    _eq("x3", 1, 2, 3, 6, 6),
-    _eq("x4", 1, 1, 5, 5, 5),
-    _eq("x5", 2, 2, 4, 4, 8),
-    _eq("x6.1", 3, 3, 3, 3, 9),
-    _eq("x6.2", 1, 2, 6, 3, 6),
-    _eq("x7.1", 1, 1, 8, 2, 4),
-    _eq("x7.2", 2, 4, 4, 2, 8),
-    _eq("x7.3", 1, 3, 6, 2, 6),
-    _eq("x8.1", 1, 1, 9, 1, 3),
-    _eq("x8.2", 1, 2, 8, 1, 4),
-    _eq("x8.3", 2, 3, 6, 1, 6),
-    _eq("x8.4", 1, 5, 5, 1, 5),
+    _eq("p2", 1, 1, 1),
+    _eq("quadric", 1, 1, 2),
+    _eq("x3", 1, 2, 3),
+    _eq("x4", 1, 1, 5),
+    _eq("x5", 2, 2, 4),
+    _eq("x6.1", 3, 3, 3),
+    _eq("x6.2", 1, 2, 6),
+    _eq("x7.1", 1, 1, 8),
+    _eq("x7.2", 2, 4, 4),
+    _eq("x7.3", 1, 3, 6),
+    _eq("x8.1", 1, 1, 9),
+    _eq("x8.2", 1, 2, 8),
+    _eq("x8.3", 2, 3, 6),
+    _eq("x8.4", 1, 5, 5),
 )
 
 _BY_LABEL = {eq.label: eq for eq in EQUATIONS}

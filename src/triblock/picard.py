@@ -58,7 +58,7 @@ class Surface:
             return cls.plane(0)
         if name == "quadric":
             return cls.quadric()
-        if len(name) == 2 and name[0] == "X" and name[1].isdigit() and name[1] != "0":
+        if len(name) == 2 and name[0] == "X" and name[1] in "123456789":
             return cls.plane(int(name[1]))
         raise ValueError(f"unknown surface name: {name!r}")
 

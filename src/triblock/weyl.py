@@ -17,10 +17,8 @@ pair of coordinate tuples, and |W|.  Each orbit row is computed once per
 process, so the orbit table and the recursion checks share rows; every
 certificate still runs on each count.
 
-normal_form gives a canonical twist representative of a collection: the
-tuple of all member c1 coordinates, members sorted inside each block,
-twisted so that the first coordinate vector of the first block lies in the
-fundamental box [0, rank) coordinatewise.
+normal_form and verify_c decide twist classes by the one key of
+blockcalc.twist_normal_form.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ from .blockcalc import (
     BlockCollection,
     apply_word,
     block_rank_triple,
-    equivalent_up_to_twist,
-    helix_shift,
+    twist_normal_form,
 )
 from .kclass import InvariantViolationError, KClass
 from .markov import EQUATIONS, equation_by_label
@@ -151,44 +148,18 @@ def divisor_orbit(surface: Surface, start: DivisorClass) -> frozenset:
 # Orbit counting on collections.
 
 
-def _structure(c: BlockCollection):
-    # Orbit states keep (rank, c1) only; that determines 2*ch2 for
-    # exceptional classes of nonzero rank but not for torsion members, so
-    # those are refused rather than silently conflated.
+def _member_ranks(c: BlockCollection) -> tuple[int, ...]:
+    # The twist invariants divide by every member's rank.
     ranks = tuple(m.rank for m in c.members)
-    if any(r == 0 for r in ranks):
+    if 0 in ranks:
         raise ValueError("orbit counting requires blocks of nonzero rank")
-    sizes = c.type_vector
-    slices = []
-    start = 0
-    for s in sizes:
-        slices.append((start, start + s))
-        start += s
-    return ranks, tuple(slices), 0, c.blocks[0].rank
+    return ranks
 
 
-def _normalize(chunks: list, slices, pivot_start: int, pivot_rank: int, ranks) -> tuple:
-    # Sort inside blocks (uniform rank inside a block keeps this canonical),
-    # then translate the whole collection into the fundamental twist box.
-    for a, b in slices:
-        if b - a > 1:
-            chunks[a:b] = sorted(chunks[a:b])
-    head = chunks[pivot_start]
-    shift = tuple(-(x // pivot_rank) for x in head)
-    if any(shift):
-        chunks = [
-            tuple(x + r * s for x, s in zip(ch, shift)) if r else ch
-            for ch, r in zip(chunks, ranks)
-        ]
-    return tuple(chunks)
-
-
-def normal_form(c: BlockCollection):
-    """Canonical twist representative: (ranks, sizes, sorted c1 table)."""
-    ranks, slices, pivot_start, pivot_rank = _structure(c)
-    chunks = [m.c1.coords for m in c.members]
-    state = _normalize(chunks, slices, pivot_start, pivot_rank, ranks)
-    return (ranks, c.type_vector, state)
+def normal_form(c: BlockCollection) -> tuple:
+    """blockcalc.twist_normal_form's key: equal exactly for twists of c."""
+    _member_ranks(c)
+    return twist_normal_form(c)[0]
 
 
 # Orders of the exceptional Weyl groups (Manin, Cubic Forms, Ch. IV).
@@ -330,18 +301,22 @@ def orbit_count(c: BlockCollection) -> int:
     reflections, which is checked transposition by transposition.  The
     ranks must be nonzero with gcd 1.
     """
-    ranks = _structure(c)[0]
+    ranks = _member_ranks(c)
     vectors = _twist_invariants(c, ranks)
     system = simple_system(c.surface)
     stabiliser = _stabiliser_roots(vectors, system.roots)
     _check_transpositions(c, vectors)
-    order = system.order
     denominator = coxeter_order(stabiliser) * prod(factorial(s) for s in c.type_vector)
-    if order % denominator:
+    return _index(system.order, denominator)
+
+
+def _index(order: int, stabiliser: int) -> int:
+    """|W| / |W_J|, checked: the stabiliser order must divide |W|."""
+    if order % stabiliser:
         raise InvariantViolationError(
-            f"|W| = {order} is not divisible by the stabiliser order {denominator}"
+            f"|W| = {order} is not divisible by the stabiliser order {stabiliser}"
         )
-    return order // denominator
+    return order // stabiliser
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +325,8 @@ def orbit_count(c: BlockCollection) -> int:
 # Number of twist classes inside one Weyl closure that present the same
 # underlying collection; shipped as data.  Six entries are nontrivial (x4,
 # x5, x6.1, x7.1, x7.2 and x8.4); only x5 and x6.1 have an independent
-# witness, verify_c below.
+# witness: C_WITNESSES holds braid words whose images of the build are the
+# C twist classes, checked by verify_c below.
 C_VALUES = {
     "p2": 1,
     "quadric": 1,
@@ -368,7 +344,13 @@ C_VALUES = {
     "x8.4": 2,
 }
 
-C_WITNESS_LABELS = ("x5", "x6.1")
+C_WITNESSES = {
+    "x5": ((), ("R1", "R2", "R2")),
+    # The build and its helix shifts by -1 and -2; helix_shift(c, -1) is L2 L1.
+    "x6.1": ((), ("L2", "L1"), ("L2", "L1", "L2", "L1")),
+}
+
+C_WITNESS_LABELS = tuple(C_WITNESSES)
 
 
 @dataclass(frozen=True)
@@ -399,28 +381,20 @@ def orbit_table() -> tuple[OrbitRow, ...]:
 def verify_c(label: str) -> bool:
     """Check the stored repetition count C against its witness, if one exists.
 
-    For x6.1 the three cyclic helix foundations must be pairwise twist
-    inequivalent; for x5 the braid word R1 R2 R2 must land on a twist
-    inequivalent presentation of the same solution.  Labels without a
-    stored witness return True vacuously.
+    The images of the build under the label's C_WITNESSES words must keep
+    its type vector and rank triple, have pairwise distinct twist keys
+    (blockcalc.twist_normal_form), and number C.  Labels without a stored
+    witness return True vacuously.
     """
-    if label == "x6.1":
-        c = catalog.build(label, 0)
-        shifted = [c, helix_shift(c, -1), helix_shift(c, -2)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if equivalent_up_to_twist(shifted[i], shifted[j]) is not None:
-                    return False
+    if label not in C_WITNESSES:
         return True
-    if label == "x5":
-        c = catalog.build(label, 0)
-        other = apply_word(c, ("R1", "R2", "R2"))
-        if other.type_vector != c.type_vector:
-            return False
-        if block_rank_triple(other) != block_rank_triple(c):
-            return False
-        return equivalent_up_to_twist(c, other) is None
-    return True
+    c = catalog.build(label, 0)
+    images = [apply_word(c, word) for word in C_WITNESSES[label]]
+    shape = (c.type_vector, block_rank_triple(c))
+    if any((im.type_vector, block_rank_triple(im)) != shape for im in images):
+        return False
+    keys = {twist_normal_form(im)[0] for im in images}
+    return len(keys) == len(images) == C_VALUES[label]
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +464,8 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
     ordered = 0
     for representative in _disjoint_representatives(surface, m):
         _check_disjoint_minus_ones(representative)
-        stabiliser = coxeter_order(_stabiliser_roots([e.coords for e in representative], roots))
-        if order % stabiliser:
-            raise InvariantViolationError(
-                f"|W| = {order} is not divisible by the stabiliser order {stabiliser}"
-            )
-        ordered += order // stabiliser
+        stabiliser = _stabiliser_roots([e.coords for e in representative], roots)
+        ordered += _index(order, coxeter_order(stabiliser))
     if ordered % factorial(m):
         raise InvariantViolationError(
             f"{ordered} ordered disjoint {m}-tuples on {surface} are not divisible by {m}!"

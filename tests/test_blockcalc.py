@@ -31,6 +31,7 @@ from triblock.blockcalc import (
     is_complete,
     pairing,
     parse_move,
+    twist_normal_form,
     validate_block,
     validate_collection,
 )
@@ -258,7 +259,9 @@ def test_parse_move():
     assert parse_move("R1") == ("right", 1)
     assert parse_move("l12") == ("left", 12)
     assert parse_move(" R2 ") == ("right", 2)
-    for bad in ("X1", "L", "1R", "L-1", ""):
+    # Only ASCII digits: Arabic-Indic, fullwidth and superscript digits
+    # would otherwise pass str.isdigit().
+    for bad in ("X1", "L", "1R", "L-1", "", "R\u0662", "L\uff12", "L\u00b2"):
         with pytest.raises(ValueError, match="invalid mutation token"):
             parse_move(bad)
 
@@ -437,6 +440,77 @@ def test_helix_shift_twist_recognition():
     x61 = catalog.build("x6.1")
     assert equivalent_up_to_twist(x61, helix_shift(x61, 1)) is None
     assert equivalent_up_to_twist(x61, helix_shift(x61, -1)) is None
+
+
+def _twist_key_cases():
+    # The 16 builds and the 14 seeds, whose four-block ones carry a torsion
+    # block, each with its images under every single braid move.
+    starts = _all_builds() + [catalog.ENTRIES[label].seed() for label in catalog.labels()]
+    cases = []
+    for c in starts:
+        cases.append(c)
+        for i in range(1, len(c.blocks)):
+            cases.extend(block_mutation(c, i, side)[0] for side in ("left", "right"))
+    return cases
+
+
+def _twisted_and_sorted(c, d):
+    return tuple(
+        tuple(sorted((m.rank, m.c1.coords, m.ch2x2) for m in b.twisted(d).members))
+        for b in c.blocks
+    )
+
+
+def test_twist_normal_form_matches_brute_force_oracle():
+    # The key is the collection twisted by the returned d, compared
+    # blockwise with members sorted, and d puts the pivot, the least member
+    # of the first block of nonzero rank r, in the box floor(c1/r) = 0.
+    cases = _twist_key_cases()
+    assert len(cases) == 16 * 5 + 2 * 5 + 12 * 7
+    for c in cases:
+        key, d = twist_normal_form(c)
+        assert key == (c.surface,) + _twisted_and_sorted(c, d)
+        pivot = next(b for b in c.blocks if b.rank)
+        head = min(twist(m, d).c1.coords for m in pivot.members)
+        assert all(x // pivot.rank == 0 for x in head)
+
+
+def test_twist_normal_form_sees_through_twists_and_member_order():
+    rng = random.Random(1212)
+    for c in _twist_key_cases():
+        key, d = twist_normal_form(c)
+        s = c.surface
+        e = DivisorClass(s, tuple(rng.randint(-9, 9) for _ in range(s.picard_rank)))
+        moved = BlockCollection(
+            tuple(Block(tuple(rng.sample(b.twisted(e).members, b.size))) for b in c.blocks)
+        )
+        moved_key, moved_d = twist_normal_form(moved)
+        assert moved_key == key
+        assert d - moved_d == e
+        assert equivalent_up_to_twist(c, moved) == e
+        assert equivalent_up_to_twist(moved, c) == -e
+
+
+def test_twist_normal_form_separates_the_x61_helix_shifts():
+    x61 = catalog.build("x6.1")
+    shifts = [helix_shift(x61, k) for k in range(4)]
+    keys = [twist_normal_form(c)[0] for c in shifts]
+    assert len(set(keys[:3])) == 3
+    # Three steps along the helix twist by -K.
+    assert keys[3] == keys[0]
+    d0, d3 = twist_normal_form(shifts[0])[1], twist_normal_form(shifts[3])[1]
+    assert d0 - d3 == -canonical_class(x61.surface)
+
+
+def test_twist_needs_a_member_of_nonzero_rank():
+    x1 = Surface.plane(1)
+    c = validate_collection([[torsion_class(x1, DivisorClass.basis(x1, 1), 0)]])
+    with pytest.raises(BlockError, match="torsion-only"):
+        twist_normal_form(c)
+    with pytest.raises(BlockError, match="torsion-only"):
+        equivalent_up_to_twist(c, c)
+    # A different surface answers None before any twist is looked for.
+    assert equivalent_up_to_twist(c, catalog.tau0()) is None
 
 
 def test_braid_relation_spot_checks():

@@ -463,6 +463,11 @@ def test_mutate_rejects_bad_tokens(capsys, tmp_path):
     rc, _, err = run(capsys, "mutate", str(path), "R9")
     assert rc == 2
     assert "no adjacent block pair" in err
+    # Non-ASCII digits name no move, and get the intended message.
+    for token in ("R\u0662", "L\u00b2"):
+        rc, out, err = run(capsys, "mutate", str(path), token)
+        assert (rc, out) == (2, "")
+        assert "invalid mutation token" in err
 
 
 def test_curves_text(capsys):
@@ -489,6 +494,10 @@ def test_curves_quadric_and_errors(capsys):
     rc, _, err = run(capsys, "curves", "X9")
     assert rc == 2
     assert err.startswith("error:")
+    for name in ("X\u0663", "X\uff13", "X\u00b2"):
+        rc, _, err = run(capsys, "curves", name)
+        assert rc == 2
+        assert "unknown surface name" in err
 
 
 def test_curves_has_no_bound_multiplier_option(capsys):

@@ -187,6 +187,12 @@ def test_equation_table():
         assert eq.surface.k_squared == eq.ksq
 
 
+def test_equation_coefficient_must_be_an_exact_root():
+    # K^2 = 5 on X4, and 5*1*1*2 = 10 has no integral square root.
+    with pytest.raises(InvariantViolationError, match="x4: .* = 10 is not a square"):
+        markov._eq("x4", 1, 1, 2)
+
+
 def test_equation_str():
     assert str(equation_by_label("p2")) == "x^2 + y^2 + z^2 = 3xyz"
     assert str(equation_by_label("x3")) == "x^2 + 2y^2 + 3z^2 = 6xyz"

@@ -34,6 +34,10 @@ def test_surface_names():
         Surface.from_name("X9")
     with pytest.raises(ValueError):
         Surface.from_name("plane")
+    # Only ASCII digits: Arabic-Indic, fullwidth and superscript three.
+    for name in ("X\u0663", "X\uff13", "X\u00b2"):
+        with pytest.raises(ValueError, match="unknown surface name"):
+            Surface.from_name(name)
     with pytest.raises(ValueError):
         Surface.plane(9)
     with pytest.raises(ValueError):

@@ -36,16 +36,15 @@ from triblock.picard import (
 from triblock.weyl import (
     C_VALUES,
     C_WITNESS_LABELS,
+    C_WITNESSES,
     RECURSION_CASES,
     LatticeAutomorphism,
     OrbitRow,
     apply_to_class,
     apply_to_collection,
-    _normalize,
     _reflect,
     _reflection,
     _stabiliser_roots,
-    _structure,
     count_disjoint_sets,
     coxeter_order,
     divisor_orbit,
@@ -102,22 +101,45 @@ def _fast_generators(surface: Surface):
     return gens
 
 
+def _coordinate_normalizer(c):
+    """Reference twist normaliser on the members' c1 tuples, for the BFS.
+
+    Sort inside blocks (one rank per block keeps this canonical), then
+    translate the whole collection so that the first c1 vector lies in the
+    fundamental box [0, rank) coordinatewise.  Kept apart from
+    blockcalc.twist_normal_form so that the oracle shares no code with it.
+    """
+    ranks = tuple(m.rank for m in c.members)
+    assert 0 not in ranks
+    slices, start = [], 0
+    for size in c.type_vector:
+        slices.append((start, start + size))
+        start += size
+
+    def normalize(chunks: list) -> tuple:
+        for a, b in slices:
+            if b - a > 1:
+                chunks[a:b] = sorted(chunks[a:b])
+        shift = tuple(-(x // ranks[0]) for x in chunks[0])
+        if any(shift):
+            chunks = [tuple(x + r * s for x, s in zip(ch, shift)) for ch, r in zip(chunks, ranks)]
+        return tuple(chunks)
+
+    return normalize
+
+
 def bfs_orbit_count(c) -> int:
     """Oracle: twist classes in the Weyl closure, by breadth-first search."""
-    ranks, slices, pivot_start, pivot_rank = _structure(c)
+    normalize = _coordinate_normalizer(c)
     gens = _fast_generators(c.surface)
-    start = _normalize(
-        [m.c1.coords for m in c.members], slices, pivot_start, pivot_rank, ranks
-    )
+    start = normalize([m.c1.coords for m in c.members])
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for state in frontier:
             for g in gens:
-                image = _normalize(
-                    [g(ch) for ch in state], slices, pivot_start, pivot_rank, ranks
-                )
+                image = normalize([g(ch) for ch in state])
                 if image not in seen:
                     seen.add(image)
                     new.append(image)
@@ -449,11 +471,27 @@ def test_orbit_count_splits_across_solutions():
 
 
 def test_c_values_and_witnesses():
-    assert C_WITNESS_LABELS == ("x5", "x6.1")
+    assert C_WITNESS_LABELS == tuple(C_WITNESSES) == ("x5", "x6.1")
     assert C_VALUES["x6.1"] == 3
     assert sorted(C_VALUES) == sorted(catalog.labels())
+    for label in C_WITNESS_LABELS:
+        assert len(C_WITNESSES[label]) == C_VALUES[label]
     for label in ("x5", "x6.1", "p2", "x8.3"):
         assert verify_c(label)
+
+
+def test_verify_c_rejects_a_broken_witness(monkeypatch):
+    # Each clause of the rule on its own: a stored C the images do not
+    # reach, two images in one twist class, an image of another type vector
+    # (L2 gives (2,4,2)) and one of another rank triple (R1 gives (1,3,1)).
+    monkeypatch.setitem(C_VALUES, "x5", 3)
+    assert not verify_c("x5")
+    monkeypatch.setitem(C_VALUES, "x5", 2)
+    for word in (("R1", "L1"), ("L2",), ("R1",)):
+        monkeypatch.setitem(C_WITNESSES, "x5", ((), word))
+        assert not verify_c("x5")
+    monkeypatch.setitem(C_WITNESSES, "x5", ((), ("R1", "R2", "R2")))
+    assert verify_c("x5")
 
 
 def test_count_disjoint_sets_small():
