@@ -1,83 +1,8 @@
-"""Exact arithmetic for three-block exceptional collections on Del Pezzo surfaces."""
+"""Exact arithmetic for three-block exceptional collections on Del Pezzo surfaces.
 
-from .picard import (
-    MINUS_ONE,
-    ROOT,
-    DivisorClass,
-    LatticeMismatchError,
-    Surface,
-    canonical_class,
-    embed,
-    enumerate_classes,
-    intersect,
-)
-from .kclass import (
-    InvariantViolationError,
-    KClass,
-    chi,
-    chi_minus,
-    classify_pair,
-    degree,
-    exceptional_ch2,
-    exceptional_class,
-    line_bundle,
-    slope,
-    torsion_class,
-    twist,
-)
-from .blockcalc import (
-    Block,
-    BlockCollection,
-    BlockError,
-    MutationType,
-    abc,
-    apply_word,
-    block_mutation,
-    block_rank_triple,
-    chi_block,
-    dual_basis,
-    equivalent_up_to_twist,
-    helix_shift,
-    is_complete,
-    pairing,
-    twist_normal_form,
-    validate_block,
-    validate_collection,
-)
-from .markov import (
-    EQUATIONS,
-    MarkovEquation,
-    SolutionTriple,
-    build_solution_graph,
-    check_solution,
-    enumerate_equations,
-    enumerate_solutions,
-    equation_by_label,
-    equation_for,
-    equation_group,
-    from_representative,
-    is_minimum,
-    minimum_solutions,
-    mutate_solution,
-    reduce_to_minimum,
-    to_representative,
-)
-from .catalog import Check, build, checks, labels, quadric_standard, tau0, torsion_block, verify_entry
-from .weyl import (
-    LatticeAutomorphism,
-    apply_to_class,
-    apply_to_collection,
-    count_disjoint_sets,
-    coxeter_order,
-    divisor_orbit,
-    normal_form,
-    orbit_count,
-    orbit_row,
-    orbit_table,
-    recursion_check,
-    simple_reflections,
-    simple_roots,
-    verify_c,
-)
+Each name lives in one module and is imported from there, for example
+``from triblock.kclass import chi``; importing a module loads only the
+layers it is built on.
+"""
 
 __version__ = "0.1.0"

@@ -13,14 +13,17 @@ input's and keep their order, so they need no recheck.  A failed recheck
 means the arithmetic itself is broken and is reported as
 :class:`InvariantViolationError`, never as bad input.
 
-Closed forms.  For blocks E before F of one valid collection, Riemann-Roch
-gives chi(e, f) - chi(f, e) = r_E*d_F - r_F*d_E for members e of E and f of
-F, semiorthogonality gives chi(f, e) = 0, and each block has one rank and
-degree, so the cross pairing chi(E, F) = r_E*d_F - r_F*d_E is constant by
-construction.  Serre duality, chi(E, G(K)) = chi(G, E) = 0, gives abc's b
-the same way.  :func:`abc` and :func:`dual_basis` read these closed forms
-(:func:`_cross`), and :func:`block_mutation` reads its pair's pairing off
-one member pair with a single :func:`chi`, which the constancy allows.  The
+Closed forms.  For blocks E before F of one valid collection,
+semiorthogonality gives chi(f, e) = 0 for members e of E and f of F, so
+chi(e, f) is the antisymmetric pairing chi(e, f) - chi(f, e), which
+:func:`kclass.chi_minus` evaluates and which depends only on the ranks and
+degrees; each block has one rank and degree, so the cross pairing
+chi(E, F) is constant by construction and :func:`_cross` reads it off the
+first members.  Serre duality, chi(E, G(K)) = chi(G, E) = 0, gives abc's b
+as _cross(G, E) plus a K^2 term.  :func:`abc` and :func:`dual_basis` read
+these closed forms, and :func:`block_mutation` reads its pair's pairing
+off one member pair with a single :func:`chi`, which the constancy allows.
+No Riemann-Roch is written out here; ``kclass`` is its one home.  The
 brute-force :func:`chi_block` checks an arbitrary block pair and is their
 oracle in the tests.  Their precondition is a valid collection, which every
 BlockCollection is: validate_collection and the mutations check theirs, and
@@ -46,6 +49,7 @@ from .kclass import (
     InvariantViolationError,
     KClass,
     chi,
+    chi_minus,
     degree,
     describe,
     first_nonzero_chi,
@@ -220,10 +224,10 @@ def _require_semiorthogonal(blocks: Sequence[Block], i: int, j: int) -> None:
 def _cross(e: Block, f: Block) -> int:
     """chi(E_i, F_j) for a block E before a block F of one valid collection.
 
-    Riemann-Roch and chi(F_j, E_i) = 0 make it r_E*d_F - r_F*d_E, the same
-    for every pair (module docstring); :func:`chi_block` is its oracle.
+    chi(F_j, E_i) = 0 makes it chi_minus(E_i, F_j), the same for every pair
+    (module docstring); :func:`chi_block` is its oracle.
     """
-    return e.rank * f.degree - f.rank * e.degree
+    return chi_minus(e.members[0], f.members[0])
 
 
 def chi_block(e: Block, f: Block) -> int:
@@ -232,8 +236,8 @@ def chi_block(e: Block, f: Block) -> int:
     Brute force over all |E|*|F| pairs, raising BlockError when the pairing
     is not constant.  For E before F in one valid collection the pairing
     is constant, and the mutation calculus reads it from the closed form
-    r_E*d_F - r_F*d_E (:func:`_cross`) or from one member pair instead;
-    the tests keep this as their oracle.
+    (:func:`_cross`) or from one member pair instead; the tests keep this
+    as their oracle.
     """
     values = {chi(a, b) for a in e.members for b in f.members}
     if len(values) > 1:
@@ -304,8 +308,8 @@ def block_mutation(
 
     Precondition: ``c`` is valid, as every BlockCollection is (module
     docstring).  The move is fixed by the cross pairing chi(E_i, F_j) of the
-    pair, which is then the constant r_E*d_F - r_F*d_E, so one Riemann-Roch
-    evaluation on the first members reads it.
+    pair, which is then constant, so one :func:`chi` on the first members
+    reads it.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -356,7 +360,7 @@ def dual_basis(c: BlockCollection) -> tuple[KClass, ...]:
 
     chi(member_i, dual_j) is the Kronecker delta.  The first block is self
     dual, the middle block recoils off the first, the last block twists by K.
-    The recoil uses the closed-form cross pairing r_E*d_F - r_F*d_E of the
+    The recoil uses the closed-form cross pairing (:func:`_cross`) of the
     first two blocks, so c must be valid (module docstring).
     """
     if len(c.blocks) != 3:
@@ -388,9 +392,10 @@ def abc(c: BlockCollection) -> tuple[int, int, int]:
     the K-twisted last block back into the first.
 
     For a valid collection (module docstring) they are closed forms: a =
-    r_F*d_G - r_G*d_F and c = r_E*d_F - r_F*d_E, and Serre duality gives
-    chi(E, G(K)) = chi(G, E) = 0, so b = chi(G(K), E) = r_G*d_E - r_E*d_G +
-    r_E*r_G*K^2, as G(K) has degree d_G - r_G*K^2.
+    _cross(F, G) and c = _cross(E, F), and Serre duality gives chi(E, G(K))
+    = chi(G, E) = 0, so b = chi(G(K), E) = chi_minus(G(K), E) =
+    _cross(G, E) + r_E*r_G*K^2, as G(K) has rank r_G and degree
+    d_G - r_G*K^2.
 
     Checks that all three are positive, the quadratic relations tying
     (a, b, c) to the type (alpha, beta, gamma), the ranks (x, y, z) and K^2,
@@ -402,7 +407,7 @@ def abc(c: BlockCollection) -> tuple[int, int, int]:
     ksq = c.surface.k_squared
     a_val = _cross(f, g)
     c_val = _cross(e, f)
-    b_val = g.rank * e.degree - e.rank * g.degree + e.rank * g.rank * ksq
+    b_val = _cross(g, e) + e.rank * g.rank * ksq
     shown = ",".join(map(render_int, (a_val, b_val, c_val)))
     if a_val <= 0 or b_val <= 0 or c_val <= 0:
         raise InvariantViolationError(

@@ -232,6 +232,9 @@ def cmd_catalog(args) -> int:
     wanted = catalog.labels() if args.label == "all" else (args.label,)
     if args.label == "all" and not args.verify:
         raise ValueError("label 'all' is only available together with --verify")
+    if args.verify and args.solution is not None:
+        raise ValueError("--verify checks every cataloged solution; drop --solution")
+    solution = args.solution or 0
     exit_code = 0
     for label in wanted:
         if args.verify:
@@ -240,15 +243,13 @@ def cmd_catalog(args) -> int:
                 print(f"[{label}]")
             exit_code = max(exit_code, _print_checks(checks))
         else:
-            c = catalog.build(label, args.solution)
+            c = catalog.build(label, solution)
             entry = catalog.ENTRIES[label]
             word = list(entry.word)
-            if args.solution == 1:
+            if solution == 1:
                 word += list(entry.extra_word)
             _print_json(
-                collection_to_doc(
-                    c, {"label": label, "solution": args.solution, "word": word}
-                )
+                collection_to_doc(c, {"label": label, "solution": solution, "word": word})
             )
     return exit_code
 
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="emit or verify a cataloged collection")
     p.add_argument("label", help="equation label, or 'all' with --verify")
-    p.add_argument("--solution", type=int, default=0)
+    p.add_argument("--solution", type=int, help="cataloged solution index (default 0)")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_catalog)
 

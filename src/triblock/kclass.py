@@ -13,9 +13,12 @@ The lattice form and the degree functional come from the surface
 on coordinate tuples.  A KClass's c1 lives on its surface by construction,
 so each function that takes two arguments checks their surfaces once and
 raises LatticeMismatchError when they differ.  This module is the one
-place that writes out Riemann-Roch: :func:`chi` for one pair, and
+place that writes out Riemann-Roch: :func:`chi` for one pair,
 :func:`first_nonzero_chi` for all pairs of two blocks, with each block's
-rank and degree hoisted.
+rank and degree hoisted, and :func:`chi_minus` for its antisymmetric part
+r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads its closed forms.
+:func:`torsion_class` takes the (-1)-class condition from
+``picard.is_kind``.
 
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on
@@ -29,7 +32,16 @@ from fractions import Fraction
 from math import inf
 from typing import Sequence
 
-from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect, same_surface
+from .picard import (
+    MINUS_ONE,
+    DivisorClass,
+    LatticeMismatchError,
+    Surface,
+    canonical_class,
+    intersect,
+    is_kind,
+    same_surface,
+)
 
 HOM = "hom"
 EXT = "ext"
@@ -195,8 +207,8 @@ def torsion_class(surface: Surface, curve: DivisorClass, m: int) -> KClass:
 
     Normalized so that chi(O, O_C(m)) == m + 1.
     """
-    k = canonical_class(surface)
-    if intersect(curve, k) != -1 or intersect(curve, curve) != -1:
+    same_surface(curve, canonical_class(surface))
+    if not is_kind(curve, MINUS_ONE):
         raise ValueError("not a minus-one curve class")
     return KClass(surface, 0, curve, 2 * m + 1)
 

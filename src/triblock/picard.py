@@ -12,6 +12,12 @@ functional d -> d.(-K)) evaluate them on bare coordinate tuples as plain
 integer dot products, with no surface check.  The checked entry points,
 :func:`intersect` and the ``kclass`` functions, check surfaces once per call
 and then use these.
+
+It is also the one place that states the two class kinds, as (square,
+degree) pairs in one table: a (-1)-class has e^2 = -1 and degree e.(-K) =
+1, a root s^2 = -2 and degree 0.  :func:`is_kind` tests a class against
+it, and :func:`enumerate_classes`, ``kclass.torsion_class`` and ``weyl``
+read it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 from typing import Iterator
 
 PLANE = "plane"
@@ -27,6 +33,7 @@ QUADRIC = "quadric"
 
 MINUS_ONE = "minus-one"
 ROOT = "root"
+_KINDS = {MINUS_ONE: (-1, 1), ROOT: (-2, 0)}  # kind -> (square, degree)
 
 
 class LatticeMismatchError(ValueError):
@@ -120,7 +127,7 @@ class DivisorClass:
 
     @classmethod
     def from_coords(cls, surface: Surface, coords) -> "DivisorClass":
-        return cls(surface, tuple(int(c) for c in coords))
+        return cls(surface, tuple(map(index, coords)))
 
     @classmethod
     def basis(cls, surface: Surface, i: int) -> "DivisorClass":
@@ -176,6 +183,13 @@ def canonical_class(surface: Surface) -> DivisorClass:
     return DivisorClass(surface, (-3,) + (1,) * surface.blowups)
 
 
+def is_kind(d: DivisorClass, kind: str) -> bool:
+    """Whether d has the square and degree of the kind: MINUS_ONE or ROOT."""
+    square, deg = _KINDS[kind]
+    x = d.coords
+    return d.surface.dot(x, x) == square and d.surface.degree(x) == deg
+
+
 def embed(d: DivisorClass, into: Surface) -> DivisorClass:
     """Push a class from a less-blown-up plane into a more-blown-up one.
 
@@ -215,34 +229,45 @@ def _bounded_vectors(count: int, total: int, square_total: int) -> Iterator[tupl
 def enumerate_classes(
     surface: Surface, kind: str, *, bound_multiplier: int = 1
 ) -> tuple[DivisorClass, ...]:
-    """All minus-one curve classes (e^2 = e.K = -1) or roots (s^2 = -2, s.K = 0).
+    """All classes of the kind: (-1)-classes (e^2 = -1, e.(-K) = 1) or roots
+    (s^2 = -2, s.(-K) = 0), as :func:`is_kind` decides.
 
     The search is a bounded exhaustion: on a plane with r blowups the degree
     coordinate ranges over |a| <= 3*(r+1)*bound_multiplier, on the quadric both
     coordinates range over |u| <= 4*bound_multiplier.  The defaults already
-    exceed the support of either system; ``bound_multiplier`` exists so tests
+    contain every class of either kind; ``bound_multiplier`` exists so tests
     can double the box and confirm the result set is stable.
+
+    Proof for the plane.  Write e = a*l0 + sum(b_i l_i) and let (s, d) be
+    the kind's square and degree; then sum(b) = d - 3a and sum(b^2) = a^2 - s.
+    Cauchy-Schwarz, sum(b)^2 <= r*sum(b^2), gives
+
+        (9 - r)*a^2 - 6*d*a + d^2 + r*s <= 0,
+
+    and K^2 = 9 - r > 0, so a lies between (3d -+ sqrt(D))/(9 - r) with
+    D = r*(d^2 - (9 - r)*s): D = r*(10 - r) for (-1)-classes and 2r*(9 - r)
+    for roots.  Both bounds on |a| grow with r, to the intervals [-1, 7]
+    and [-4, 4] at r = 8, and stay below 1 for r <= 1; so |a| <= 7 <=
+    3*(r+1) from r = 2 on, and |a| < 1 <= 3*(r+1) below.  On the quadric
+    e = u*f1 + v*f2 has e^2 = 2uv and degree 2(u + v), so u and v are the
+    roots of t^2 - (d/2)*t + s/2, which are at most 1 in size for both
+    kinds: |u|, |v| <= 1 <= 4.
     """
-    if kind not in (MINUS_ONE, ROOT):
+    if kind not in _KINDS:
         raise ValueError(f"kind must be {MINUS_ONE!r} or {ROOT!r}, got {kind!r}")
     if bound_multiplier < 1:
         raise ValueError("bound_multiplier must be a positive integer")
-    self_sq, k_dot = (-1, -1) if kind == MINUS_ONE else (-2, 0)
-    found = []
     if surface.kind == QUADRIC:
-        top = 4 * bound_multiplier
-        for u in range(-top, top + 1):
-            for v in range(-top, top + 1):
-                if 2 * u * v == self_sq and -2 * (u + v) == k_dot:
-                    found.append(DivisorClass(surface, (u, v)))
-    else:
-        r = surface.blowups
-        top = 3 * (r + 1) * bound_multiplier
-        for a in range(-top, top + 1):
-            # e = a*l0 + sum(b_i l_i); the two defining equations pin the
-            # linear and quadratic symmetric functions of the b_i.
-            b_sum = -3 * a - k_dot
-            b_square_sum = a * a - self_sq
-            for b in _bounded_vectors(r, b_sum, b_square_sum):
-                found.append(DivisorClass(surface, (a,) + b))
+        side = range(-4 * bound_multiplier, 4 * bound_multiplier + 1)
+        box = (DivisorClass(surface, (u, v)) for u in side for v in side)
+        return tuple(d for d in box if is_kind(d, kind))  # (u, v) ascending: sorted
+    square, deg = _KINDS[kind]
+    r = surface.blowups
+    top = 3 * (r + 1) * bound_multiplier
+    found = []
+    for a in range(-top, top + 1):
+        # e = a*l0 + sum(b_i l_i); the two defining equations pin the
+        # linear and quadratic symmetric functions of the b_i.
+        for b in _bounded_vectors(r, deg - 3 * a, a * a - square):
+            found.append(DivisorClass(surface, (a,) + b))
     return tuple(sorted(found, key=lambda d: d.coords))

@@ -17,6 +17,12 @@ pair of coordinate tuples, and |W|.  Each orbit row is computed once per
 process, so the orbit table and the recursion checks share rows; every
 certificate still runs on each count.
 
+The reflection x -> x + (x.a) a is built in one place, :func:`_reflection`,
+and applied in one, :func:`_reflect`: LatticeAutomorphism.from_root makes
+its matrix from it, and divisor_orbit and the stabiliser reductions walk
+coordinate tuples with it.  Whether a class is a root or a (-1)-class is
+picard.is_kind's to decide.
+
 normal_form and verify_c decide twist classes by the one key of
 blockcalc.twist_normal_form.
 """
@@ -40,7 +46,16 @@ from .blockcalc import (
 )
 from .kclass import InvariantViolationError, KClass
 from .markov import EQUATIONS, equation_by_label
-from .picard import DivisorClass, LatticeMismatchError, Surface, canonical_class, intersect
+from .picard import (
+    MINUS_ONE,
+    ROOT,
+    DivisorClass,
+    LatticeMismatchError,
+    Surface,
+    canonical_class,
+    intersect,
+    is_kind,
+)
 
 
 @dataclass(frozen=True)
@@ -64,18 +79,18 @@ class LatticeAutomorphism:
 
     @classmethod
     def from_root(cls, root: DivisorClass) -> "LatticeAutomorphism":
-        """The reflection x -> x + (x.root) root for a root (square -2, root.K = 0)."""
-        surface = root.surface
-        k = canonical_class(surface)
-        if intersect(root, root) != -2 or intersect(root, k) != 0:
+        """The reflection x -> x + (x.root) root for a root (square -2, degree 0).
+
+        Its matrix is I + a*covector^T from :func:`_reflection`.
+        """
+        if not is_kind(root, ROOT):
             raise ValueError("reflections require a root class")
-        n = surface.picard_rank
-        cols = []
-        for j in range(n):
-            e = DivisorClass.basis(surface, j)
-            cols.append((e + intersect(e, root) * root).coords)
-        matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return cls(surface, matrix)
+        a, covector = _reflection(root)
+        matrix = tuple(
+            tuple(int(i == j) + ai * cj for j, cj in enumerate(covector))
+            for i, ai in enumerate(a)
+        )
+        return cls(root.surface, matrix)
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.surface != self.surface:
@@ -128,17 +143,19 @@ def apply_to_collection(g: LatticeAutomorphism, c: BlockCollection) -> BlockColl
 
 
 def divisor_orbit(surface: Surface, start: DivisorClass) -> frozenset:
-    """Closure of one divisor class under the simple reflections."""
-    gens = simple_reflections(surface)
+    """Closure of one divisor class under the simple reflections, as coordinates."""
+    if start.surface != surface:
+        raise LatticeMismatchError("class lives on a different surface")
+    steps = simple_system(surface).reflections.values()
     seen = {start.coords}
-    frontier = [start]
+    frontier = [start.coords]
     while frontier:
         new = []
-        for d in frontier:
-            for g in gens:
-                image = g.apply(d)
-                if image.coords not in seen:
-                    seen.add(image.coords)
+        for x in frontier:
+            for step in steps:
+                image = _reflect(x, step)
+                if image not in seen:
+                    seen.add(image)
                     new.append(image)
         frontier = new
     return frozenset(seen)
@@ -413,9 +430,8 @@ def _disjoint_representatives(surface: Surface, m: int) -> list:
 
 
 def _check_disjoint_minus_ones(classes: list) -> None:
-    k = canonical_class(classes[0].surface)
     for i, e in enumerate(classes):
-        if intersect(e, e) != -1 or intersect(e, k) != -1:
+        if not is_kind(e, MINUS_ONE):
             raise InvariantViolationError(
                 f"representative member {i} ({e}) is not a minus-one class"
             )

@@ -166,6 +166,14 @@ def test_catalog_all_needs_verify(capsys):
     assert "--verify" in err
 
 
+def test_catalog_verify_rejects_solution(capsys):
+    # --verify checks every cataloged solution, so an index would do nothing.
+    for index in ("7", "0", "1"):
+        rc, out, err = run(capsys, "catalog", "x4", "--verify", "--solution", index)
+        assert (rc, out) == (2, "")
+        assert "--solution" in err
+
+
 def test_catalog_all_verify(capsys):
     rc, out, _ = run(capsys, "catalog", "all", "--verify")
     assert rc == 0

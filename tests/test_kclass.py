@@ -106,10 +106,12 @@ def test_torsion_class_oracles():
 
 def test_torsion_class_rejects_other_curves():
     s = Surface.plane(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a minus-one curve class"):
         torsion_class(s, pl(s, 1, 0, 0), 0)  # a line squares to +1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a minus-one curve class"):
         torsion_class(s, pl(s, 0, 1, -1), 0)  # a root, not a curve class
+    with pytest.raises(LatticeMismatchError, match="incompatible lattices"):
+        torsion_class(s, DivisorClass.basis(Surface.plane(3), 1), 0)
 
 
 def test_parity_violation_detected():

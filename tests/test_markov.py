@@ -7,12 +7,16 @@ of the mutation forest, and a three-flip descent and minimum test stay as
 oracles for the descent rule.
 """
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from math import isqrt
 
 import pytest
 
+import triblock
 from triblock import markov
 from triblock.kclass import InvariantViolationError
 from triblock.markov import (
@@ -572,3 +576,25 @@ def test_large_graph_is_the_forest_below_the_bound():
     assert len(g.edges) == len(g.nodes) - len(g.minima)
     assert g.loops == ()
     assert g.component_count() == 1 and g.is_acyclic()
+
+
+def test_import_loads_only_the_layers_below():
+    # The package re-exports nothing, so importing a layer in a fresh
+    # interpreter loads only the modules it is built on.
+    below = {
+        "picard": {"picard"},
+        "kclass": {"picard", "kclass"},
+        "blockcalc": {"picard", "kclass", "blockcalc"},
+        "markov": {"picard", "kclass", "markov"},
+    }
+    root = os.path.dirname(os.path.dirname(os.path.abspath(triblock.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    for layer, expected in below.items():
+        code = (
+            f"import sys, triblock.{layer}; "
+            "print(' '.join(sorted(m[9:] for m in sys.modules if m.startswith('triblock.'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert set(out.split()) == expected, layer

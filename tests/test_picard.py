@@ -15,6 +15,7 @@ from triblock.picard import (
     embed,
     enumerate_classes,
     intersect,
+    is_kind,
 )
 
 # Classical counts of exceptional-curve classes and of roots on the plane
@@ -117,6 +118,10 @@ def test_coordinate_length_checked():
         DivisorClass(Surface.plane(2), (1, 0))
     assert DivisorClass.from_coords(Surface.plane(1), [1, 2]).coords == (1, 2)
     assert DivisorClass.zero(Surface.quadric()).coords == (0, 0)
+    # Coordinates are integers, not values int() would truncate or parse.
+    for bad in ([1.9, "2"], [1.0, 2], [1, "2"]):
+        with pytest.raises(TypeError):
+            DivisorClass.from_coords(Surface.plane(1), bad)
 
 
 def test_lattice_mismatch():
@@ -231,3 +236,53 @@ def test_enumeration_is_sorted_and_deterministic():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         enumerate_classes(Surface.plane(2), "conic")
+
+
+def test_is_kind_agrees_with_enumeration():
+    # No false negatives on the enumerated classes, and no false positives
+    # on a box of coordinates around the origin.
+    surfaces = [Surface.quadric()] + [Surface.plane(r) for r in range(9)]
+    for s in surfaces:
+        radius = 4 if s.picard_rank <= 2 else 2 if s.picard_rank <= 5 else 1
+        box = set(itertools.product(range(-radius, radius + 1), repeat=s.picard_rank))
+        for kind in (MINUS_ONE, ROOT):
+            found = enumerate_classes(s, kind)
+            assert all(is_kind(d, kind) for d in found)
+            hits = {x for x in box if is_kind(DivisorClass(s, x), kind)}
+            assert hits == box & {d.coords for d in found}
+
+
+def test_enumeration_box_contains_the_cauchy_schwarz_interval():
+    # enumerate_classes' proof: sum(b) = d - 3a and sum(b^2) = a^2 - s with
+    # Cauchy-Schwarz confine a to q(a) = (9-r)a^2 - 6da + d^2 + rs <= 0, the
+    # real interval (3d -+ sqrt(D))/(9-r) with D the quarter discriminant.
+    for r in range(9):
+        s = Surface.plane(r)
+        top = 3 * (r + 1)
+        for kind, square, deg, closed_form in (
+            (MINUS_ONE, -1, 1, r * (10 - r)),
+            (ROOT, -2, 0, 2 * r * (9 - r)),
+        ):
+            lead, mid, const = 9 - r, -6 * deg, deg * deg + r * square
+            quarter_disc = (mid * mid - 4 * lead * const) // 4
+            assert 4 * quarter_disc == mid * mid - 4 * lead * const
+            assert quarter_disc == closed_form >= 0
+            # The interval lies in [-top, top] exactly when sqrt(D) <=
+            # top*(9-r) - 3|d|, compared here on squares.
+            room = top * lead - 3 * abs(deg)
+            assert room >= 0 and quarter_disc <= room * room
+            for d in enumerate_classes(s, kind):
+                a = d.coords[0]
+                assert lead * a * a + mid * a + const <= 0
+                assert abs(a) <= top
+    # At r = 8 the intervals are [-1, 7] and [-4, 4]: q factors over Z.
+    wide = range(-30, 31)
+    assert [a for a in wide if a * a - 6 * a - 7 <= 0] == list(range(-1, 8))
+    assert [a for a in wide if a * a - 16 <= 0] == list(range(-4, 5))
+    x8 = Surface.plane(8)
+    assert {d.coords[0] for d in enumerate_classes(x8, MINUS_ONE)} == set(range(0, 7))
+    assert {d.coords[0] for d in enumerate_classes(x8, ROOT)} == set(range(-3, 4))
+    # On the quadric u and v are roots of t^2 - (d/2)t + s/2: |u|, |v| <= 1.
+    q = Surface.quadric()
+    for kind in (MINUS_ONE, ROOT):
+        assert all(max(map(abs, d.coords)) <= 1 for d in enumerate_classes(q, kind))

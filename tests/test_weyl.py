@@ -173,20 +173,22 @@ def test_simple_roots_are_roots():
 
 
 def test_reflection_covector_matches_intersection_formula():
-    # the covector of x -> x.a against intersect on basis classes, and the
-    # coordinate reflection against the validated lattice automorphism
+    # the covector of x -> x.a against intersect on basis classes, the
+    # matrix of from_root against its columns e + (e.a) a written out with
+    # DivisorClass arithmetic, and the coordinate reflection against the
+    # validated lattice automorphism
     rng = random.Random(20261018)
     for s in ALL_SURFACES:
         n = s.picard_rank
-        probes = [DivisorClass.basis(s, j) for j in range(n)] + [canonical_class(s)]
+        basis = [DivisorClass.basis(s, j) for j in range(n)]
+        probes = basis + [canonical_class(s)]
         probes += [DivisorClass(s, tuple(rng.randint(-5, 5) for _ in range(n))) for _ in range(3)]
         for a in enumerate_classes(s, ROOT):
             reflection = _reflection(a)
-            assert reflection == (
-                a.coords,
-                tuple(intersect(DivisorClass.basis(s, j), a) for j in range(n)),
-            )
+            assert reflection == (a.coords, tuple(intersect(e, a) for e in basis))
             g = LatticeAutomorphism.from_root(a)
+            cols = [(e + intersect(e, a) * a).coords for e in basis]
+            assert g.matrix == tuple(zip(*cols))
             for x in probes:
                 assert _reflect(x.coords, reflection) == g.apply(x).coords
 
@@ -233,9 +235,15 @@ def test_automorphism_validation():
         LatticeAutomorphism(s, shear)
     with pytest.raises(ValueError, match="root class"):
         LatticeAutomorphism.from_root(DivisorClass.basis(s, 1))
+    with pytest.raises(ValueError, match="root class"):
+        LatticeAutomorphism.from_root(DivisorClass(s, (1, -1, -1)))  # a (-1)-class
+    with pytest.raises(ValueError, match="root class"):
+        LatticeAutomorphism.from_root(DivisorClass(s, (0, 2, -2)))  # square -8
     g = LatticeAutomorphism.from_root(simple_roots(s)[0])
     with pytest.raises(LatticeMismatchError):
         g.apply(DivisorClass.basis(Surface.plane(3), 1))
+    with pytest.raises(LatticeMismatchError):
+        divisor_orbit(s, DivisorClass.basis(Surface.plane(3), 1))
 
 
 def test_minus_one_transitivity():
