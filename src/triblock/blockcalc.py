@@ -470,31 +470,25 @@ def block_rank_triple(c: BlockCollection) -> tuple[int, int, int]:
 def twist_normal_form(c: BlockCollection) -> tuple[tuple, DivisorClass]:
     """A hashable key of c's twist class, and the twist d that gives it.
 
-    Sort each block by (c1, 2*ch2); the pivot is the first member of the
-    first block of nonzero rank r, d = -floor(c1(pivot)/r) coordinatewise,
-    and the key is the surface and each block's twist(m, d) as (rank, c1,
-    2*ch2).  Two keys are equal exactly when the collections differ by the
-    twist d1 - d2, members unordered inside blocks: a twist by e adds r*e
-    to c1 and 2*c1.e + r*e^2 to 2*ch2 of a member of rank r, and a block
-    has one rank, so it keeps each block's order and moves the pivot's d to
-    d - e, reaching the same key; equal keys are equal twisted collections.
+    The pivot is the least c1 in the first block of nonzero rank r, d =
+    -floor(c1(pivot)/r) coordinatewise, and the key is the surface and each
+    block as the sorted tuple of (rank, c1, 2*ch2) of its members twisted
+    by d (kclass.twist).  Two keys are equal exactly when the collections
+    differ by the twist d1 - d2, members unordered inside blocks: a twist
+    by e adds r*e to the c1 of every member of a block of rank r, so it
+    keeps the order of c1 inside each block and moves the pivot's d to d -
+    e, reaching the same key; equal keys are equal twisted collections.
     """
-    blocks = [(b.rank, sorted([(m.c1.coords, m.ch2x2) for m in b.members])) for b in c.blocks]
-    pivot = next(((r, rows[0][0]) for r, rows in blocks if r), None)
+    pivot = next((b for b in c.blocks if b.rank), None)
     if pivot is None:
         raise BlockError("cannot determine a twist from torsion-only collections")
-    # twist(m, d) on integer coordinates, as _mutate_members builds members.
-    s, (r, head) = c.surface, pivot
-    y = tuple([-(x // r) for x in head])
-    dot, yy = s.dot, s.dot(y, y)
-    key = (s,) + tuple(
-        tuple(
-            (q, tuple([a + q * b for a, b in zip(x, y)]), ch + 2 * dot(x, y) + q * yy)
-            for x, ch in rows
-        )
-        for q, rows in blocks
+    r = pivot.rank
+    d = DivisorClass(c.surface, tuple([-(x // r) for x in min(m.c1.coords for m in pivot.members)]))
+    key = (c.surface,) + tuple(
+        tuple(sorted([(m.rank, m.c1.coords, m.ch2x2) for m in b.twisted(d).members]))
+        for b in c.blocks
     )
-    return key, DivisorClass(s, y)
+    return key, d
 
 
 def equivalent_up_to_twist(c1: BlockCollection, c2: BlockCollection):

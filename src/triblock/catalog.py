@@ -62,7 +62,7 @@ def torsion_block(surface: Surface, first: int, last: int, m: int = 0) -> Block:
         raise ValueError(f"curve range {first}..{last} not available on {surface}")
     return validate_block(
         [
-            torsion_class(surface, DivisorClass.basis(surface, i), m)
+            torsion_class(DivisorClass.basis(surface, i), m)
             for i in range(first, last + 1)
         ]
     )

@@ -18,7 +18,7 @@ place that writes out Riemann-Roch: :func:`chi` for one pair,
 rank and degree hoisted, and :func:`chi_minus` for its antisymmetric part
 r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads its closed forms.
 :func:`torsion_class` takes the (-1)-class condition from
-``picard.is_kind``.
+``picard.is_kind`` and its surface from the curve.
 
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on
@@ -37,7 +37,6 @@ from .picard import (
     DivisorClass,
     LatticeMismatchError,
     Surface,
-    canonical_class,
     intersect,
     is_kind,
     same_surface,
@@ -202,15 +201,14 @@ def line_bundle(d: DivisorClass) -> KClass:
     return KClass(d.surface, 1, d, intersect(d, d))
 
 
-def torsion_class(surface: Surface, curve: DivisorClass, m: int) -> KClass:
+def torsion_class(curve: DivisorClass, m: int) -> KClass:
     """Class of O_C(m) for a minus-one curve C; rank 0, c1 = C, 2*ch2 = 2m + 1.
 
-    Normalized so that chi(O, O_C(m)) == m + 1.
+    It lives on C's surface.  Normalized so that chi(O, O_C(m)) == m + 1.
     """
-    same_surface(curve, canonical_class(surface))
     if not is_kind(curve, MINUS_ONE):
         raise ValueError("not a minus-one curve class")
-    return KClass(surface, 0, curve, 2 * m + 1)
+    return KClass(curve.surface, 0, curve, 2 * m + 1)
 
 
 def exceptional_ch2(surface: Surface, rank: int, c1: DivisorClass) -> int:

@@ -24,13 +24,19 @@ solution it produces; a failure there is an internal invariant.  The rule
 picks the flip, and the flip's result is certified: each descent step must
 solve the equation and lower the sum, and the minimum a reduction ends at
 must have no sum-lowering flip among its three.
+
+The fourteen equations fall into four transport groups: scaling and
+permuting coordinates carries the solutions of each onto those of its
+group's representative.  Each witness map is derived from the equation's
+weights and minima and certified, not shipped (:func:`_groups`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, NamedTuple
 
 from .kclass import InvariantViolationError, render_int
@@ -385,27 +391,56 @@ class GroupWitness:
     perm: tuple[int, int, int]
 
 
-_GROUPS: dict[str, GroupWitness] = {
-    "p2": GroupWitness("I", "p2", (1, 1, 1), (0, 1, 2)),
-    "x6.1": GroupWitness("I", "p2", (1, 1, 1), (0, 1, 2)),
-    "x8.1": GroupWitness("I", "p2", (3, 3, 1), (0, 1, 2)),
-    "quadric": GroupWitness("II", "quadric", (1, 1, 1), (0, 1, 2)),
-    "x5": GroupWitness("II", "quadric", (1, 1, 1), (0, 1, 2)),
-    "x7.1": GroupWitness("II", "quadric", (2, 2, 1), (0, 1, 2)),
-    "x7.2": GroupWitness("II", "quadric", (2, 1, 1), (1, 2, 0)),
-    "x8.2": GroupWitness("II", "quadric", (4, 2, 1), (1, 2, 0)),
-    "x3": GroupWitness("III", "x3", (1, 1, 1), (0, 1, 2)),
-    "x6.2": GroupWitness("III", "x3", (2, 1, 1), (1, 0, 2)),
-    "x7.3": GroupWitness("III", "x3", (3, 1, 1), (1, 2, 0)),
-    "x8.3": GroupWitness("III", "x3", (3, 2, 1), (2, 1, 0)),
-    "x4": GroupWitness("IV", "x4", (1, 1, 1), (0, 1, 2)),
-    "x8.4": GroupWitness("IV", "x4", (5, 1, 1), (1, 2, 0)),
-}
+@cache
+def _groups() -> dict[str, GroupWitness]:
+    """Every equation's witness, derived from its weights w and its minima.
+
+    scale d_i is the gcd of coordinate i over the minima, g = gcd(w_i*d_i^2)
+    and w'_i = w_i*d_i^2/g; perm is the stable argsort of w', the
+    representative is the equation of type sorted(w'), and the groups are
+    named I, II, ... in the order their representatives appear in
+    EQUATIONS.  Certified: q*d_1*d_2*d_3 = g*q' for the representative's
+    coefficient q', its weights divide q' (so its flips are integral), and
+    the transported minima are its minima.
+
+    Then the transport s = d*t (up to perm) is a bijection of solutions.
+    Both sides of the equation scale by g under it.  By Vieta the other
+    root in coordinate i is q*s_j*s_k/w_i - s_i = d_i*(q'*t_j*t_k/w'_i -
+    t_i), so the flips commute with the transport, and the descent rule
+    2*w_i*s_i^2 > sum_j w_j*s_j^2 (:func:`_descent`) is the rule for t
+    multiplied by g.  So the mutation forests rooted at the minima
+    (:func:`_walk`) correspond tree for tree, and every solution, reached
+    from a minimum by flips, has an integral image on the other side.
+    """
+    witnesses = {}
+    for eq in EQUATIONS:
+        minima = minimum_solutions(eq)
+        scale = tuple(gcd(*column) for column in zip(*minima))
+        big = [w * d * d for w, d in zip(eq.type_vector, scale)]
+        g = gcd(*big)
+        weights = [b // g for b in big]
+        perm = tuple(sorted(range(3), key=weights.__getitem__))
+        rep = next((r for r in EQUATIONS if r.type_vector == tuple(sorted(weights))), None)
+        transported = {tuple(m[p] // scale[p] for p in perm) for m in minima}
+        if (
+            rep is None
+            or eq.coeff * prod(scale) != g * rep.coeff
+            or any(rep.coeff % w for w in rep.type_vector)
+            or transported != set(minimum_solutions(rep))
+        ):
+            raise InvariantViolationError(f"{eq.label} has no certified group representative")
+        witnesses[eq.label] = (rep.label, scale, perm)
+    used = {rep for rep, _, _ in witnesses.values()}
+    names = dict(zip((eq.label for eq in EQUATIONS if eq.label in used), ("I", "II", "III", "IV")))
+    return {
+        label: GroupWitness(names[rep], rep, scale, perm)
+        for label, (rep, scale, perm) in witnesses.items()
+    }
 
 
 def equation_group(eq: MarkovEquation) -> GroupWitness:
     """The solution-transport class of the equation and its witness map."""
-    return _GROUPS[eq.label]
+    return _groups()[eq.label]
 
 
 def to_representative(eq: MarkovEquation, s) -> SolutionTriple:

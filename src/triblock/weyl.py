@@ -12,19 +12,15 @@ stabiliser read off a dominant-chamber reduction.  Neither enumerates
 minus-one classes.
 
 What depends only on the surface is computed once per surface and cached,
-like picard.canonical_class: the simple roots, the reflection in each as a
-pair of coordinate tuples, and |W|.  Each orbit row is computed once per
-process, so the orbit table and the recursion checks share rows; every
-certificate still runs on each count.
+like picard.canonical_class: the simple roots, the reflection in each, and
+|W|.  Each orbit row is computed once per process, so the orbit table and
+the recursion checks share rows; every certificate still runs on each
+count.
 
-The reflection x -> x + (x.a) a is built in one place, :func:`_reflection`,
-and applied in one, :func:`_reflect`: LatticeAutomorphism.from_root makes
-its matrix from it, and divisor_orbit and the stabiliser reductions walk
-coordinate tuples with it.  Whether a class is a root or a (-1)-class is
-picard.is_kind's to decide.
-
-normal_form and verify_c decide twist classes by the one key of
-blockcalc.twist_normal_form.
+The one Weyl element is a :class:`Reflection`, x -> x + (x.a) a in a
+root a, built by :func:`_reflection` and applied by :func:`_reflect` on
+coordinate tuples; every action here goes through these two.  Class kinds
+are picard.is_kind's to decide, twist classes blockcalc.twist_normal_form's.
 """
 
 from __future__ import annotations
@@ -33,8 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import catalog
 from .blockcalc import (
@@ -52,60 +47,41 @@ from .picard import (
     DivisorClass,
     LatticeMismatchError,
     Surface,
-    canonical_class,
     intersect,
     is_kind,
 )
 
 
-@dataclass(frozen=True)
-class LatticeAutomorphism:
-    """An integral lattice map preserving the form and fixing K."""
+class Reflection(NamedTuple):
+    """x -> x + (x.a) a for a root a; on coordinates x + (covector . x) coords."""
 
-    surface: Surface
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = self.surface.picard_rank
-        basis = [DivisorClass.basis(self.surface, i) for i in range(n)]
-        images = [self.apply(b) for b in basis]
-        for i in range(n):
-            for j in range(n):
-                if intersect(images[i], images[j]) != intersect(basis[i], basis[j]):
-                    raise ValueError("matrix does not preserve the intersection form")
-        k = canonical_class(self.surface)
-        if self.apply(k) != k:
-            raise ValueError("matrix does not fix the canonical class")
+    root: DivisorClass
+    coords: tuple[int, ...]
+    covector: tuple[int, ...]
 
     @classmethod
-    def from_root(cls, root: DivisorClass) -> "LatticeAutomorphism":
-        """The reflection x -> x + (x.root) root for a root (square -2, degree 0).
+    def from_root(cls, root: DivisorClass) -> "Reflection":
+        """The reflection in a root, which must have square -2 and degree 0.
 
-        Its matrix is I + a*covector^T from :func:`_reflection`.
+        Its kind is the whole certificate: a^2 = -2 makes the map an
+        isometry, as (x + (x.a)a).(y + (y.a)a) = x.y + (x.a)(y.a)(2 + a^2),
+        and an involution; a.K = 0 makes it fix K.
         """
         if not is_kind(root, ROOT):
             raise ValueError("reflections require a root class")
-        a, covector = _reflection(root)
-        matrix = tuple(
-            tuple(int(i == j) + ai * cj for j, cj in enumerate(covector))
-            for i, ai in enumerate(a)
-        )
-        return cls(root.surface, matrix)
+        return _reflection(root)
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        if d.surface != self.surface:
+        if d.surface != self.root.surface:
             raise LatticeMismatchError("class lives on a different surface")
-        return DivisorClass(
-            self.surface,
-            tuple(sum(row[j] * d.coords[j] for j in range(len(row))) for row in self.matrix),
-        )
+        return DivisorClass(d.surface, _reflect(d.coords, self))
 
 
 class SimpleSystem(NamedTuple):
     """A surface's simple roots, the reflection in each, and |W|."""
 
     roots: tuple[DivisorClass, ...]
-    reflections: Mapping[DivisorClass, tuple]  # read-only: root -> _reflection(root)
+    reflections: tuple[Reflection, ...]  # aligned with roots
     order: int
 
 
@@ -119,24 +95,23 @@ def simple_system(surface: Surface) -> SimpleSystem:
         cremona = [(1, -1, -1, -1) + (0,) * (r - 3)] if r >= 3 else []
         swaps = [(0,) * i + (1, -1) + (0,) * (r - 1 - i) for i in range(1, r)]
         roots = tuple(DivisorClass(surface, coords) for coords in cremona + swaps)
-    reflections = MappingProxyType({a: _reflection(a) for a in roots})
-    return SimpleSystem(roots, reflections, coxeter_order(roots))
+    return SimpleSystem(roots, tuple(map(_reflection, roots)), coxeter_order(roots))
 
 
 def simple_roots(surface: Surface) -> tuple[DivisorClass, ...]:
     return simple_system(surface).roots
 
 
-def simple_reflections(surface: Surface) -> tuple[LatticeAutomorphism, ...]:
-    return tuple(LatticeAutomorphism.from_root(r) for r in simple_roots(surface))
+def simple_reflections(surface: Surface) -> tuple[Reflection, ...]:
+    return simple_system(surface).reflections
 
 
-def apply_to_class(g: LatticeAutomorphism, e: KClass) -> KClass:
+def apply_to_class(g: Reflection, e: KClass) -> KClass:
     """Rank and 2*ch2 are invariants; only c1 moves."""
     return KClass(e.surface, e.rank, g.apply(e.c1), e.ch2x2)
 
 
-def apply_to_collection(g: LatticeAutomorphism, c: BlockCollection) -> BlockCollection:
+def apply_to_collection(g: Reflection, c: BlockCollection) -> BlockCollection:
     return BlockCollection(
         tuple(Block(tuple(apply_to_class(g, m) for m in b.members)) for b in c.blocks)
     )
@@ -146,7 +121,7 @@ def divisor_orbit(surface: Surface, start: DivisorClass) -> frozenset:
     """Closure of one divisor class under the simple reflections, as coordinates."""
     if start.surface != surface:
         raise LatticeMismatchError("class lives on a different surface")
-    steps = simple_system(surface).reflections.values()
+    steps = simple_system(surface).reflections
     seen = {start.coords}
     frontier = [start.coords]
     while frontier:
@@ -165,20 +140,6 @@ def divisor_orbit(surface: Surface, start: DivisorClass) -> frozenset:
 # Orbit counting on collections.
 
 
-def _member_ranks(c: BlockCollection) -> tuple[int, ...]:
-    # The twist invariants divide by every member's rank.
-    ranks = tuple(m.rank for m in c.members)
-    if 0 in ranks:
-        raise ValueError("orbit counting requires blocks of nonzero rank")
-    return ranks
-
-
-def normal_form(c: BlockCollection) -> tuple:
-    """blockcalc.twist_normal_form's key: equal exactly for twists of c."""
-    _member_ranks(c)
-    return twist_normal_form(c)[0]
-
-
 # Orders of the exceptional Weyl groups (Manin, Cubic Forms, Ch. IV).
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 
@@ -186,16 +147,16 @@ _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
 def coxeter_order(roots: Sequence[DivisorClass]) -> int:
     """Order of the reflection group generated by a system of simple roots.
 
-    The Coxeter graph joins two roots with intersection 1; distinct simple
-    roots meet in 0 or 1 and have square -2.  Each connected component must
-    be of type A_n, D_n or E_6/7/8, as every subgraph of the E_8 diagram
-    is; its group has order (n+1)!, 2^(n-1)*n! or the tabulated E order,
-    and the whole group is their product.
+    The Coxeter graph joins two roots with intersection 1; simple roots are
+    roots (picard.is_kind) and distinct ones meet in 0 or 1.  Each connected
+    component must be of type A_n, D_n or E_6/7/8, as every subgraph of the
+    E_8 diagram is; its group has order (n+1)!, 2^(n-1)*n! or the tabulated
+    E order, and the whole group is their product.
     """
     links = []
     for i, a in enumerate(roots):
         products = [intersect(a, b) for b in roots]
-        if products[i] != -2 or any(p not in (0, 1) for j, p in enumerate(products) if j != i):
+        if not is_kind(a, ROOT) or any(p not in (0, 1) for j, p in enumerate(products) if j != i):
             raise ValueError("coxeter_order requires a system of simple roots")
         links.append({j for j, p in enumerate(products) if p == 1})
     order, unseen = 1, set(range(len(roots)))
@@ -234,15 +195,16 @@ def _arm_length(hub: int, start: int, links: list) -> int:
     return length
 
 
-def _reflection(a: DivisorClass) -> tuple:
-    """The root's coordinates and the coefficients of x -> x.a on coordinates."""
+def _reflection(a: DivisorClass) -> Reflection:
+    """The reflection in a, unchecked: a's coordinates and x -> x.a's coefficients."""
     dot, n = a.surface.dot, len(a.coords)
-    return a.coords, tuple([dot((0,) * j + (1,) + (0,) * (n - 1 - j), a.coords) for j in range(n)])
+    covector = tuple([dot((0,) * j + (1,) + (0,) * (n - 1 - j), a.coords) for j in range(n)])
+    return Reflection(a, a.coords, covector)
 
 
-def _reflect(x: tuple, reflection: tuple) -> tuple:
+def _reflect(x: tuple, reflection: Reflection) -> tuple:
     """The reflection x -> x + (x.a) a on coordinate tuples."""
-    a, covector = reflection
+    _, a, covector = reflection
     p = sum(map(mul, x, covector))
     return tuple([xi + p * ai for xi, ai in zip(x, a)]) if p else x
 
@@ -261,15 +223,14 @@ def _twist_invariants(c: BlockCollection, ranks) -> list:
     return [((head.size * lcm_ // r) * m.c1 - base).coords for m, r in zip(c.members, ranks)]
 
 
-def _stabiliser_roots(vectors: list, roots: tuple) -> tuple:
+def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     # Steinberg (Humphreys, Reflection Groups and Coxeter Groups, 1.12): the
     # stabiliser in W_J of a J-dominant vector is generated by the simple
     # reflections in J that fix it.  Moving each vector in turn, after the
     # reflections that moved the vectors before it, into the dominant
     # chamber of the current W_J shrinks J to simple roots generating the
-    # stabiliser of the whole tuple.
-    reflections = simple_system(roots[0].surface).reflections if roots else {}
-    chain = [(a, reflections[a]) for a in roots]
+    # stabiliser of the whole tuple; their roots are returned.
+    chain = list(reflections)
     word = []
     for v in vectors:
         if not chain:
@@ -279,13 +240,13 @@ def _stabiliser_roots(vectors: list, roots: tuple) -> tuple:
         moved = True
         while moved:
             moved = False
-            for _, step in chain:
-                if sum(map(mul, v, step[1])) > 0:
+            for step in chain:
+                if sum(map(mul, v, step.covector)) > 0:
                     v = _reflect(v, step)
                     word.append(step)
                     moved = True
-        chain = [(a, step) for a, step in chain if not sum(map(mul, v, step[1]))]
-    return tuple(a for a, _ in chain)
+        chain = [step for step in chain if not sum(map(mul, v, step.covector))]
+    return tuple(step.root for step in chain)
 
 
 def _check_transpositions(c: BlockCollection, vectors: list) -> None:
@@ -318,10 +279,12 @@ def orbit_count(c: BlockCollection) -> int:
     reflections, which is checked transposition by transposition.  The
     ranks must be nonzero with gcd 1.
     """
-    ranks = _member_ranks(c)
+    ranks = tuple(m.rank for m in c.members)
+    if 0 in ranks:  # the twist invariants divide by every member's rank
+        raise ValueError("orbit counting requires blocks of nonzero rank")
     vectors = _twist_invariants(c, ranks)
     system = simple_system(c.surface)
-    stabiliser = _stabiliser_roots(vectors, system.roots)
+    stabiliser = _stabiliser_roots(vectors, system.reflections)
     _check_transpositions(c, vectors)
     denominator = coxeter_order(stabiliser) * prod(factorial(s) for s in c.type_vector)
     return _index(system.order, denominator)
@@ -401,8 +364,10 @@ def verify_c(label: str) -> bool:
     The images of the build under the label's C_WITNESSES words must keep
     its type vector and rank triple, have pairwise distinct twist keys
     (blockcalc.twist_normal_form), and number C.  Labels without a stored
-    witness return True vacuously.
+    witness return True vacuously; an unknown label raises ValueError.
     """
+    if label not in catalog.ENTRIES:
+        raise ValueError(f"unknown equation label {label!r}")
     if label not in C_WITNESSES:
         return True
     c = catalog.build(label, 0)
@@ -476,11 +441,11 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
         return 1
     if surface.kind == "quadric" or m > surface.blowups:
         return 0
-    roots, _, order = simple_system(surface)
+    _, reflections, order = simple_system(surface)
     ordered = 0
     for representative in _disjoint_representatives(surface, m):
         _check_disjoint_minus_ones(representative)
-        stabiliser = _stabiliser_roots([e.coords for e in representative], roots)
+        stabiliser = _stabiliser_roots([e.coords for e in representative], reflections)
         ordered += _index(order, coxeter_order(stabiliser))
     if ordered % factorial(m):
         raise InvariantViolationError(

@@ -125,8 +125,8 @@ def test_block_orthogonality_implies_dropped_checks_on_random_pairs():
             if not curves[s]:
                 continue  # the quadric has no minus-one curves
             ca, cb = rng.choice(curves[s]), rng.choice(curves[s])
-            a = torsion_class(s, ca, rng.randint(-2, 2))
-            b = torsion_class(s, cb, rng.randint(-2, 2))
+            a = torsion_class(ca, rng.randint(-2, 2))
+            b = torsion_class(cb, rng.randint(-2, 2))
         else:
             ca = DivisorClass(s, tuple(rng.randint(-4, 4) for _ in range(s.picard_rank)))
             # c1_b - c1_a orthogonal to K keeps the degree equal
@@ -504,7 +504,7 @@ def test_twist_normal_form_separates_the_x61_helix_shifts():
 
 def test_twist_needs_a_member_of_nonzero_rank():
     x1 = Surface.plane(1)
-    c = validate_collection([[torsion_class(x1, DivisorClass.basis(x1, 1), 0)]])
+    c = validate_collection([[torsion_class(DivisorClass.basis(x1, 1), 0)]])
     with pytest.raises(BlockError, match="torsion-only"):
         twist_normal_form(c)
     with pytest.raises(BlockError, match="torsion-only"):

@@ -90,7 +90,7 @@ def test_torsion_class_oracles():
         o = structure_sheaf(s)
         curve = DivisorClass.basis(s, 1)
         for m in range(-3, 4):
-            t = torsion_class(s, curve, m)
+            t = torsion_class(curve, m)
             assert t.rank == 0 and t.ch2x2 == 2 * m + 1
             assert chi(o, t) == m + 1
             assert chi(t, t) == 1
@@ -107,11 +107,9 @@ def test_torsion_class_oracles():
 def test_torsion_class_rejects_other_curves():
     s = Surface.plane(2)
     with pytest.raises(ValueError, match="not a minus-one curve class"):
-        torsion_class(s, pl(s, 1, 0, 0), 0)  # a line squares to +1
+        torsion_class(pl(s, 1, 0, 0), 0)  # a line squares to +1
     with pytest.raises(ValueError, match="not a minus-one curve class"):
-        torsion_class(s, pl(s, 0, 1, -1), 0)  # a root, not a curve class
-    with pytest.raises(LatticeMismatchError, match="incompatible lattices"):
-        torsion_class(s, DivisorClass.basis(Surface.plane(3), 1), 0)
+        torsion_class(pl(s, 0, 1, -1), 0)  # a root, not a curve class
 
 
 def test_parity_violation_detected():
@@ -195,7 +193,7 @@ def test_degree_and_slope():
     assert slope(structure_sheaf(s)) == 0
     assert slope(line_bundle(pl(P2, 1))) == 3
     assert slope(KClass(P2, 2, pl(P2, 1), -1)) == Fraction(3, 2)
-    assert slope(torsion_class(s, pl(s, 0, 1, 0), 0)) == inf
+    assert slope(torsion_class(pl(s, 0, 1, 0), 0)) == inf
 
 
 def test_exceptionality():

@@ -93,6 +93,25 @@ GROUPS = {
     "IV": ["x4", "x8.4"],
 }
 
+# The hand-written witnesses that markov used to ship; the oracle for the
+# derived ones.
+GROUP_WITNESSES = {
+    "p2": GroupWitness("I", "p2", (1, 1, 1), (0, 1, 2)),
+    "x6.1": GroupWitness("I", "p2", (1, 1, 1), (0, 1, 2)),
+    "x8.1": GroupWitness("I", "p2", (3, 3, 1), (0, 1, 2)),
+    "quadric": GroupWitness("II", "quadric", (1, 1, 1), (0, 1, 2)),
+    "x5": GroupWitness("II", "quadric", (1, 1, 1), (0, 1, 2)),
+    "x7.1": GroupWitness("II", "quadric", (2, 2, 1), (0, 1, 2)),
+    "x7.2": GroupWitness("II", "quadric", (2, 1, 1), (1, 2, 0)),
+    "x8.2": GroupWitness("II", "quadric", (4, 2, 1), (1, 2, 0)),
+    "x3": GroupWitness("III", "x3", (1, 1, 1), (0, 1, 2)),
+    "x6.2": GroupWitness("III", "x3", (2, 1, 1), (1, 0, 2)),
+    "x7.3": GroupWitness("III", "x3", (3, 1, 1), (1, 2, 0)),
+    "x8.3": GroupWitness("III", "x3", (3, 2, 1), (2, 1, 0)),
+    "x4": GroupWitness("IV", "x4", (1, 1, 1), (0, 1, 2)),
+    "x8.4": GroupWitness("IV", "x4", (5, 1, 1), (1, 2, 0)),
+}
+
 
 @lru_cache(maxsize=None)
 def sweep(eq, sum_bound):
@@ -473,6 +492,38 @@ def test_group_membership():
             w.group, w.representative, (1, 1, 1), (0, 1, 2)
         )
     assert seen == GROUPS
+
+
+def test_group_witnesses_match_the_shipped_table():
+    assert {eq.label: equation_group(eq) for eq in EQUATIONS} == GROUP_WITNESSES
+
+
+# label -> forged minima, each breaking one clause of the certificate
+FORGED_MINIMA = {
+    # scale (5, 2, 1) gives weights (5, 4, 1), the type of no equation
+    "x8.4": ((5, 2, 1),),
+    # scale (1, 1, 1) makes x8.1 its own representative; 9 does not divide 3
+    "x8.1": ((1, 1, 1),),
+    # scale (2, 2, 2) reaches the quadric's weights, but 8*2^3 != 8*4
+    "x5": ((2, 2, 2),),
+    # the scale and weights hold, but (3, 1, 1) is no minimum of x4
+    "x8.4+": ((5, 2, 1), (5, 1, 2), (5, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("forged", FORGED_MINIMA)
+def test_group_witnesses_are_certified(monkeypatch, forged):
+    label, minima = forged.rstrip("+"), tuple(SolutionTriple(*m) for m in FORGED_MINIMA[forged])
+    real = markov.minimum_solutions
+    monkeypatch.setattr(
+        markov, "minimum_solutions", lambda eq: minima if eq.label == label else real(eq)
+    )
+    markov._groups.cache_clear()
+    try:
+        with pytest.raises(InvariantViolationError, match=f"{label} has no certified"):
+            equation_group(equation_by_label(label))
+    finally:
+        markov._groups.cache_clear()
 
 
 def test_group_witness_fields():

@@ -19,6 +19,7 @@ from triblock.blockcalc import (
     apply_word,
     equivalent_up_to_twist,
     helix_shift,
+    twist_normal_form,
     validate_collection,
 )
 from triblock.kclass import InvariantViolationError, chi, line_bundle, torsion_class, twist
@@ -38,8 +39,8 @@ from triblock.weyl import (
     C_WITNESS_LABELS,
     C_WITNESSES,
     RECURSION_CASES,
-    LatticeAutomorphism,
     OrbitRow,
+    Reflection,
     apply_to_class,
     apply_to_collection,
     _reflect,
@@ -48,7 +49,6 @@ from triblock.weyl import (
     count_disjoint_sets,
     coxeter_order,
     divisor_orbit,
-    normal_form,
     orbit_count,
     orbit_row,
     recursion_check,
@@ -173,10 +173,9 @@ def test_simple_roots_are_roots():
 
 
 def test_reflection_covector_matches_intersection_formula():
-    # the covector of x -> x.a against intersect on basis classes, the
-    # matrix of from_root against its columns e + (e.a) a written out with
-    # DivisorClass arithmetic, and the coordinate reflection against the
-    # validated lattice automorphism
+    # the covector of x -> x.a against intersect on basis classes, and
+    # Reflection.apply against x + (x.a) a written out with DivisorClass
+    # arithmetic
     rng = random.Random(20261018)
     for s in ALL_SURFACES:
         n = s.picard_rank
@@ -184,13 +183,11 @@ def test_reflection_covector_matches_intersection_formula():
         probes = basis + [canonical_class(s)]
         probes += [DivisorClass(s, tuple(rng.randint(-5, 5) for _ in range(n))) for _ in range(3)]
         for a in enumerate_classes(s, ROOT):
-            reflection = _reflection(a)
-            assert reflection == (a.coords, tuple(intersect(e, a) for e in basis))
-            g = LatticeAutomorphism.from_root(a)
-            cols = [(e + intersect(e, a) * a).coords for e in basis]
-            assert g.matrix == tuple(zip(*cols))
+            g = Reflection.from_root(a)
+            assert g == _reflection(a) == (a, a.coords, tuple(intersect(e, a) for e in basis))
             for x in probes:
-                assert _reflect(x.coords, reflection) == g.apply(x).coords
+                assert g.apply(x) == x + intersect(x, a) * a
+                assert _reflect(x.coords, g) == g.apply(x).coords
 
 
 def test_simple_system_is_built_once_per_surface():
@@ -199,7 +196,8 @@ def test_simple_system_is_built_once_per_surface():
         assert simple_roots(s) is simple_roots(s)
         roots, reflections, order = simple_system(s)
         assert order == coxeter_order(roots)
-        assert reflections == {a: _reflection(a) for a in roots}
+        assert reflections == tuple(map(_reflection, roots))
+        assert simple_reflections(s) is reflections
         for m in range(s.blowups + 1):
             count_disjoint_sets(s, m)
     info = simple_system.cache_info()
@@ -212,7 +210,7 @@ def test_reflections_are_involutive_isometries():
     roots = enumerate_classes(s, ROOT)
     k = canonical_class(s)
     for root in rng.sample(list(roots), 8):
-        g = LatticeAutomorphism.from_root(root)
+        g = Reflection.from_root(root)
         assert g.apply(k) == k
         assert g.apply(root) == -1 * root
         for _ in range(5):
@@ -224,22 +222,13 @@ def test_reflections_are_involutive_isometries():
 
 def test_automorphism_validation():
     s = Surface.plane(2)
-    n = s.picard_rank
-    minus_identity = tuple(
-        tuple(-1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    with pytest.raises(ValueError, match="canonical class"):
-        LatticeAutomorphism(s, minus_identity)
-    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(ValueError, match="intersection form"):
-        LatticeAutomorphism(s, shear)
     with pytest.raises(ValueError, match="root class"):
-        LatticeAutomorphism.from_root(DivisorClass.basis(s, 1))
+        Reflection.from_root(DivisorClass.basis(s, 1))
     with pytest.raises(ValueError, match="root class"):
-        LatticeAutomorphism.from_root(DivisorClass(s, (1, -1, -1)))  # a (-1)-class
+        Reflection.from_root(DivisorClass(s, (1, -1, -1)))  # a (-1)-class
     with pytest.raises(ValueError, match="root class"):
-        LatticeAutomorphism.from_root(DivisorClass(s, (0, 2, -2)))  # square -8
-    g = LatticeAutomorphism.from_root(simple_roots(s)[0])
+        Reflection.from_root(DivisorClass(s, (0, 2, -2)))  # square -8
+    g = Reflection.from_root(simple_roots(s)[0])
     with pytest.raises(LatticeMismatchError):
         g.apply(DivisorClass.basis(Surface.plane(3), 1))
     with pytest.raises(LatticeMismatchError):
@@ -273,8 +262,8 @@ def test_root_orbits():
 
 def test_apply_to_class_keeps_invariants():
     s = Surface.plane(3)
-    g = LatticeAutomorphism.from_root(DivisorClass(s, (1, -1, -1, -1)))
-    t = torsion_class(s, DivisorClass.basis(s, 2), 1)
+    g = Reflection.from_root(DivisorClass(s, (1, -1, -1, -1)))
+    t = torsion_class(DivisorClass.basis(s, 2), 1)
     moved = apply_to_class(g, t)
     assert (moved.rank, moved.ch2x2) == (t.rank, t.ch2x2)
     assert moved.c1 == g.apply(t.c1)
@@ -282,7 +271,7 @@ def test_apply_to_class_keeps_invariants():
 
 def test_apply_to_collection_preserves_chi():
     c = catalog.build("x5")
-    g = LatticeAutomorphism.from_root(simple_roots(c.surface)[0])
+    g = Reflection.from_root(simple_roots(c.surface)[0])
     moved = apply_to_collection(g, c)
     assert moved.type_vector == c.type_vector
     assert moved.ranks == c.ranks
@@ -295,7 +284,7 @@ def test_apply_to_collection_preserves_chi():
 
 def test_equivariance_with_mutation():
     c = catalog.build("x6.2")
-    g = LatticeAutomorphism.from_root(simple_roots(c.surface)[2])
+    g = Reflection.from_root(simple_roots(c.surface)[2])
     for word in (("R1",), ("L2", "R1")):
         assert apply_to_collection(g, apply_word(c, word)) == apply_word(
             apply_to_collection(g, c), word
@@ -306,19 +295,19 @@ def test_normal_form_is_twist_invariant():
     c = catalog.build("x4")
     d = DivisorClass(c.surface, (3, -1, 0, 2, -2))
     twisted = BlockCollection(tuple(b.twisted(d) for b in c.blocks))
-    assert normal_form(twisted) == normal_form(c)
-    assert normal_form(helix_shift(c, 1)) != normal_form(c)
+    assert twist_normal_form(twisted)[0] == twist_normal_form(c)[0]
+    assert twist_normal_form(helix_shift(c, 1))[0] != twist_normal_form(c)[0]
 
 
 def test_normal_form_agrees_with_pairwise_twist_test():
     tau = catalog.build("p2")
     shifted = helix_shift(tau, 1)
     assert equivalent_up_to_twist(tau, shifted) is not None
-    assert normal_form(tau) == normal_form(shifted)
+    assert twist_normal_form(tau)[0] == twist_normal_form(shifted)[0]
     x61 = catalog.build("x6.1")
     shifted = helix_shift(x61, 1)
     assert equivalent_up_to_twist(x61, shifted) is None
-    assert normal_form(x61) != normal_form(shifted)
+    assert twist_normal_form(x61)[0] != twist_normal_form(shifted)[0]
 
 
 def test_orbit_machinery_requires_nonzero_ranks():
@@ -326,13 +315,11 @@ def test_orbit_machinery_requires_nonzero_ranks():
     c = validate_collection(
         [
             [line_bundle(DivisorClass.zero(x1))],
-            [torsion_class(x1, DivisorClass.basis(x1, 1), 0)],
+            [torsion_class(DivisorClass.basis(x1, 1), 0)],
         ]
     )
     with pytest.raises(ValueError, match="nonzero rank"):
         orbit_count(c)
-    with pytest.raises(ValueError, match="nonzero rank"):
-        normal_form(c)
 
 
 def test_weyl_group_orders_from_regular_orbits():
@@ -366,6 +353,9 @@ def test_coxeter_order_rejects_non_simple_systems():
         coxeter_order((a1, -1 * a1))
     with pytest.raises(ValueError, match="simple roots"):
         coxeter_order((DivisorClass.basis(x5, 1),))
+    # square -2 but degree 2: not a root
+    with pytest.raises(ValueError, match="simple roots"):
+        coxeter_order((DivisorClass(Surface.plane(2), (0, 1, 1)),))
     # the extended D_4 diagram: a3 joined to a0, a2, a4 and minus the highest root
     minus_theta = DivisorClass(x5, (-1, 1, 0, 0, 1, 1))
     with pytest.raises(ValueError, match="not of type A, D or E"):
@@ -400,11 +390,11 @@ def test_stabiliser_chain_matches_orbit_closures():
         classes = enumerate_classes(s, MINUS_ONE)
         cases += [(s, (classes[0], d)) for d in classes[:4]]
     for s, classes in cases:
-        roots = simple_roots(s)
-        stabiliser = _stabiliser_roots([d.coords for d in classes], roots)
+        roots, reflections, _ = simple_system(s)
+        stabiliser = _stabiliser_roots([d.coords for d in classes], reflections)
         assert coxeter_order(roots) // coxeter_order(stabiliser) == _tuple_orbit_size(s, classes)
     x6 = Surface.plane(6)
-    assert _stabiliser_roots([DivisorClass.zero(x6).coords], simple_roots(x6)) == simple_roots(x6)
+    assert _stabiliser_roots([DivisorClass.zero(x6).coords], simple_reflections(x6)) == simple_roots(x6)
 
 
 ORACLE_LABELS = tuple(eq.label for eq in EQUATIONS if eq.surface.blowups <= 7)
@@ -486,6 +476,9 @@ def test_c_values_and_witnesses():
         assert len(C_WITNESSES[label]) == C_VALUES[label]
     for label in ("x5", "x6.1", "p2", "x8.3"):
         assert verify_c(label)
+    for label in ("x9.9", ""):
+        with pytest.raises(ValueError, match="unknown equation label"):
+            verify_c(label)
 
 
 def test_verify_c_rejects_a_broken_witness(monkeypatch):
@@ -575,7 +568,9 @@ def test_count_disjoint_sets_certifies_representatives(monkeypatch):
     with pytest.raises(InvariantViolationError, match="not divisible by the stabiliser order 7"):
         count_disjoint_sets(x3, 3)
     monkeypatch.undo()
-    monkeypatch.setattr(weyl, "_stabiliser_roots", lambda vectors, roots: roots)
+    monkeypatch.setattr(
+        weyl, "_stabiliser_roots", lambda vectors, reflections: tuple(g.root for g in reflections)
+    )
     with pytest.raises(InvariantViolationError, match=r"not divisible by 3!"):
         count_disjoint_sets(x3, 3)
 
