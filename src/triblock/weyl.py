@@ -19,16 +19,19 @@ count.
 
 The one Weyl element is a :class:`Reflection`, x -> x + (x.a) a in a
 root a, built by :func:`_reflection` and applied by :func:`_reflect` on
-coordinate tuples; every action here goes through these two.  Class kinds
-are picard.is_kind's to decide, twist classes blockcalc.twist_normal_form's.
+coordinate tuples; every action here goes through these two, with one
+exception: in the chamber walk of :func:`_stabiliser_roots` a run of
+coordinate swaps (l_i - l_{i+1}, or f1 - f2 on the quadric) acts at once,
+by sorting.  Class kinds are picard.is_kind's to decide, twist classes
+blockcalc.twist_normal_form's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from . import catalog
@@ -115,25 +118,6 @@ def apply_to_collection(g: Reflection, c: BlockCollection) -> BlockCollection:
     return BlockCollection(
         tuple(Block(tuple(apply_to_class(g, m) for m in b.members)) for b in c.blocks)
     )
-
-
-def divisor_orbit(surface: Surface, start: DivisorClass) -> frozenset:
-    """Closure of one divisor class under the simple reflections, as coordinates."""
-    if start.surface != surface:
-        raise LatticeMismatchError("class lives on a different surface")
-    steps = simple_system(surface).reflections
-    seen = {start.coords}
-    frontier = [start.coords]
-    while frontier:
-        new = []
-        for x in frontier:
-            for step in steps:
-                image = _reflect(x, step)
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -223,30 +207,89 @@ def _twist_invariants(c: BlockCollection, ranks) -> list:
     return [((head.size * lcm_ // r) * m.c1 - base).coords for m, r in zip(c.members, ranks)]
 
 
+def _swap_at(step: Reflection) -> int | None:
+    """i if the reflection is the swap of coordinates i and i + 1, else None.
+
+    The reflection's own data certify a swap, however its root was built:
+    with root coordinates e_i - e_{i+1} and covector e_{i+1} - e_i,
+    x -> x + (x.a) a adds x_{i+1} - x_i to x_i and takes it from x_{i+1},
+    and the pairing x.a = x_{i+1} - x_i is positive exactly when
+    x_i < x_{i+1}.  The reflection in -a is the same map with the opposite
+    pairing, and is no swap here.
+    """
+    a = step.coords
+    if 1 in a:
+        i = a.index(1)
+        swap = (0,) * i + (1, -1) + (0,) * (len(a) - i - 2)
+        if a == swap and step.covector == tuple(-x for x in swap):
+            return i
+    return None
+
+
 def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
-    # Steinberg (Humphreys, Reflection Groups and Coxeter Groups, 1.12): the
-    # stabiliser in W_J of a J-dominant vector is generated by the simple
-    # reflections in J that fix it.  Moving each vector in turn, after the
-    # reflections that moved the vectors before it, into the dominant
-    # chamber of the current W_J shrinks J to simple roots generating the
-    # stabiliser of the whole tuple; their roots are returned.
-    chain = list(reflections)
-    word = []
+    """The simple roots, of the given ones, that generate a stabiliser of the vectors.
+
+    The reflections are those in a simple system J.  Steinberg (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12): the stabiliser in W_J of a
+    J-dominant vector, one whose pairing with every root in J is <= 0, is
+    generated by the reflections in J that fix it.  So each vector in turn,
+    after the moves that took the vectors before it, walks into the
+    dominant chamber of the current W_J by reflections of positive
+    pairing, and J shrinks to the roots that pair to 0 with where it lands.
+    The roots left at the end generate the stabiliser of the moved tuple,
+    a conjugate of the tuple's own.
+
+    The walk may make its moves in any order.  A move x -> x + (x.a) a
+    with x.a > 0 lowers x.rho for any rho with a.rho < 0 for all a in J,
+    so on the finite W_J-orbit every order of moves stops, and it stops
+    only where no pairing is positive: at the J-dominant point, which is
+    unique in its W_J-orbit.  Two elements of W_J taking v there differ by
+    one fixing it, which lies in W_J' for the shrunken J' (Steinberg), so
+    the later vectors reach the same J'-dominant points whichever took v,
+    and the same roots are returned.
+
+    Hence a run of swaps (see _swap_at) at i = lo, ..., hi - 2 in J acts
+    at once, by a stable descending sort of the coordinates lo..hi-1
+    recorded as one permutation.  That sort is a bubble sort whose every
+    exchange is a swap of positive pairing, so a move of the walk.  Every
+    other reflection, in practice the Cremona root l0 - l1 - l2 - l3,
+    moves by _reflect.
+    """
+    chain = [(_swap_at(step), step) for step in reflections]
+    word = []  # the moves so far, as callables on coordinate tuples
+    size = None  # len(chain) when swaps, runs and others were read off it
     for v in vectors:
         if not chain:
             break
         for step in word:
-            v = _reflect(v, step)
+            v = step(v)
+        if len(chain) != size:
+            size = len(chain)
+            swaps = [i for i, _ in chain if i is not None]
+            others = [step for i, step in chain if i is None]
+            runs = []  # [lo, hi) coordinate ranges
+            for i in sorted(swaps):
+                if runs and runs[-1][1] == i + 1:
+                    runs[-1][1] = i + 2
+                else:
+                    runs.append([i, i + 2])
         moved = True
         while moved:
+            if any(v[i] < v[i + 1] for i in swaps):
+                perm = list(range(len(v)))
+                for lo, hi in runs:
+                    perm[lo:hi] = sorted(range(lo, hi), key=v.__getitem__, reverse=True)
+                sort = itemgetter(*perm)
+                v = sort(v)
+                word.append(sort)
             moved = False
-            for step in chain:
+            for step in others:
                 if sum(map(mul, v, step.covector)) > 0:
                     v = _reflect(v, step)
-                    word.append(step)
+                    word.append(partial(_reflect, reflection=step))
                     moved = True
-        chain = [step for step in chain if not sum(map(mul, v, step.covector))]
-    return tuple(step.root for step in chain)
+        chain = [(i, step) for i, step in chain if not sum(map(mul, v, step.covector))]
+    return tuple(step.root for _, step in chain)
 
 
 def _check_transpositions(c: BlockCollection, vectors: list) -> None:

@@ -3,12 +3,16 @@
 orbit_count and count_disjoint_sets are closed forms; the breadth-first
 closure of the twist normal form under the simple reflections and the
 enumeration of disjoint (-1)-class sets, which used to compute them, live
-here as their oracles.  The Weyl group orders are checked against divisor
-orbits and (-1)-class counts, never against the code under test.
+here as their oracles.  So do the breadth-first closure of a divisor class
+and the bubble chamber walk, which reflects one simple root at a time, as
+the oracle for the sorting walk of weyl._stabiliser_roots.  The Weyl group
+orders are checked against divisor orbits and (-1)-class counts, never
+against the code under test.
 """
 
 import random
-from math import comb
+from math import comb, factorial
+from operator import mul
 
 import pytest
 
@@ -43,12 +47,14 @@ from triblock.weyl import (
     Reflection,
     apply_to_class,
     apply_to_collection,
+    _disjoint_representatives,
     _reflect,
     _reflection,
     _stabiliser_roots,
+    _swap_at,
+    _twist_invariants,
     count_disjoint_sets,
     coxeter_order,
-    divisor_orbit,
     orbit_count,
     orbit_row,
     recursion_check,
@@ -99,6 +105,23 @@ def _fast_generators(surface: Surface):
 
         gens.append(swap)
     return gens
+
+
+def divisor_orbit(surface: Surface, start: DivisorClass) -> frozenset:
+    """Oracle: closure of one divisor class under the simple reflections, as coordinates."""
+    gens = _fast_generators(surface)
+    seen = {start.coords}
+    frontier = [start.coords]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                image = g(x)
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return frozenset(seen)
 
 
 def _coordinate_normalizer(c):
@@ -231,8 +254,6 @@ def test_automorphism_validation():
     g = Reflection.from_root(simple_roots(s)[0])
     with pytest.raises(LatticeMismatchError):
         g.apply(DivisorClass.basis(Surface.plane(3), 1))
-    with pytest.raises(LatticeMismatchError):
-        divisor_orbit(s, DivisorClass.basis(Surface.plane(3), 1))
 
 
 def test_minus_one_transitivity():
@@ -595,3 +616,123 @@ def test_recursion_cases():
     )
     with pytest.raises(ValueError, match="no recursion case"):
         recursion_check("p2")
+
+
+# ---------------------------------------------------------------------------
+# The chamber walk against the bubble walk.
+
+
+def bubble_stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
+    """Oracle: the chamber walk of _stabiliser_roots, one reflection at a time.
+
+    Each vector, after every reflection made for the vectors before it, is
+    reflected in any chain root it pairs positively with until there is
+    none; the chain then keeps the roots that pair to zero with it.
+    """
+    chain = list(reflections)
+    word = []
+    for v in vectors:
+        if not chain:
+            break
+        for step in word:
+            v = _reflect(v, step)
+        moved = True
+        while moved:
+            moved = False
+            for step in chain:
+                if sum(map(mul, v, step.covector)) > 0:
+                    v = _reflect(v, step)
+                    word.append(step)
+                    moved = True
+        chain = [step for step in chain if not sum(map(mul, v, step.covector))]
+    return tuple(step.root for step in chain)
+
+
+def _assert_walks_agree(vectors: list, reflections: tuple) -> None:
+    assert _stabiliser_roots(vectors, reflections) == bubble_stabiliser_roots(vectors, reflections)
+
+
+@pytest.mark.parametrize("label", tuple(catalog.ENTRIES))
+def test_stabiliser_walk_matches_bubble_oracle_on_builds(label):
+    for solution in range(catalog.ENTRIES[label].solution_count):
+        c = catalog.build(label, solution)
+        reflections = simple_reflections(c.surface)
+        images = [c] + [apply_word(c, w) for w in (("R1",), ("L2", "R1"), ("R2", "R2", "L1"))]
+        d = DivisorClass(c.surface, tuple(range(1, c.surface.picard_rank + 1)))
+        images.append(BlockCollection(tuple(b.twisted(d) for b in c.blocks)))
+        images += [apply_to_collection(g, c) for g in reflections]
+        for image in images:
+            _assert_walks_agree(_twist_invariants(image, image.ranks), reflections)
+
+
+def test_stabiliser_walk_matches_bubble_oracle_on_disjoint_representatives():
+    cases = 0
+    for s in ALL_SURFACES:
+        for m in range(1, s.blowups + 1):
+            for representative in _disjoint_representatives(s, m):
+                _assert_walks_agree([e.coords for e in representative], simple_reflections(s))
+                cases += 1
+    assert cases == sum(range(9)) + 7  # r - m = 1 has two orbits for r >= 2
+
+
+def _random_tuples(rng: random.Random, s: Surface, count: int):
+    """Short tuples of coordinate vectors with few distinct values, zero among them."""
+    for _ in range(count):
+        values = [0] + rng.sample(range(-3, 4), rng.randint(1, 3))
+        yield [
+            tuple(rng.choice(values) for _ in range(s.picard_rank)) for _ in range(rng.randint(1, 4))
+        ]
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_stabiliser_walk_matches_bubble_oracle_on_random_tuples(surface):
+    rng = random.Random(20261019 + surface.picard_rank)
+    reflections = simple_reflections(surface)
+    for vectors in _random_tuples(rng, surface, 100):
+        _assert_walks_agree(vectors, reflections)
+        # any subset of a simple system is one, in any order
+        k = rng.randint(0, len(reflections))
+        _assert_walks_agree(vectors, tuple(rng.sample(reflections, k)))
+
+
+def _expected_swaps(s: Surface) -> list:
+    if s.kind == "quadric":
+        return [0]  # f1 - f2
+    return [None] * (s.blowups >= 3) + list(range(1, s.blowups))  # Cremona, then l_i - l_{i+1}
+
+
+@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
+def test_swap_recognition(surface):
+    # exactly the swaps are recognised, the Cremona root is not, and neither
+    # is the reflection in -(l1 - l2): the same map, with the opposite
+    # pairing and so the opposite chamber
+    reflections = simple_reflections(surface)
+    assert [_swap_at(g) for g in reflections] == _expected_swaps(surface)
+    opposite = tuple(_reflection(-1 * g.root) for g in reflections)
+    assert [_swap_at(g) for g in opposite] == [None] * len(opposite)
+    systems = [opposite]
+    r = surface.blowups
+    if surface.kind == "plane" and r >= 1:
+        # both halves of the certificate: l0 - l1 has a swap's coordinates
+        # but x.(l0 - l1) = x0 + x1, and a forged reflection has a swap's
+        # covector on other coordinates
+        l0, l1 = DivisorClass.basis(surface, 0), DivisorClass.basis(surface, 1)
+        assert _swap_at(_reflection(l0 - l1)) is None
+        if r >= 3:
+            padding = (0,) * (r - 3)
+            assert _swap_at(Reflection(l0, (0, 1, 0, -1) + padding, (0, -1, 1, 0) + padding)) is None
+    if surface.kind == "plane" and r >= 2:
+        l1, l2 = DivisorClass.basis(surface, 1), DivisorClass.basis(surface, 2)
+        flipped = _reflection(-1 * (l1 - l2))
+        assert _swap_at(flipped) is None
+        probe = tuple(range(surface.picard_rank))
+        assert _reflect(probe, flipped) == (0, 2, 1) + probe[3:]
+        # -(l1 - l2), the Cremona root and the swaps l_i - l_{i+1} for
+        # i >= 3: a simple system of type A_1 x A_{r-2}
+        mixed = (flipped,) + tuple(g for g in reflections if _swap_at(g) not in (1, 2))
+        assert coxeter_order([g.root for g in mixed]) == 2 * factorial(r - 1)
+        systems.append(mixed)
+    rng = random.Random(20261020 + surface.picard_rank)
+    for vectors in _random_tuples(rng, surface, 100):
+        for system in systems:
+            _assert_walks_agree(vectors, system)
