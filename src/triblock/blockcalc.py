@@ -38,12 +38,19 @@ and degree hoisted out of the member loops, so a pair costs one
 
 Twist classes are decided in one place, by the key of
 :func:`twist_normal_form`; every other twist test compares such keys.
+
+:class:`MutationType`, :class:`Block` and :class:`BlockCollection` are
+``typing.NamedTuple`` records, for the reason ``picard``'s docstring gives:
+cheap to import and construct.  An instance equals the plain tuple of its
+fields and iterates over them; nothing in the library relies on either.
+``len`` of a BlockCollection is its number of blocks, so its ``_make``
+and ``_replace``, which check the field count by ``len``, do not apply to
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .kclass import (
     InvariantViolationError,
@@ -70,8 +77,7 @@ class BlockError(ValueError):
     """A block or collection offered by the caller fails validation."""
 
 
-@dataclass(frozen=True)
-class MutationType:
+class MutationType(NamedTuple):
     kind: str
     trivial: bool = False
 
@@ -79,8 +85,7 @@ class MutationType:
         return f"{self.kind} (trivial)" if self.trivial else self.kind
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A validated block; construct through :func:`validate_block`."""
 
     members: tuple[KClass, ...]
@@ -151,8 +156,7 @@ def validate_block(members: Sequence[KClass]) -> Block:
     return Block(members)
 
 
-@dataclass(frozen=True)
-class BlockCollection:
+class BlockCollection(NamedTuple):
     """A validated ordered tuple of blocks; see :func:`validate_collection`."""
 
     blocks: tuple[Block, ...]

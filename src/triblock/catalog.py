@@ -20,8 +20,8 @@ comparisons only the catalog can make against its stored data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .blockcalc import (
     Block,
@@ -110,8 +110,7 @@ def _c(r: int, a: int, *b: int) -> tuple[int, ...]:
     return (a,) + b + (0,) * (r - len(b))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str
     seed: object
     word: tuple[str, ...]
@@ -449,8 +448,7 @@ def build(label: str, solution: int = 0) -> BlockCollection:
     return c
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verification record: the claim, whether it holds, and a detail."""
 
     name: str

@@ -23,14 +23,19 @@ r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads its closed forms.
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on
 a class with thousands of digits still reports the failure it found.
+
+:class:`KClass` is a ``typing.NamedTuple``, as ``picard``'s docstring
+explains: cheap to import and construct.  It checks that c1 lives on its
+surface in ``__new__``.  An instance equals the plain tuple of its fields
+and iterates over them; nothing in the library relies on either.
+:func:`slope` imports ``fractions`` on its first call, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .picard import (
     MINUS_ONE,
@@ -80,18 +85,19 @@ def describe(e: KClass) -> str:
     return f"(rank {render_int(e.rank)}, c1 ({c1}), 2ch2 {render_int(e.ch2x2)})"
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(
+    NamedTuple(
+        "KClass", [("surface", Surface), ("rank", int), ("c1", DivisorClass), ("ch2x2", int)]
+    )
+):
     """A numerical class (rank, c1, 2*ch2); supports formal Z-linear algebra."""
 
-    surface: Surface
-    rank: int
-    c1: DivisorClass
-    ch2x2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.c1.surface is not self.surface and self.c1.surface != self.surface:
+    def __new__(cls, surface: Surface, rank: int, c1: DivisorClass, ch2x2: int) -> "KClass":
+        if c1.surface is not surface and c1.surface != surface:
             raise LatticeMismatchError("c1 lives on a different surface")
+        return tuple.__new__(cls, (surface, rank, c1, ch2x2))
 
     def __add__(self, other: "KClass") -> "KClass":
         if not isinstance(other, KClass):
@@ -136,6 +142,8 @@ def slope(e: KClass):
     """d/rank as an exact Fraction; +infinity for rank zero."""
     if e.rank == 0:
         return inf
+    from fractions import Fraction
+
     return Fraction(degree(e), e.rank)
 
 

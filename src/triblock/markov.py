@@ -33,7 +33,6 @@ weights and minima and certified, not shipped (:func:`_groups`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from math import gcd, isqrt, prod
@@ -58,8 +57,7 @@ class SolutionTriple(NamedTuple):
         return f"({self.x},{self.y},{self.z})"
 
 
-@dataclass(frozen=True)
-class MarkovEquation:
+class MarkovEquation(NamedTuple):
     label: str
     alpha: int
     beta: int
@@ -327,8 +325,7 @@ def reduce_to_minimum(
     return path
 
 
-@dataclass(frozen=True)
-class SolutionGraph:
+class SolutionGraph(NamedTuple):
     """Mutation pseudograph on the solutions within a sum bound.
 
     Built by :func:`build_solution_graph`, it is the mutation forest plus
@@ -377,8 +374,7 @@ def build_solution_graph(eq: MarkovEquation, sum_bound: int) -> SolutionGraph:
     )
 
 
-@dataclass(frozen=True)
-class GroupWitness:
+class GroupWitness(NamedTuple):
     """How an equation maps onto its group representative.
 
     Solutions transport by dividing coordinatewise by ``scale`` and then

@@ -9,7 +9,8 @@ f1^2 = f2^2 = 0 and f1.f2 = 1.  Everything is exact integer arithmetic.
 This module is the only one that knows the intersection form and the
 canonical class K.  :meth:`Surface.dot` and :meth:`Surface.degree` (the
 functional d -> d.(-K)) evaluate them on bare coordinate tuples as plain
-integer dot products, with no surface check.  The checked entry points,
+integer dot products, with no surface check; :meth:`Surface.covector`
+gives the coefficients of y -> x.y for one x.  The checked entry points,
 :func:`intersect` and the ``kclass`` functions, check surfaces once per call
 and then use these.
 
@@ -18,15 +19,22 @@ degree) pairs in one table: a (-1)-class has e^2 = -1 and degree e.(-K) =
 1, a root s^2 = -2 and degree 0.  :func:`is_kind` tests a class against
 it, and :func:`enumerate_classes`, ``kclass.torsion_class`` and ``weyl``
 read it.
+
+:class:`Surface` and :class:`DivisorClass` are immutable records, built
+as ``typing.NamedTuple`` like every value type of the library: cheap to
+import and to construct, with no class code generated at start-up and no
+``inspect`` or ``ast`` to load.  :class:`DivisorClass` checks its
+coordinate count in ``__new__``.  As tuples, an instance equals the plain
+tuple of its fields and iterates over them; nothing in the library relies
+on either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 from operator import add, index, mul, neg, sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 PLANE = "plane"
 QUADRIC = "quadric"
@@ -40,8 +48,7 @@ class LatticeMismatchError(ValueError):
     """Raised when classes living on different lattices are combined."""
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(NamedTuple):
     """A Del Pezzo surface, identified by its Picard lattice."""
 
     kind: str
@@ -96,6 +103,12 @@ class Surface:
         # l0^2 = 1 and li^2 = -1: x0*y0 - sum over i >= 1 of xi*yi.
         return 2 * x[0] * y[0] - sum(map(mul, x, y))
 
+    def covector(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        """The coefficients of y -> x.y, the intersection form's row at x."""
+        if self.kind == QUADRIC:
+            return (x[1], x[0])
+        return (x[0],) + tuple([-a for a in x[1:]])
+
     def degree(self, x: tuple[int, ...]) -> int:
         """The degree x.(-K) of a coordinate tuple of this lattice."""
         # -K is 2f1 + 2f2 on the quadric and 3l0 - l1 - ... - lr on the plane.
@@ -107,19 +120,19 @@ class Surface:
         return self.name
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(
+    NamedTuple("DivisorClass", [("surface", Surface), ("coords", tuple[int, ...])])
+):
     """An integral divisor class, stored as coordinates in the fixed basis."""
 
-    surface: Surface
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.surface.picard_rank:
+    def __new__(cls, surface: Surface, coords: tuple[int, ...]) -> "DivisorClass":
+        if len(coords) != surface.picard_rank:
             raise ValueError(
-                f"expected {self.surface.picard_rank} coordinates on "
-                f"{self.surface}, got {len(self.coords)}"
+                f"expected {surface.picard_rank} coordinates on {surface}, got {len(coords)}"
             )
+        return tuple.__new__(cls, (surface, coords))
 
     @classmethod
     def zero(cls, surface: Surface) -> "DivisorClass":

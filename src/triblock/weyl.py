@@ -19,19 +19,19 @@ count.
 
 The one Weyl element is a :class:`Reflection`, x -> x + (x.a) a in a
 root a, built by :func:`_reflection` and applied by :func:`_reflect` on
-coordinate tuples; every action here goes through these two, with one
-exception: in the chamber walk of :func:`_stabiliser_roots` a run of
+coordinate tuples; every action here goes through these two, with two
+exceptions: in the chamber walk of :func:`_stabiliser_roots` a run of
 coordinate swaps (l_i - l_{i+1}, or f1 - f2 on the quadric) acts at once,
-by sorting.  Class kinds are picard.is_kind's to decide, twist classes
-blockcalc.twist_normal_form's.
+by sorting, and :func:`_check_transpositions` tests each transposition
+from one pairing per vector.  Class kinds are picard.is_kind's to decide,
+twist classes blockcalc.twist_normal_form's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from math import comb, factorial, gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import NamedTuple, Sequence
 
 from . import catalog
@@ -181,9 +181,7 @@ def _arm_length(hub: int, start: int, links: list) -> int:
 
 def _reflection(a: DivisorClass) -> Reflection:
     """The reflection in a, unchecked: a's coordinates and x -> x.a's coefficients."""
-    dot, n = a.surface.dot, len(a.coords)
-    covector = tuple([dot((0,) * j + (1,) + (0,) * (n - 1 - j), a.coords) for j in range(n)])
-    return Reflection(a, a.coords, covector)
+    return Reflection(a, a.coords, a.surface.covector(a.coords))
 
 
 def _reflect(x: tuple, reflection: Reflection) -> tuple:
@@ -297,14 +295,24 @@ def _check_transpositions(c: BlockCollection, vectors: list) -> None:
     # pairing of any other member with block members is constant across the
     # block by semiorthogonality, so the reflection in that root swaps
     # members i and j and twists the rest: it realises the transposition.
-    members = c.members
+    # The reflection x -> x + (x.a) a maps the twist invariants v onto the
+    # swapped list exactly when v_i and v_{i+1} go to each other and
+    # v_k.a = 0 for every other k (a = 0 makes every pairing 0), so one
+    # pairing per vector decides it.
+    members, covector = c.members, c.surface.covector
     start = 0
     for b in c.blocks:
         for i in range(start, start + b.size - 1):
-            step = _reflection(members[i].c1 - members[i + 1].c1)
-            image = [_reflect(v, step) for v in vectors]
-            swapped = vectors[:i] + [vectors[i + 1], vectors[i]] + vectors[i + 2 :]
-            if image != swapped:
+            a = tuple(map(sub, members[i].c1.coords, members[i + 1].c1.coords))
+            row = covector(a)
+            p = [sum(map(mul, v, row)) for v in vectors]
+            u, w = vectors[i], vectors[i + 1]
+            if (
+                any(p[:i])
+                or any(p[i + 2 :])
+                or any(x + p[i] * y != z for x, y, z in zip(u, a, w))
+                or any(x + p[i + 1] * y != z for x, y, z in zip(w, a, u))
+            ):
                 raise InvariantViolationError(
                     f"the reflection in c1 of member {i} minus c1 of member {i + 1} "
                     "does not swap them up to twist"
@@ -376,8 +384,7 @@ C_WITNESSES = {
 C_WITNESS_LABELS = tuple(C_WITNESSES)
 
 
-@dataclass(frozen=True)
-class OrbitRow:
+class OrbitRow(NamedTuple):
     label: str
     solution_classes: int
     repetition: int
@@ -497,8 +504,7 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
     return ordered // factorial(m)
 
 
-@dataclass(frozen=True)
-class RecursionCase:
+class RecursionCase(NamedTuple):
     label: str
     block_length: int
     contracted: int
@@ -517,8 +523,7 @@ RECURSION_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     label: str
     solution_classes: int
     binom: int

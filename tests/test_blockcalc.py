@@ -72,6 +72,8 @@ def test_validate_block_basics():
     assert (total.rank, tuple(total.c1.coords), total.ch2x2) == (2, (0, 1, 1), -2)
     moved = b.twisted(DivisorClass(x2, (1, 0, 0)))
     assert moved.members == (lb(x2, 1, 1, 0), lb(x2, 1, 0, 1))
+    with pytest.raises(AttributeError):
+        b.members = ()
 
 
 def test_validate_block_rejections():
@@ -151,6 +153,8 @@ def test_validate_collection_semiorthogonality():
     assert c.ranks == (1, 1, 1)
     assert len(c) == 3
     assert c.members == (lb(P2, -1), lb(P2, 0), lb(P2, 1))
+    with pytest.raises(AttributeError):
+        c.blocks = c.blocks[:1]
     with pytest.raises(BlockError, match="not semiorthogonal"):
         validate_collection([[lb(P2, 1)], [lb(P2, 0)]])
 
@@ -198,6 +202,9 @@ def test_trivial_transposition_on_quadric():
     moved, kind = block_mutation(c, 1, "left")
     assert kind.trivial
     assert kind.kind == RECOIL
+    assert str(kind) == "recoil (trivial)"
+    with pytest.raises(AttributeError):
+        kind.trivial = False
     assert moved.blocks == (c.blocks[1], c.blocks[0])
     back, kind2 = block_mutation(moved, 1, "right")
     assert kind2.trivial

@@ -53,6 +53,8 @@ def test_table():
 
 def test_second_solutions():
     assert catalog.ENTRIES["x4"].solution_count == 2
+    with pytest.raises(AttributeError):
+        catalog.ENTRIES["x4"].extra_word = None
     assert catalog.ENTRIES["x8.4"].solution_count == 2
     for label in TABLE:
         if label not in ("x4", "x8.4"):
@@ -98,6 +100,8 @@ def test_verify_every_entry():
             (c.name, c.detail) for c in checks if not c.ok
         ]
         names = [c.name for c in checks]
+        with pytest.raises(AttributeError):
+            checks[0].ok = False
         for required in (
             "build",
             "complete",

@@ -129,6 +129,10 @@ def test_formal_algebra():
     assert 2 * e == e + e
     assert (3 * e).rank == 3
     assert e * 3 == 3 * e
+    with pytest.raises(AttributeError):
+        e.rank = 2
+    with pytest.raises(AttributeError):
+        e.weight = 1
 
 
 def genuine_classes(surface, rng, count):
@@ -244,7 +248,7 @@ def test_cross_surface_guards():
         twist(o2, DivisorClass.zero(Surface.plane(1)))
     with pytest.raises(LatticeMismatchError):
         twist(structure_sheaf(QUADRIC), DivisorClass.zero(Surface.plane(1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(LatticeMismatchError, match=r"^c1 lives on a different surface$"):
         KClass(P2, 1, DivisorClass.zero(Surface.plane(1)), 0)
     with pytest.raises(LatticeMismatchError):
         chi_minus(o2, o3)

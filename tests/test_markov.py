@@ -208,6 +208,8 @@ def test_equation_table():
         assert (eq.alpha, eq.beta, eq.gamma, eq.ksq, eq.coeff) == TABLE[eq.label]
         assert eq.coeff * eq.coeff == eq.ksq * eq.alpha * eq.beta * eq.gamma
         assert eq.surface.k_squared == eq.ksq
+        with pytest.raises(AttributeError):
+            eq.coeff = 0
 
 
 def test_equation_coefficient_must_be_an_exact_root():
@@ -463,6 +465,8 @@ def test_plane_graph_shape():
     assert g.component_count() == 1
     assert g.is_acyclic()
     assert [tuple(s) for s in g.minima] == [(1, 1, 1)]
+    with pytest.raises(AttributeError):
+        g.loops = ()
 
 
 def test_quadric_graph_shape():
@@ -532,6 +536,8 @@ def test_group_witness_fields():
         "II", "quadric", (4, 2, 1), (1, 2, 0)
     )
     assert equation_group(equation_by_label("x8.3")).perm == (2, 1, 0)
+    with pytest.raises(AttributeError):
+        equation_group(equation_by_label("x8.3")).perm = (0, 1, 2)
 
 
 def test_transport_round_trip():
@@ -649,3 +655,25 @@ def test_import_loads_only_the_layers_below():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert set(out.split()) == expected, layer
+
+
+def test_import_loads_neither_dataclasses_nor_fractions():
+    # The value types are NamedTuples and kclass.slope imports fractions on
+    # its first call, so importing the CLI, which imports every layer,
+    # leaves out dataclasses, fractions and what they would load.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(triblock.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    code = (
+        "import sys, triblock.cli\n"
+        "from triblock.kclass import KClass, slope\n"
+        "from triblock.picard import DivisorClass, Surface\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "print(*(m for m in heavy if m in sys.modules), sep=',')\n"
+        "p2 = Surface.plane(0)\n"
+        "value = slope(KClass(p2, 2, DivisorClass(p2, (1,)), -1))\n"
+        "print('fractions' in sys.modules, type(value).__module__, type(value).__name__, value)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["", "True fractions Fraction 3/2"]

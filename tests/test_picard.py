@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -43,6 +44,8 @@ def test_surface_names():
         Surface.plane(9)
     with pytest.raises(ValueError):
         Surface.plane(-1)
+    assert repr(Surface.plane(3)) == "Surface(kind='plane', blowups=3)"
+    assert repr(Surface.quadric()) == "Surface(kind='quadric', blowups=0)"
 
 
 def test_surface_numerics():
@@ -55,6 +58,8 @@ def test_surface_numerics():
     assert q.picard_rank == 2
     assert q.k_squared == 8
     assert q.k0_rank == 4
+    with pytest.raises(AttributeError):
+        q.blowups = 1
 
 
 def test_intersection_form_plane():
@@ -97,6 +102,23 @@ def test_divisor_algebra():
     assert (a * 3).coords == (3, -3, 0)
     assert a.dot(b) == intersect(a, b) == 2
     assert str(a) == "(1,-1,0)"
+    assert repr(a) == "DivisorClass(surface=Surface(kind='plane', blowups=2), coords=(1, -1, 0))"
+    with pytest.raises(AttributeError):
+        a.coords = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        a.weight = 1
+
+
+@pytest.mark.parametrize("s", [Surface.quadric()] + [Surface.plane(r) for r in range(9)], ids=str)
+def test_covector_pairs_as_dot(s):
+    # covector(x) holds the coefficients of y -> x.y
+    rng = random.Random(20261019)
+    n = s.picard_rank
+    for _ in range(50):
+        x = tuple(rng.randint(-9, 9) for _ in range(n))
+        y = tuple(rng.randint(-9, 9) for _ in range(n))
+        assert len(s.covector(x)) == n
+        assert sum(map(mul, s.covector(x), y)) == s.dot(x, y)
 
 
 def test_bilinearity_and_symmetry():
@@ -114,8 +136,10 @@ def test_bilinearity_and_symmetry():
 
 
 def test_coordinate_length_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 3 coordinates on X2, got 2$"):
         DivisorClass(Surface.plane(2), (1, 0))
+    with pytest.raises(ValueError, match=r"^expected 2 coordinates on quadric, got 3$"):
+        DivisorClass.from_coords(Surface.quadric(), [1, 0, 0])
     assert DivisorClass.from_coords(Surface.plane(1), [1, 2]).coords == (1, 2)
     assert DivisorClass.zero(Surface.quadric()).coords == (0, 0)
     # Coordinates are integers, not values int() would truncate or parse.

@@ -5,7 +5,9 @@ closure of the twist normal form under the simple reflections and the
 enumeration of disjoint (-1)-class sets, which used to compute them, live
 here as their oracles.  So do the breadth-first closure of a divisor class
 and the bubble chamber walk, which reflects one simple root at a time, as
-the oracle for the sorting walk of weyl._stabiliser_roots.  The Weyl group
+the oracle for the sorting walk of weyl._stabiliser_roots, and the
+transposition check written out with whole reflections, as the oracle for
+the one-pairing check of weyl._check_transpositions.  The Weyl group
 orders are checked against divisor orbits and (-1)-class counts, never
 against the code under test.
 """
@@ -26,7 +28,14 @@ from triblock.blockcalc import (
     twist_normal_form,
     validate_collection,
 )
-from triblock.kclass import InvariantViolationError, chi, line_bundle, torsion_class, twist
+from triblock.kclass import (
+    InvariantViolationError,
+    KClass,
+    chi,
+    line_bundle,
+    torsion_class,
+    twist,
+)
 from triblock.markov import EQUATIONS
 from triblock.picard import (
     MINUS_ONE,
@@ -47,6 +56,7 @@ from triblock.weyl import (
     Reflection,
     apply_to_class,
     apply_to_collection,
+    _check_transpositions,
     _disjoint_representatives,
     _reflect,
     _reflection,
@@ -455,11 +465,77 @@ def test_orbit_count_checks_realised_transpositions():
         orbit_count(forged)
 
 
+def reflection_swaps(c: BlockCollection, vectors: list) -> bool:
+    """The transposition check written out: reflect every vector in
+    c1_i - c1_{i+1} and compare with the list with v_i and v_{i+1} swapped."""
+    members = c.members
+    start = 0
+    for b in c.blocks:
+        for i in range(start, start + b.size - 1):
+            step = _reflection(members[i].c1 - members[i + 1].c1)
+            swapped = vectors[:i] + [vectors[i + 1], vectors[i]] + vectors[i + 2 :]
+            if [_reflect(v, step) for v in vectors] != swapped:
+                return False
+        start += b.size
+    return True
+
+
+def test_transposition_check_matches_reflection_oracle():
+    # Tampered twist invariants: a random change of one vector, which the
+    # oracle decides, and a nonzero multiple of an in-block root added to
+    # one vector, which moves its pairing with that root by a nonzero even
+    # number and so always breaks the swap.
+    rng = random.Random(20261019)
+    broken = 0
+    for label, entry in catalog.ENTRIES.items():
+        for solution in range(entry.solution_count):
+            c = catalog.build(label, solution)
+            vectors = _twist_invariants(c, tuple(m.rank for m in c.members))
+            _check_transpositions(c, vectors)
+            assert reflection_swaps(c, vectors)
+            n = c.surface.picard_rank
+            roots = [e.c1 - f.c1 for b in c.blocks for e, f in zip(b.members, b.members[1:])]
+            for trial in range(40):
+                k = rng.randrange(len(vectors))
+                by_root = trial % 2 and roots
+                if by_root:
+                    delta = (rng.choice([-2, -1, 1, 2]) * rng.choice(roots)).coords
+                else:
+                    delta = tuple(rng.randint(-1, 1) for _ in range(n))
+                tampered = list(vectors)
+                tampered[k] = tuple(map(sum, zip(vectors[k], delta)))
+                expected = reflection_swaps(c, tampered)
+                assert not (by_root and expected)
+                broken += not expected
+                if expected:
+                    _check_transpositions(c, tampered)
+                else:
+                    with pytest.raises(InvariantViolationError, match="does not swap"):
+                        _check_transpositions(c, tampered)
+    assert 0 < broken < 16 * 40  # both outcomes occur
+
+
+def test_transposition_check_needs_both_images():
+    # For a root a, v_i + (v_i.a) a = v_{i+1} forces the converse, as the
+    # reflection is an involution.  In a forged block whose c1 difference
+    # a = -l0 has a^2 = 1, one image can hold without the other.
+    x2 = Surface.plane(2)
+    members = [KClass(x2, 1, DivisorClass(x2, (d, 0, 0)), 0) for d in (0, 1)]
+    forged = BlockCollection((Block(tuple(members)),))
+    u, w = (1, 0, 0), (2, 0, 0)  # u.a = -1 and u + (u.a) a = w
+    for vectors in ([u, w], [w, u]):
+        assert not reflection_swaps(forged, vectors)
+        with pytest.raises(InvariantViolationError, match="does not swap"):
+            _check_transpositions(forged, vectors)
+
+
 def test_orbit_rows_frozen():
     for label, (n, c, orbits) in ORBIT_ROWS.items():
         row = orbit_row(label)
         assert row == OrbitRow(label, n, c, orbits)
         assert row.solution_classes == row.repetition * row.orbits
+        with pytest.raises(AttributeError):
+            row.orbits = 0
     with pytest.raises(ValueError, match="unknown equation label"):
         orbit_row("x9.9")
 
@@ -614,6 +690,10 @@ def test_recursion_cases():
         1,
         72,
     )
+    with pytest.raises(AttributeError):
+        rep.ok = False
+    with pytest.raises(AttributeError):
+        RECURSION_CASES["x3"].contracted = 2
     with pytest.raises(ValueError, match="no recursion case"):
         recursion_check("p2")
 
