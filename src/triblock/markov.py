@@ -18,12 +18,18 @@ sum-decreasing mutations: the solutions form a forest rooted at the minima,
 which come from a proven finite region.  One walk up that forest gives the
 solutions within a bound and their mutation graph.
 
-Each public function checks the solution it is given once.  Internally every
-mutation goes through :func:`_flip`, which trusts its input and checks the
-solution it produces; a failure there is an internal invariant.  The rule
-picks the flip, and the flip's result is certified: each descent step must
-solve the equation and lower the sum, and the minimum a reduction ends at
-must have no sum-lowering flip among its three.
+Each public function checks the solution it is given once.  Internally a
+solution travels with its weighted squares U (:func:`_squares`), computed
+once for a checked input or a minimum and then carried: every mutation goes
+through :func:`_flip`, which trusts (s, U) and returns the result with its
+own squares, certified by the equation itself.  The result shares two
+coordinates with s, so it shares their squares, and the one new square is
+computed; so by induction the carried U is always the solution's own, and
+the rule reads it without multiplying.  A failure in a flip is an internal
+invariant.  The rule picks the flip, and the flip's result is certified:
+each descent step must solve the equation and lower the sum, the squares
+carried to the minimum a reduction ends at must equal fresh ones, and that
+minimum must have no sum-lowering flip among its three.
 
 The fourteen equations fall into four transport groups: scaling and
 permuting coordinates carries the solutions of each onto those of its
@@ -158,25 +164,43 @@ def _require_solution(eq: MarkovEquation, s) -> SolutionTriple:
     return s
 
 
-def _flip(eq: MarkovEquation, s: SolutionTriple, i: int) -> SolutionTriple:
-    """The other root in coordinate i of the solution s, which is trusted.
+def _squares(eq: MarkovEquation, s) -> tuple[int, int, int]:
+    """The weighted squares U = (alpha*x^2, beta*y^2, gamma*z^2) of s."""
+    x, y, z = s
+    return (eq.alpha * x * x, eq.beta * y * y, eq.gamma * z * z)
 
-    By Vieta the two roots sum to coeff * s_j * s_k / weight_i, where
-    s[i - 1] and s[i - 2] are the other two coordinates.
+
+def _flip(
+    eq: MarkovEquation, s: SolutionTriple, u: tuple[int, int, int], i: int
+) -> tuple[SolutionTriple, tuple[int, int, int]]:
+    """The other root t in coordinate i of the solution s, and its squares.
+
+    s and its weighted squares u (:func:`_squares`) are trusted.  By Vieta
+    the two roots sum to P/w_i with P = coeff * s_j * s_k, where s_j and
+    s_k are the other two coordinates, s[i - 1] and s[i - 2].  The result
+    copies s_j and s_k, so u_j and u_k are its own squares too, and
+    t >= 1 with u_j + u_k + w_i*t^2 == P*t is exactly :func:`check_solution`
+    on it: every flip certifies what it produces, and its squares come
+    with it.
     """
-    roots, remainder = divmod(eq.coeff * s[i - 1] * s[i - 2], eq.type_vector[i])
+    p = eq.coeff * s[i - 1] * s[i - 2]
+    w = eq[i + 1]  # the weight: alpha, beta and gamma are fields 1 to 3
+    roots, remainder = divmod(p, w)
     if remainder:
         raise InvariantViolationError(
             f"mutation of {_show(s)} in {VARIABLES[i]} is not integral for {eq.label}"
         )
-    out = list(s)
-    out[i] = roots - s[i]
-    result = SolutionTriple(*out)
-    if not check_solution(eq, result):
+    t = roots - s[i]
+    square = w * t * t
+    if t < 1 or u[i - 1] + u[i - 2] + square != p * t:
         raise InvariantViolationError(
             f"mutation of {_show(s)} in {VARIABLES[i]} left the solution set of {eq.label}"
         )
-    return result
+    if i == 0:
+        return SolutionTriple._make((t, s[1], s[2])), (square, u[1], u[2])
+    if i == 1:
+        return SolutionTriple._make((s[0], t, s[2])), (u[0], square, u[2])
+    return SolutionTriple._make((s[0], s[1], t)), (u[0], u[1], square)
 
 
 def mutate_solution(eq: MarkovEquation, s, var: str) -> SolutionTriple:
@@ -184,23 +208,28 @@ def mutate_solution(eq: MarkovEquation, s, var: str) -> SolutionTriple:
     s = _require_solution(eq, s)
     if var not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")
-    return _flip(eq, s, VARIABLES.index(var))
+    return _flip(eq, s, _squares(eq, s), VARIABLES.index(var))[0]
 
 
 def _key(s: SolutionTriple) -> tuple[int, ...]:
     return (s.total,) + tuple(s)
 
 
-def _descent(eq: MarkovEquation, s: SolutionTriple) -> int | None:
-    """The coordinate whose flip lowers the sum of s, or None at a minimum.
+def _descent(u: tuple[int, int, int]) -> int | None:
+    """The coordinate whose flip lowers the sum, or None at a minimum.
 
-    That is the unique i with 2*w_i*s_i^2 > sum_j w_j*s_j^2 (see :func:`_walk`).
+    u holds the weighted squares U_i = w_i*s_i^2 of a solution s
+    (:func:`_squares`); the flip in i lowers the sum of s exactly when
+    2*U_i > U_x + U_y + U_z, which holds for at most one i (see :func:`_walk`).
     """
-    big = [w * v * v for w, v in zip(eq.type_vector, s)]
-    total = sum(big)
-    for i in range(3):
-        if 2 * big[i] > total:
-            return i
+    a, b, c = u
+    total = a + b + c
+    if 2 * a > total:
+        return 0
+    if 2 * b > total:
+        return 1
+    if 2 * c > total:
+        return 2
     return None
 
 
@@ -216,18 +245,29 @@ def _walk(eq: MarkovEquation, sum_bound: int):
     from the minima within the bound by flips that raise the sum and stay
     within it reaches each solution there once, with no visited set.
 
-    A child is pushed with the coordinate it was flipped in and its parent,
-    which is the child's flip in that coordinate (flips are involutions), so
-    a child's other two flips are all that is computed for it.
+    The stack holds (s, its squares, up, parent): a root's squares are
+    computed from it, and a child's are the ones its certified flip
+    (:func:`_flip`) produced.  The child's flip in coordinate up is its
+    parent (flips are involutions), so the other two are all that is
+    computed for it, and a raising flip within the bound is pushed as it
+    is found.
     """
-    stack = [(m, None, None) for m in minimum_solutions(eq) if m.total <= sum_bound]
+    stack = [
+        (m, _squares(eq, m), None, None) for m in minimum_solutions(eq) if m.total <= sum_bound
+    ]
     while stack:
-        s, up, parent = stack.pop()
-        flips = [parent if i == up else _flip(eq, s, i) for i in range(3)]
+        s, u, up, parent = stack.pop()
+        total = s.total
+        flips = []
+        for i in range(3):
+            if i == up:
+                flips.append(parent)
+                continue
+            t, squares = _flip(eq, s, u, i)
+            flips.append(t)
+            if total < t.total <= sum_bound:
+                stack.append((t, squares, i, s))
         yield s, flips
-        stack.extend(
-            (t, i, s) for i, t in enumerate(flips) if s.total < t.total <= sum_bound
-        )
 
 
 def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTriple, ...]:
@@ -244,7 +284,7 @@ def is_minimum(eq: MarkovEquation, s) -> bool:
     when no i has 2*w_i*s_i^2 > sum_j w_j*s_j^2.  No flip is computed.
     """
     s = _require_solution(eq, s)
-    return _descent(eq, s) is None
+    return _descent(_squares(eq, s)) is None
 
 
 def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
@@ -291,7 +331,7 @@ def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
                     found.add(SolutionTriple(s[0], s[1], s[2]))
                 s_b += 1
             s_a += 1
-    minima = (s for s in found if _descent(eq, s) is None)
+    minima = (s for s in found if _descent(_squares(eq, s)) is None)
     return tuple(sorted(minima, key=lambda s: (s.z, s.x, s.y)))
 
 
@@ -303,21 +343,28 @@ def reduce_to_minimum(
     Returns [(s0, var0), (s1, var1), ..., (minimum, None)].  At every
     non-minimal solution exactly one mutation decreases the sum, the one the
     descent rule names (:func:`_descent`), and only that one is computed.
-    Each step is certified: the mutation must solve the equation and lower
-    the sum.  So is the end: none of the minimum's three mutations may lower
+    The weighted squares are computed once for s and then carried by the
+    flips (:func:`_flip`).  Each step is certified: the mutation must solve
+    the equation and lower the sum.  So is the end: the carried squares
+    must be the minimum's own, and none of its three mutations may lower
     its sum.  A failure raises :class:`InvariantViolationError`.
     """
     s = _require_solution(eq, s)
+    u = _squares(eq, s)
     path: list[tuple[SolutionTriple, str | None]] = []
-    while (i := _descent(eq, s)) is not None:
-        nxt = _flip(eq, s, i)
-        if nxt.total >= s.total:
+    while (i := _descent(u)) is not None:
+        nxt, u = _flip(eq, s, u, i)
+        if nxt[i] >= s[i]:  # only coordinate i moved
             raise InvariantViolationError(
                 f"mutation of {_show(s)} in {VARIABLES[i]} does not lower the sum for {eq.label}"
             )
         path.append((s, VARIABLES[i]))
         s = nxt
-    if any(_flip(eq, s, i).total < s.total for i in range(3)):
+    if u != _squares(eq, s):
+        raise InvariantViolationError(
+            f"the squares carried to {_show(s)} are not its own for {eq.label}"
+        )
+    if any(_flip(eq, s, u, i)[0][i] < s[i] for i in range(3)):
         raise InvariantViolationError(
             f"{_show(s)} was taken as a minimum of {eq.label} but a mutation lowers its sum"
         )

@@ -13,9 +13,9 @@ minus-one classes.
 
 What depends only on the surface is computed once per surface and cached,
 like picard.canonical_class: the simple roots, the reflection in each, and
-|W|.  Each orbit row is computed once per process, so the orbit table and
-the recursion checks share rows; every certificate still runs on each
-count.
+|W|, read off their Dynkin types, which also bound each chamber walk.
+Each orbit row is computed once per process, so the orbit table and the
+recursion checks share rows; every certificate still runs on each count.
 
 The one Weyl element is a :class:`Reflection`, x -> x + (x.a) a in a
 root a, built by :func:`_reflection` and applied by :func:`_reflect` on
@@ -124,18 +124,42 @@ def apply_to_collection(g: Reflection, c: BlockCollection) -> BlockCollection:
 # Orbit counting on collections.
 
 
-# Orders of the exceptional Weyl groups (Manin, Cubic Forms, Ch. IV).
+# Group orders and numbers of positive roots of the irreducible Weyl groups
+# of types A_n, D_n and E_6/7/8 (Humphreys, Reflection Groups and Coxeter
+# Groups, 2.11; the E orders as in Manin, Cubic Forms, Ch. IV).
 _E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
+_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": _E_ORDERS.__getitem__,
+}
+_POSITIVE_ROOTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "D": lambda n: n * (n - 1),
+    "E": {6: 36, 7: 63, 8: 120}.__getitem__,
+}
 
 
 def coxeter_order(roots: Sequence[DivisorClass]) -> int:
-    """Order of the reflection group generated by a system of simple roots.
+    """Order of the reflection group generated by a system of simple roots:
+    the product of its components' orders (:func:`_dynkin_types`)."""
+    return prod(_ORDERS[family](n) for family, n in _dynkin_types(tuple(roots)))
+
+
+def _positive_root_count(roots: Sequence[DivisorClass]) -> int:
+    """Number of positive roots of the system the simple roots generate."""
+    return sum(_POSITIVE_ROOTS[family](n) for family, n in _dynkin_types(tuple(roots)))
+
+
+@cache
+def _dynkin_types(roots: tuple) -> tuple:
+    """The (family, n) type of each connected component of a simple system.
 
     The Coxeter graph joins two roots with intersection 1; simple roots are
     roots (picard.is_kind) and distinct ones meet in 0 or 1.  Each connected
     component must be of type A_n, D_n or E_6/7/8, as every subgraph of the
-    E_8 diagram is; its group has order (n+1)!, 2^(n-1)*n! or the tabulated
-    E order, and the whole group is their product.
+    E_8 diagram is.  Cached: a surface's simple system and the stabilisers
+    met in orbit counting are read once per process.
     """
     links = []
     for i, a in enumerate(roots):
@@ -143,7 +167,7 @@ def coxeter_order(roots: Sequence[DivisorClass]) -> int:
         if not is_kind(a, ROOT) or any(p not in (0, 1) for j, p in enumerate(products) if j != i):
             raise ValueError("coxeter_order requires a system of simple roots")
         links.append({j for j, p in enumerate(products) if p == 1})
-    order, unseen = 1, set(range(len(roots)))
+    types, unseen = [], set(range(len(roots)))
     while unseen:
         stack = [unseen.pop()]
         component = set(stack)
@@ -152,22 +176,22 @@ def coxeter_order(roots: Sequence[DivisorClass]) -> int:
             component |= fresh
             stack.extend(fresh)
         unseen -= component
-        order *= _component_order(component, links)
-    return order
+        types.append((_component_family(component, links), len(component)))
+    return tuple(types)
 
 
-def _component_order(component: set, links: list) -> int:
+def _component_family(component: set, links: list) -> str:
     size = len(component)
     hubs = [i for i in component if len(links[i]) > 2]
     if sum(len(links[i]) for i in component) == 2 * (size - 1):  # a tree
         if not hubs:
-            return factorial(size + 1)  # A_n
+            return "A"
         if len(hubs) == 1 and len(links[hubs[0]]) == 3:
             arms = sorted(_arm_length(hubs[0], j, links) for j in links[hubs[0]])
             if arms[:2] == [1, 1]:
-                return 2 ** (size - 1) * factorial(size)  # D_n
+                return "D"
             if arms[:2] == [1, 2] and size in _E_ORDERS:
-                return _E_ORDERS[size]
+                return "E"
     raise ValueError(f"Coxeter graph on {size} roots is not of type A, D or E")
 
 
@@ -252,7 +276,19 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     exchange is a swap of positive pairing, so a move of the walk.  Every
     other reflection, in practice the Cremona root l0 - l1 - l2 - l3,
     moves by _reflect.
+
+    The walk of one vector is bounded.  For a simple root a, the reflection
+    in a permutes the positive roots of W_J other than a and negates a, so
+    a move in a, where v.a > 0, lowers by exactly one the number of
+    positive roots b with v.b > 0.  A vector therefore makes at most as
+    many moves as W_J has positive roots, and J only shrinks, so at most
+    N, the number of positive roots of the group of the given reflections,
+    read off its Dynkin types (:func:`_positive_root_count`).  Every pass
+    of the loop but the last makes a move that is no swap, so a vector
+    takes at most N + 1 passes; past that the reflection data do not match
+    their roots, and the walk raises instead of running on.
     """
+    passes = _positive_root_count([step.root for step in reflections]) + 1
     chain = [(_swap_at(step), step) for step in reflections]
     word = []  # the moves so far, as callables on coordinate tuples
     size = None  # len(chain) when swaps, runs and others were read off it
@@ -271,8 +307,7 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
                     runs[-1][1] = i + 2
                 else:
                     runs.append([i, i + 2])
-        moved = True
-        while moved:
+        for _ in range(passes):
             if any(v[i] < v[i + 1] for i in swaps):
                 perm = list(range(len(v)))
                 for lo, hi in runs:
@@ -286,6 +321,13 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
                     v = _reflect(v, step)
                     word.append(partial(_reflect, reflection=step))
                     moved = True
+            if not moved:
+                break
+        else:
+            raise InvariantViolationError(
+                f"a chamber walk is not dominant after {passes} passes, though W_J "
+                f"has {passes - 1} positive roots; the reflections do not match the simple roots"
+            )
         chain = [(i, step) for i, step in chain if not sum(map(mul, v, step.covector))]
     return tuple(step.root for _, step in chain)
 

@@ -4,7 +4,10 @@ Solution counts and graph shapes below were frozen from independent runs of
 a brute-force sweep; the small ones are easy to confirm by hand.  That sweep,
 a union-find and a cycle search stay here as oracles for the library's walk
 of the mutation forest, and a three-flip descent and minimum test stay as
-oracles for the descent rule.
+oracles for the descent rule.  The flip that re-squares its result to
+check it, the rule that squares its input and the walk over both, as the
+library had them before the weighted squares were carried, are the oracles
+for the carried state.
 """
 
 import os
@@ -162,6 +165,60 @@ def upward_walk(eq, rng, depth):
     return s
 
 
+def oracle_flip(eq, s, i):
+    """The other root in coordinate i, checked by check_solution on the result."""
+    roots, remainder = divmod(eq.coeff * s[i - 1] * s[i - 2], eq.type_vector[i])
+    if remainder:
+        raise InvariantViolationError(
+            f"mutation of {markov._show(s)} in {'xyz'[i]} is not integral for {eq.label}"
+        )
+    out = list(s)
+    out[i] = roots - s[i]
+    result = SolutionTriple(*out)
+    if not check_solution(eq, result):
+        raise InvariantViolationError(
+            f"mutation of {markov._show(s)} in {'xyz'[i]} left the solution set of {eq.label}"
+        )
+    return result
+
+
+def oracle_descent(eq, s):
+    """The i with 2*w_i*s_i^2 > sum_j w_j*s_j^2, squaring s afresh, or None."""
+    big = [w * v * v for w, v in zip(eq.type_vector, s)]
+    total = sum(big)
+    for i in range(3):
+        if 2 * big[i] > total:
+            return i
+    return None
+
+
+def oracle_walk(eq, sum_bound):
+    """Yield (s, its flips) up the forest by oracle_flip, with no carried state."""
+    stack = [(m, None, None) for m in minimum_solutions(eq) if m.total <= sum_bound]
+    while stack:
+        s, up, parent = stack.pop()
+        flips = [parent if i == up else oracle_flip(eq, s, i) for i in range(3)]
+        yield s, flips
+        stack.extend(
+            (t, i, s) for i, t in enumerate(flips) if s.total < t.total <= sum_bound
+        )
+
+
+def walk_parts(walk):
+    """Nodes, edges, loops and minima of a walk, as sets."""
+    nodes, edges, loops, minima = set(), set(), set(), set()
+    for s, flips in walk:
+        nodes.add(s)
+        for v, t in zip("xyz", flips):
+            if t == s:
+                loops.add((s, v))
+            elif t.total < s.total:
+                edges.add((t, s, v))
+        if all(t.total >= s.total for t in flips):
+            minima.add(s)
+    return nodes, edges, loops, minima
+
+
 def union_find_components(graph):
     parent = {s: s for s in graph.nodes}
 
@@ -293,10 +350,31 @@ def test_mutation_rejects_bad_input():
 def test_flip_checks_what_it_produces():
     # _flip trusts its input, so a non-solution going in shows up as a
     # broken invariant on the way out.
+    one = SolutionTriple(1, 1, 1)
+    x82, x84 = equation_by_label("x8.2"), equation_by_label("x8.4")
     with pytest.raises(InvariantViolationError, match="not integral"):
-        markov._flip(equation_by_label("x8.2"), SolutionTriple(1, 1, 1), 2)
+        markov._flip(x82, one, markov._squares(x82, one), 2)
     with pytest.raises(InvariantViolationError, match="left the solution set"):
-        markov._flip(equation_by_label("x8.4"), SolutionTriple(1, 1, 1), 1)
+        markov._flip(x84, one, markov._squares(x84, one), 1)
+
+
+def test_flip_rejects_forged_squares():
+    # A carried square that is not its coordinate's breaks the certificate
+    # of every flip that reads it: the flips in the other two coordinates.
+    p2 = equation_by_label("p2")
+    s = SolutionTriple(2, 5, 29)
+    u = markov._squares(p2, s)
+    for j in range(3):
+        forged = tuple(v + (k == j) for k, v in enumerate(u))
+        for i in range(3):
+            if i == j:
+                assert markov._flip(p2, s, forged, i)[0] == oracle_flip(p2, s, i)
+                continue
+            with pytest.raises(
+                InvariantViolationError,
+                match=rf"mutation of \(2,5,29\) in {'xyz'[i]} left the solution set of p2",
+            ):
+                markov._flip(p2, s, forged, i)
 
 
 def test_internal_steps_validate_input_once(monkeypatch):
@@ -402,7 +480,7 @@ def test_reduce_certifies_each_step_and_the_minimum(monkeypatch):
     # A rule naming, once, a flip that raises the sum: (2,5,29) -> (433,5,29).
     lies = [0]
     monkeypatch.setattr(
-        markov, "_descent", lambda eq, s: lies.pop() if lies else descent(eq, s)
+        markov, "_descent", lambda u: lies.pop() if lies else descent(u)
     )
     with pytest.raises(
         InvariantViolationError,
@@ -410,7 +488,7 @@ def test_reduce_certifies_each_step_and_the_minimum(monkeypatch):
     ):
         reduce_to_minimum(p2, (2, 5, 29))
     # A rule that misses the descent of a non-minimum.
-    monkeypatch.setattr(markov, "_descent", lambda eq, s: None)
+    monkeypatch.setattr(markov, "_descent", lambda u: None)
     with pytest.raises(
         InvariantViolationError,
         match=r"\(2,5,29\) was taken as a minimum of p2 but a mutation lowers its sum",
@@ -426,7 +504,7 @@ def test_invariant_failures_past_the_int_to_str_limit(monkeypatch):
     assert s.total > 10**4300
     with pytest.raises(ValueError, match=r"^\(\d{20}\.\.\.\(\d+ digits\),.*\) does not solve p2"):
         reduce_to_minimum(p2, (s.x + 1, s.y, s.z))
-    monkeypatch.setattr(markov, "_descent", lambda eq, s: None)
+    monkeypatch.setattr(markov, "_descent", lambda u: None)
     with pytest.raises(
         InvariantViolationError,
         match=r"^\(\d{20}\.\.\.\(\d+ digits\),.*\) was taken as a minimum of p2",
@@ -438,9 +516,9 @@ def test_flips_per_descent_step_and_per_walk_node(monkeypatch):
     calls = []
     flip = markov._flip
 
-    def counting_flip(eq, s, i):
+    def counting_flip(eq, s, u, i):
         calls.append(i)
-        return flip(eq, s, i)
+        return flip(eq, s, u, i)
 
     monkeypatch.setattr(markov, "_flip", counting_flip)
     rng = random.Random(11)
@@ -455,6 +533,66 @@ def test_flips_per_descent_step_and_per_walk_node(monkeypatch):
         # three per root; a child's flip back to its parent is not recomputed
         roots = len(g.minima)
         assert len(calls) == 3 * roots + 2 * (len(g.nodes) - roots), eq.label
+
+
+def test_reduce_checks_the_squares_it_carried(monkeypatch):
+    # A flip whose squares drift where no later flip reads them: (2,1,1)
+    # reduces in one step, and (2,1,1) as the squares of (1,1,1) pass the
+    # rule as a minimum.  Only the fresh squares at the end catch it.
+    p2 = equation_by_label("p2")
+    flip = markov._flip
+
+    def drifting_flip(eq, s, u, i):
+        t, squares = flip(eq, s, u, i)
+        return t, tuple(v + (k == i) for k, v in enumerate(squares))
+
+    monkeypatch.setattr(markov, "_flip", drifting_flip)
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"the squares carried to \(1,1,1\) are not its own for p2",
+    ):
+        reduce_to_minimum(p2, (2, 1, 1))
+
+
+def test_carried_squares_are_the_solutions_own(monkeypatch):
+    # Every flip the walk and the descent compute is handed the squares of
+    # its solution and hands back those of its result.
+    seen = []
+    flip = markov._flip
+
+    def checking_flip(eq, s, u, i):
+        assert u == markov._squares(eq, s), (eq.label, s, u)
+        t, squares = flip(eq, s, u, i)
+        assert t == oracle_flip(eq, s, i)
+        assert squares == markov._squares(eq, t), (eq.label, t, squares)
+        seen.append(s)
+        return t, squares
+
+    monkeypatch.setattr(markov, "_flip", checking_flip)
+    rng = random.Random(12)
+    for eq in EQUATIONS:
+        seen.clear()
+        g = build_solution_graph(eq, 10**12)
+        assert set(seen) == set(g.nodes), eq.label
+        for depth in (1, 4, 12, 25):
+            s = upward_walk(eq, rng, depth)
+            seen.clear()
+            path = reduce_to_minimum(eq, s)
+            assert {p for p, _ in path} == set(seen), eq.label
+
+
+def test_walk_matches_the_oracle_walk():
+    # Nodes, edges, loops and minima of the walk on carried squares equal
+    # those of the walk that re-squares every flip to check it.
+    for eq in EQUATIONS:
+        g = build_solution_graph(eq, 10**25)
+        nodes, edges, loops, minima = walk_parts(oracle_walk(eq, 10**25))
+        assert len(g.nodes) == len(nodes) and set(g.nodes) == nodes, eq.label
+        assert set(g.edges) == edges and set(g.loops) == loops, eq.label
+        assert set(g.minima) == minima, eq.label
+        assert all(
+            markov._descent(markov._squares(eq, s)) == oracle_descent(eq, s) for s in nodes
+        ), eq.label
 
 
 def test_plane_graph_shape():

@@ -13,6 +13,7 @@ against the code under test.
 """
 
 import random
+import time
 from math import comb, factorial
 from operator import mul
 
@@ -58,6 +59,7 @@ from triblock.weyl import (
     apply_to_collection,
     _check_transpositions,
     _disjoint_representatives,
+    _positive_root_count,
     _reflect,
     _reflection,
     _stabiliser_roots,
@@ -773,6 +775,34 @@ def test_stabiliser_walk_matches_bubble_oracle_on_random_tuples(surface):
         # any subset of a simple system is one, in any order
         k = rng.randint(0, len(reflections))
         _assert_walks_agree(vectors, tuple(rng.sample(reflections, k)))
+
+
+def test_positive_root_counts_match_root_enumeration():
+    # The walk's cap reads the number of positive roots off the Dynkin
+    # types; the roots of each surface, enumerated, are twice that many.
+    for s in ALL_SURFACES:
+        assert 2 * _positive_root_count(simple_roots(s)) == len(enumerate_classes(s, ROOT)), s
+    a0, a1, a2, a3, a4 = simple_roots(Surface.plane(5))
+    assert _positive_root_count((a0, a2, a3, a4)) == 12  # D_4
+    assert _positive_root_count((a1, a2, a4)) == 4  # A_2 x A_1
+    assert _positive_root_count(()) == 0
+
+
+def test_chamber_walk_is_bounded_on_forged_reflections():
+    # Plane covectors left unnegated: no swap is recognised and no
+    # reflection is an involution, so the walk of the x5 build's twist
+    # invariants would never reach a dominant point.  X5's simple roots
+    # are of type D_5, with 20 positive roots, so the walk stops at 21
+    # passes.
+    c = catalog.build("x5", 0)
+    forged = tuple(Reflection(g.root, g.coords, g.coords) for g in simple_reflections(c.surface))
+    start = time.perf_counter()
+    with pytest.raises(
+        InvariantViolationError,
+        match="not dominant after 21 passes, though W_J has 20 positive roots",
+    ):
+        _stabiliser_roots(_twist_invariants(c, c.ranks), forged)
+    assert time.perf_counter() - start < 1
 
 
 def _expected_swaps(s: Surface) -> list:
