@@ -43,9 +43,6 @@ Twist classes are decided in one place, by the key of
 ``typing.NamedTuple`` records, for the reason ``picard``'s docstring gives:
 cheap to import and construct.  An instance equals the plain tuple of its
 fields and iterates over them; nothing in the library relies on either.
-``len`` of a BlockCollection is its number of blocks, so its ``_make``
-and ``_replace``, which check the field count by ``len``, do not apply to
-it.
 """
 
 from __future__ import annotations
@@ -92,7 +89,7 @@ class Block(NamedTuple):
 
     @property
     def surface(self) -> Surface:
-        return self.members[0].surface
+        return self.members[0].c1.surface
 
     @property
     def rank(self) -> int:
@@ -126,8 +123,8 @@ def validate_block(members: Sequence[KClass]) -> Block:
     members = tuple(members)
     if not members:
         raise BlockError("a block must contain at least one class")
-    surface = members[0].surface
-    if any(m.surface != surface for m in members[1:]):
+    surface = members[0].c1.surface
+    if any(m.c1.surface != surface for m in members[1:]):
         raise BlockError("block members live on different surfaces")
     degrees = [degree(m) for m in members]
     for n, (m, d) in enumerate(zip(members, degrees), 1):
@@ -176,9 +173,6 @@ class BlockCollection(NamedTuple):
     @property
     def members(self) -> tuple[KClass, ...]:
         return tuple(m for b in self.blocks for m in b.members)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def validate_collection(blocks: Iterable) -> BlockCollection:
@@ -284,7 +278,6 @@ def _mutate_members(
     t_ch = chi_val * sum(m.ch2x2 for m in parts)
     new = tuple(
         KClass(
-            s,
             sign * (t_rank - m.rank),
             DivisorClass(s, tuple([sign * (t - x) for t, x in zip(t_c1, m.c1.coords)])),
             sign * (t_ch - m.ch2x2),

@@ -6,11 +6,15 @@ the two halves of the distinguished block are merged at the end.  Nothing
 in the final collections is typed in by hand; the literal tuples below are
 expected values used only to cross-check the computation.
 
-Seeds on the blown-up planes come in two shapes: the pullback of a smaller
-collection padded with the torsion block of the extra exceptional curves on
-the right (untwisted), or that torsion block on the left twisted by -1.
-Either way the seed is a valid four-block collection and the braid word
-turns it into a three-block one.
+A seed on a blown-up plane X_r is the pullback of a smaller collection,
+its base on X_r', plus the torsion block of the exceptional curves
+l_{r'+1}, ..., l_r the base does not see: on the right untwisted, or on the
+left twisted by -1.  An entry names only what nothing else fixes: its base
+(tau0 on the plane by default), which side the curves go, and a twist of
+the base by a multiple of the line.  Its surface, and so r, is its
+equation's, and r' is its base's.  The quadric's seed,
+:func:`quadric_standard`, is the one seed not on a plane.  Every seed is a
+valid collection and the braid word turns it into a three-block one.
 
 Verification has one path.  :func:`checks` states the paper's claims about
 any valid collection and is exactly what ``triblock verify`` prints;
@@ -33,8 +37,8 @@ from .blockcalc import (
     validate_collection,
 )
 from .kclass import InvariantViolationError, KClass, chi_minus, line_bundle, slope, torsion_class
-from .markov import check_solution, equation_for, minimum_solutions
-from .picard import DivisorClass, Surface, embed
+from .markov import check_solution, equation_by_label, equation_for, minimum_solutions
+from .picard import QUADRIC, DivisorClass, Surface, embed
 
 from . import blockcalc
 
@@ -70,7 +74,7 @@ def torsion_block(surface: Surface, first: int, last: int, m: int = 0) -> Block:
 
 def _pullback_blocks(c: BlockCollection, into: Surface) -> list[list[KClass]]:
     return [
-        [KClass(into, m.rank, embed(m.c1, into), m.ch2x2) for m in b.members]
+        [KClass(m.rank, embed(m.c1, into), m.ch2x2) for m in b.members]
         for b in c.blocks
     ]
 
@@ -78,30 +82,6 @@ def _pullback_blocks(c: BlockCollection, into: Surface) -> list[list[KClass]]:
 def _twisted_by_line(c: BlockCollection, amount: int) -> BlockCollection:
     d = DivisorClass(c.surface, (amount,) + (0,) * c.surface.blowups)
     return BlockCollection(tuple(b.twisted(d) for b in c.blocks))
-
-
-def _seed_pullback_plus_curves(base_label, r, first, last, line_twist=0):
-    def seed() -> BlockCollection:
-        surface = Surface.plane(r)
-        base = tau0() if base_label is None else build(base_label, 0)
-        if line_twist:
-            base = _twisted_by_line(base, line_twist)
-        blocks = _pullback_blocks(base, surface)
-        blocks.append(torsion_block(surface, first, last))
-        return validate_collection(blocks)
-
-    return seed
-
-
-def _seed_curves_plus_pullback(base_label, r, first, last):
-    def seed() -> BlockCollection:
-        surface = Surface.plane(r)
-        base = tau0() if base_label is None else build(base_label, 0)
-        blocks: list = [torsion_block(surface, first, last, -1)]
-        blocks.extend(_pullback_blocks(base, surface))
-        return validate_collection(blocks)
-
-    return seed
 
 
 def _c(r: int, a: int, *b: int) -> tuple[int, ...]:
@@ -112,9 +92,11 @@ def _c(r: int, a: int, *b: int) -> tuple[int, ...]:
 
 class CatalogEntry(NamedTuple):
     label: str
-    seed: object
     word: tuple[str, ...]
     expected_blocks: tuple[frozenset, ...]
+    base: str | None = None  # the label of the base's build; None for tau0
+    curves_first: bool = False
+    line_twist: int = 0
     alt_words: tuple[tuple[str, ...], ...] = ()
     extra_word: tuple[str, ...] | None = None
     extra_ranks: tuple[int, int, int] | None = None
@@ -122,6 +104,23 @@ class CatalogEntry(NamedTuple):
     @property
     def solution_count(self) -> int:
         return 2 if self.extra_word else 1
+
+    def seed(self) -> BlockCollection:
+        """The collection the word starts from: the base pulled back to the
+        label's surface, with the torsion block of the curves it lacks."""
+        surface = equation_by_label(self.label).surface
+        if surface.kind == QUADRIC:
+            return quadric_standard()
+        base = tau0() if self.base is None else build(self.base, 0)
+        if self.line_twist:
+            base = _twisted_by_line(base, self.line_twist)
+        blocks = _pullback_blocks(base, surface)
+        first, last = base.surface.blowups + 1, surface.blowups
+        if first > last:  # p2: tau0 itself
+            return validate_collection(blocks)
+        if self.curves_first:
+            return validate_collection([torsion_block(surface, first, last, -1), *blocks])
+        return validate_collection([*blocks, torsion_block(surface, first, last)])
 
 
 _R13 = ("R1", "R2", "R3")
@@ -133,7 +132,6 @@ ENTRIES: dict[str, CatalogEntry] = {
     for entry in (
         CatalogEntry(
             "p2",
-            tau0,
             (),
             (
                 frozenset({(1, (-1,))}),
@@ -143,7 +141,6 @@ ENTRIES: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             "quadric",
-            quadric_standard,
             (),
             (
                 frozenset({(1, (0, 0))}),
@@ -153,7 +150,6 @@ ENTRIES: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             "x3",
-            _seed_pullback_plus_curves(None, 3, 1, 3),
             _R13 + ("R3",),
             (
                 frozenset({(1, _c(3, 0))}),
@@ -169,7 +165,6 @@ ENTRIES: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             "x4",
-            _seed_pullback_plus_curves(None, 4, 1, 4),
             _R13 + ("R3", "L2"),
             (
                 frozenset({(1, _c(4, 0))}),
@@ -189,7 +184,6 @@ ENTRIES: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             "x5",
-            _seed_curves_plus_pullback("x3", 5, 4, 5),
             ("R1",) + _R13,
             (
                 frozenset({(1, _c(5, 0, 0, 0, 0, 1)), (1, _c(5, 0, 0, 0, 0, 0, 1))}),
@@ -203,10 +197,11 @@ ENTRIES: dict[str, CatalogEntry] = {
                     }
                 ),
             ),
+            base="x3",
+            curves_first=True,
         ),
         CatalogEntry(
             "x6.1",
-            _seed_curves_plus_pullback("x3", 6, 4, 6),
             ("R1", "L3") + _R13,
             (
                 frozenset(
@@ -231,10 +226,11 @@ ENTRIES: dict[str, CatalogEntry] = {
                     }
                 ),
             ),
+            base="x3",
+            curves_first=True,
         ),
         CatalogEntry(
             "x6.2",
-            _seed_curves_plus_pullback(None, 6, 1, 6),
             ("R2", "R1") + _R13 + _R13,
             (
                 frozenset({(2, _c(6, 1))}),
@@ -250,10 +246,10 @@ ENTRIES: dict[str, CatalogEntry] = {
                     }
                 ),
             ),
+            curves_first=True,
         ),
         CatalogEntry(
             "x7.1",
-            _seed_pullback_plus_curves(None, 7, 1, 7),
             ("R1", "L3") + _L33 + ("R1",) + _R13,
             (
                 frozenset({(2, _c(7, -2, 1, 1, 1, 1, 1, 1, 1))}),
@@ -267,7 +263,6 @@ ENTRIES: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             "x7.2",
-            _seed_curves_plus_pullback("x3", 7, 4, 7),
             ("L3", "R1") + _L33 + ("R1",) + _R13,
             (
                 frozenset(
@@ -293,10 +288,11 @@ ENTRIES: dict[str, CatalogEntry] = {
                     }
                 ),
             ),
+            base="x3",
+            curves_first=True,
         ),
         CatalogEntry(
             "x7.3",
-            _seed_curves_plus_pullback("x6.1", 7, 7, 7),
             ("R1",) + _R13,
             (
                 frozenset({(3, _c(7, 0, 0, 0, 0, 1, 1, 1, 1))}),
@@ -312,10 +308,11 @@ ENTRIES: dict[str, CatalogEntry] = {
                     }
                 ),
             ),
+            base="x6.1",
+            curves_first=True,
         ),
         CatalogEntry(
             "x8.1",
-            _seed_pullback_plus_curves(None, 8, 1, 8, line_twist=-1),
             ("R1", "L3") + _L33 + ("L1", "L2"),
             (
                 frozenset({(3, _c(8, -7, 2, 2, 2, 2, 2, 2, 2, 2))}),
@@ -325,10 +322,10 @@ ENTRIES: dict[str, CatalogEntry] = {
                     | {(1, _c(8, 0, *(-1 if j == i else 0 for j in range(1, 9)))) for i in range(1, 9)}
                 ),
             ),
+            line_twist=-1,
         ),
         CatalogEntry(
             "x8.2",
-            _seed_curves_plus_pullback("x3", 8, 4, 8),
             ("L3", "L3", "R1", "R1") + _R13,
             (
                 frozenset({(4, _c(8, 0, 0, 0, 0, 1, 1, 1, 1, 1))}),
@@ -338,10 +335,11 @@ ENTRIES: dict[str, CatalogEntry] = {
                     | {(1, _c(8, 1, *(-1 if j == i else 0 for j in range(1, 9)))) for i in (1, 2, 3)}
                 ),
             ),
+            base="x3",
+            curves_first=True,
         ),
         CatalogEntry(
             "x8.3",
-            _seed_curves_plus_pullback("x6.1", 8, 7, 8),
             ("R1", "L3") + _R13,
             (
                 frozenset(
@@ -362,10 +360,11 @@ ENTRIES: dict[str, CatalogEntry] = {
                     | {(1, _c(8, 1, *(-1 if j == i else 0 for j in range(1, 9)))) for i in (1, 2, 3)}
                 ),
             ),
+            base="x6.1",
+            curves_first=True,
         ),
         CatalogEntry(
             "x8.4",
-            _seed_pullback_plus_curves("x3", 8, 4, 8),
             ("L2", "R1", "L3") + _R13,
             (
                 frozenset({(5, _c(8, 6, -2, -2, -2))}),
@@ -382,6 +381,7 @@ ENTRIES: dict[str, CatalogEntry] = {
                     }
                 ),
             ),
+            base="x3",
             extra_word=("L2", "L1", "L1"),
             extra_ranks=(5, 1, 2),
         ),

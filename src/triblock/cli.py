@@ -76,9 +76,7 @@ def collection_from_doc(doc) -> BlockCollection:
                 raise ValueError("rank and ch2x2 must be integers")
             if not isinstance(c1, list) or not all(_is_int(x) for x in c1):
                 raise ValueError("c1 must be a list of integers")
-            members.append(
-                KClass(surface, rank, DivisorClass(surface, tuple(c1)), ch2x2)
-            )
+            members.append(KClass(rank, DivisorClass(surface, tuple(c1)), ch2x2))
         blocks.append(members)
     return validate_collection(blocks)
 

@@ -10,24 +10,26 @@ internal invariant, whose failure means a bug rather than bad input.
 The lattice form and the degree functional come from the surface
 (:meth:`Surface.dot`, :meth:`Surface.degree`), so :func:`degree`,
 :func:`chi`, :func:`twist` and ``is_exceptional`` are integer dot products
-on coordinate tuples.  A KClass's c1 lives on its surface by construction,
-so each function that takes two arguments checks their surfaces once and
-raises LatticeMismatchError when they differ.  This module is the one
-place that writes out Riemann-Roch: :func:`chi` for one pair,
-:func:`first_nonzero_chi` for all pairs of two blocks, with each block's
-rank and degree hoisted, and :func:`chi_minus` for its antisymmetric part
-r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads its closed forms.
-:func:`torsion_class` takes the (-1)-class condition from
-``picard.is_kind`` and its surface from the curve.
+on coordinate tuples.  A KClass stores no surface of its own: it lives on
+its c1's, so each function that takes two arguments checks those two
+surfaces once and raises LatticeMismatchError when they differ.  This
+module is the one place that writes out Riemann-Roch: :func:`chi` for one
+pair, :func:`first_nonzero_chi` for all pairs of two blocks, with each
+block's rank and degree hoisted, and :func:`chi_minus` for its
+antisymmetric part r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads
+its closed forms.  :func:`torsion_class` takes the (-1)-class condition
+from ``picard.is_kind``.
 
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on
 a class with thousands of digits still reports the failure it found.
 
 :class:`KClass` is a ``typing.NamedTuple``, as ``picard``'s docstring
-explains: cheap to import and construct.  It checks that c1 lives on its
-surface in ``__new__``.  An instance equals the plain tuple of its fields
-and iterates over them; nothing in the library relies on either.
+explains: cheap to import and construct.  Its fields (rank, c1, ch2x2)
+fix none of each other, so it has no consistency check to make; its
+``surface`` property reads c1's, and the hot paths read ``c1.surface``
+directly.  An instance equals the plain tuple of its fields and iterates
+over them; nothing in the library relies on either.
 :func:`slope` imports ``fractions`` on its first call, so importing this
 module does not load it.
 """
@@ -40,7 +42,6 @@ from typing import NamedTuple, Sequence
 from .picard import (
     MINUS_ONE,
     DivisorClass,
-    LatticeMismatchError,
     Surface,
     intersect,
     is_kind,
@@ -85,49 +86,46 @@ def describe(e: KClass) -> str:
     return f"(rank {render_int(e.rank)}, c1 ({c1}), 2ch2 {render_int(e.ch2x2)})"
 
 
-class KClass(
-    NamedTuple(
-        "KClass", [("surface", Surface), ("rank", int), ("c1", DivisorClass), ("ch2x2", int)]
-    )
-):
-    """A numerical class (rank, c1, 2*ch2); supports formal Z-linear algebra."""
+class KClass(NamedTuple):
+    """A numerical class (rank, c1, 2*ch2); supports formal Z-linear algebra.
 
-    __slots__ = ()
+    Its surface is c1's, read through the ``surface`` property.
+    """
 
-    def __new__(cls, surface: Surface, rank: int, c1: DivisorClass, ch2x2: int) -> "KClass":
-        if c1.surface is not surface and c1.surface != surface:
-            raise LatticeMismatchError("c1 lives on a different surface")
-        return tuple.__new__(cls, (surface, rank, c1, ch2x2))
+    rank: int
+    c1: DivisorClass
+    ch2x2: int
+
+    @property
+    def surface(self) -> Surface:
+        return self.c1.surface
 
     def __add__(self, other: "KClass") -> "KClass":
         if not isinstance(other, KClass):
             return NotImplemented
-        return KClass(
-            self.surface, self.rank + other.rank, self.c1 + other.c1, self.ch2x2 + other.ch2x2
-        )
+        return KClass(self.rank + other.rank, self.c1 + other.c1, self.ch2x2 + other.ch2x2)
 
     def __sub__(self, other: "KClass") -> "KClass":
         if not isinstance(other, KClass):
             return NotImplemented
-        return KClass(
-            self.surface, self.rank - other.rank, self.c1 - other.c1, self.ch2x2 - other.ch2x2
-        )
+        return KClass(self.rank - other.rank, self.c1 - other.c1, self.ch2x2 - other.ch2x2)
 
     def __neg__(self) -> "KClass":
-        return KClass(self.surface, -self.rank, -self.c1, -self.ch2x2)
+        return KClass(-self.rank, -self.c1, -self.ch2x2)
 
     def __mul__(self, scalar: int) -> "KClass":
         if not isinstance(scalar, int):
             return NotImplemented
-        return KClass(self.surface, scalar * self.rank, scalar * self.c1, scalar * self.ch2x2)
+        return KClass(scalar * self.rank, scalar * self.c1, scalar * self.ch2x2)
 
     __rmul__ = __mul__
 
     @property
     def is_exceptional(self) -> bool:
         """Whether rank*ch2x2 == 1 + c1^2 - rank^2 (rank 0: c1^2 == -1)."""
-        x = self.c1.coords
-        c1sq = self.surface.dot(x, x)
+        c1 = self.c1
+        x = c1.coords
+        c1sq = c1.surface.dot(x, x)
         if self.rank == 0:
             return c1sq == -1
         return self.rank * self.ch2x2 == 1 + c1sq - self.rank * self.rank
@@ -135,7 +133,8 @@ class KClass(
 
 def degree(e: KClass) -> int:
     """Degree against the anticanonical polarization, d = c1.(-K)."""
-    return e.surface.degree(e.c1.coords)
+    c1 = e.c1
+    return c1.surface.degree(c1.coords)
 
 
 def slope(e: KClass):
@@ -149,7 +148,7 @@ def slope(e: KClass):
 
 def chi(e: KClass, f: KClass) -> int:
     """Euler pairing chi(E, F), by Riemann-Roch on the numerical invariants."""
-    s = same_surface(e, f)
+    s = same_surface(e.c1, f.c1)
     x, y = e.c1.coords, f.c1.coords
     r, q = e.rank, f.rank
     twice = (
@@ -178,7 +177,7 @@ def first_nonzero_chi(
     columns, so a pair costs one Surface.dot.  With upper, rows and cols
     are one sequence and only the pairs b > a are checked.
     """
-    s = same_surface(rows[0], cols[0])
+    s = same_surface(rows[0].c1, cols[0].c1)
     r, q, dot = rows[0].rank, cols[0].rank, s.dot
     base = 2 * r * q + r * s.degree(cols[0].c1.coords) - q * s.degree(rows[0].c1.coords)
     us = [(base + q * m.ch2x2, m.c1.coords) for m in rows]
@@ -193,20 +192,20 @@ def first_nonzero_chi(
 
 def chi_minus(e: KClass, f: KClass) -> int:
     """The antisymmetrized pairing chi(E,F) - chi(F,E) = r(E)d(F) - r(F)d(E)."""
-    s = same_surface(e, f)
+    s = same_surface(e.c1, f.c1)
     return e.rank * s.degree(f.c1.coords) - f.rank * s.degree(e.c1.coords)
 
 
 def twist(e: KClass, d: DivisorClass) -> KClass:
     """The class of E tensored with the line bundle O(d)."""
-    s = same_surface(e, d)
+    s = same_surface(e.c1, d)
     x, y, r = e.c1.coords, d.coords, e.rank
     c1 = DivisorClass(s, tuple([a + r * b for a, b in zip(x, y)]))
-    return KClass(s, r, c1, e.ch2x2 + 2 * s.dot(x, y) + r * s.dot(y, y))
+    return KClass(r, c1, e.ch2x2 + 2 * s.dot(x, y) + r * s.dot(y, y))
 
 
 def line_bundle(d: DivisorClass) -> KClass:
-    return KClass(d.surface, 1, d, intersect(d, d))
+    return KClass(1, d, intersect(d, d))
 
 
 def torsion_class(curve: DivisorClass, m: int) -> KClass:
@@ -216,13 +215,11 @@ def torsion_class(curve: DivisorClass, m: int) -> KClass:
     """
     if not is_kind(curve, MINUS_ONE):
         raise ValueError("not a minus-one curve class")
-    return KClass(curve.surface, 0, curve, 2 * m + 1)
+    return KClass(0, curve, 2 * m + 1)
 
 
-def exceptional_ch2(surface: Surface, rank: int, c1: DivisorClass) -> int:
+def exceptional_ch2(rank: int, c1: DivisorClass) -> int:
     """The unique 2*ch2 making (rank, c1) exceptional, when it exists."""
-    if c1.surface != surface:
-        raise LatticeMismatchError("c1 lives on a different surface")
     if rank == 0:
         raise ValueError("no exceptional class with these (r, c1): rank must be nonzero")
     num = 1 + intersect(c1, c1) - rank * rank
@@ -231,9 +228,9 @@ def exceptional_ch2(surface: Surface, rank: int, c1: DivisorClass) -> int:
     return num // rank
 
 
-def exceptional_class(surface: Surface, rank: int, c1: DivisorClass) -> KClass:
+def exceptional_class(rank: int, c1: DivisorClass) -> KClass:
     """Convenience constructor pairing (rank, c1) with its forced 2*ch2."""
-    return KClass(surface, rank, c1, exceptional_ch2(surface, rank, c1))
+    return KClass(rank, c1, exceptional_ch2(rank, c1))
 
 
 def classify_pair(e: KClass, f: KClass) -> str:

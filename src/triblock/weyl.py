@@ -56,10 +56,14 @@ from .picard import (
 
 
 class Reflection(NamedTuple):
-    """x -> x + (x.a) a for a root a; on coordinates x + (covector . x) coords."""
+    """x -> x + (x.a) a for a root a.
+
+    On coordinates it is x + (covector . x) a, where the covector holds the
+    coefficients of x -> x.a.  The root fixes it; it is stored, computed
+    once by :func:`_reflection`, because every application reads it.
+    """
 
     root: DivisorClass
-    coords: tuple[int, ...]
     covector: tuple[int, ...]
 
     @classmethod
@@ -111,7 +115,7 @@ def simple_reflections(surface: Surface) -> tuple[Reflection, ...]:
 
 def apply_to_class(g: Reflection, e: KClass) -> KClass:
     """Rank and 2*ch2 are invariants; only c1 moves."""
-    return KClass(e.surface, e.rank, g.apply(e.c1), e.ch2x2)
+    return KClass(e.rank, g.apply(e.c1), e.ch2x2)
 
 
 def apply_to_collection(g: Reflection, c: BlockCollection) -> BlockCollection:
@@ -204,15 +208,15 @@ def _arm_length(hub: int, start: int, links: list) -> int:
 
 
 def _reflection(a: DivisorClass) -> Reflection:
-    """The reflection in a, unchecked: a's coordinates and x -> x.a's coefficients."""
-    return Reflection(a, a.coords, a.surface.covector(a.coords))
+    """The reflection in a, unchecked: a and the coefficients of x -> x.a."""
+    return Reflection(a, a.surface.covector(a.coords))
 
 
 def _reflect(x: tuple, reflection: Reflection) -> tuple:
     """The reflection x -> x + (x.a) a on coordinate tuples."""
-    _, a, covector = reflection
+    root, covector = reflection
     p = sum(map(mul, x, covector))
-    return tuple([xi + p * ai for xi, ai in zip(x, a)]) if p else x
+    return tuple([xi + p * ai for xi, ai in zip(x, root.coords)]) if p else x
 
 
 def _twist_invariants(c: BlockCollection, ranks) -> list:
@@ -239,7 +243,7 @@ def _swap_at(step: Reflection) -> int | None:
     x_i < x_{i+1}.  The reflection in -a is the same map with the opposite
     pairing, and is no swap here.
     """
-    a = step.coords
+    a = step.root.coords
     if 1 in a:
         i = a.index(1)
         swap = (0,) * i + (1, -1) + (0,) * (len(a) - i - 2)

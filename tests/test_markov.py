@@ -40,7 +40,7 @@ from triblock.markov import (
     reduce_to_minimum,
     to_representative,
 )
-from triblock.picard import Surface
+from triblock.picard import ROOT, Surface, enumerate_classes
 
 # label -> (alpha, beta, gamma, K^2, xyz coefficient)
 TABLE = {
@@ -273,6 +273,29 @@ def test_equation_coefficient_must_be_an_exact_root():
     # K^2 = 5 on X4, and 5*1*1*2 = 10 has no integral square root.
     with pytest.raises(InvariantViolationError, match="x4: .* = 10 is not a square"):
         markov._eq("x4", 1, 1, 2)
+
+
+def test_equation_list_is_the_exhaustive_search():
+    # Types alpha <= beta <= gamma with alpha + beta + gamma = 12 - K^2 and
+    # K^2*alpha*beta*gamma a perfect square, over K^2 = 1..9: exactly the
+    # fourteen (K^2, type) pairs, each with coefficient its square root.
+    found = set()
+    for ksq in range(1, 10):
+        for alpha in range(1, 12):
+            for beta in range(alpha, 12):
+                gamma = 12 - ksq - alpha - beta
+                square = ksq * alpha * beta * gamma
+                if gamma >= beta and isqrt(square) ** 2 == square:
+                    found.add((ksq, (alpha, beta, gamma)))
+    assert len(found) == 14
+    assert {(eq.ksq, eq.type_vector) for eq in EQUATIONS} == found
+    for eq in EQUATIONS:
+        assert eq.coeff == isqrt(eq.ksq * eq.alpha * eq.beta * eq.gamma)
+    # K^2 = 8 gives only (1, 1, 2), and it lives on the quadric: a block of
+    # two classes differs by a root, and X1 has none.
+    assert [(k, t) for k, t in found if k == 8] == [(8, (1, 1, 2))]
+    assert not enumerate_classes(Surface.plane(1), ROOT)
+    assert [eq.surface for eq in EQUATIONS if eq.ksq == 8] == [Surface.quadric()]
 
 
 def test_equation_str():
@@ -808,7 +831,7 @@ def test_import_loads_neither_dataclasses_nor_fractions():
         "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
         "print(*(m for m in heavy if m in sys.modules), sep=',')\n"
         "p2 = Surface.plane(0)\n"
-        "value = slope(KClass(p2, 2, DivisorClass(p2, (1,)), -1))\n"
+        "value = slope(KClass(2, DivisorClass(p2, (1,)), -1))\n"
         "print('fractions' in sys.modules, type(value).__module__, type(value).__name__, value)\n"
     )
     out = subprocess.run(

@@ -219,7 +219,7 @@ def test_reflection_covector_matches_intersection_formula():
         probes += [DivisorClass(s, tuple(rng.randint(-5, 5) for _ in range(n))) for _ in range(3)]
         for a in enumerate_classes(s, ROOT):
             g = Reflection.from_root(a)
-            assert g == _reflection(a) == (a, a.coords, tuple(intersect(e, a) for e in basis))
+            assert g == _reflection(a) == (a, tuple(intersect(e, a) for e in basis))
             for x in probes:
                 assert g.apply(x) == x + intersect(x, a) * a
                 assert _reflect(x.coords, g) == g.apply(x).coords
@@ -230,6 +230,7 @@ def test_simple_system_is_built_once_per_surface():
     for s in ALL_SURFACES:
         assert simple_roots(s) is simple_roots(s)
         roots, reflections, order = simple_system(s)
+        assert simple_roots(s) is roots
         assert order == coxeter_order(roots)
         assert reflections == tuple(map(_reflection, roots))
         assert simple_reflections(s) is reflections
@@ -396,8 +397,12 @@ def test_coxeter_order_rejects_non_simple_systems():
 
 
 def _tuple_orbit_size(s: Surface, classes) -> int:
-    """Oracle: size of the Weyl orbit of a tuple of classes, by closure."""
-    gens = simple_reflections(s)
+    """Oracle: size of the Weyl orbit of a tuple of classes, by closure.
+
+    An orbit has at most |W| points, so the closure stops there: past it
+    the reflections do not generate W.
+    """
+    _, gens, order = simple_system(s)
     seen = {tuple(d.coords for d in classes)}
     frontier = [tuple(classes)]
     while frontier:
@@ -409,6 +414,7 @@ def _tuple_orbit_size(s: Surface, classes) -> int:
                 if key not in seen:
                     seen.add(key)
                     new.append(image)
+                    assert len(seen) <= order, f"orbit closure on {s} passed |W| = {order} states"
         frontier = new
     return len(seen)
 
@@ -522,7 +528,7 @@ def test_transposition_check_needs_both_images():
     # reflection is an involution.  In a forged block whose c1 difference
     # a = -l0 has a^2 = 1, one image can hold without the other.
     x2 = Surface.plane(2)
-    members = [KClass(x2, 1, DivisorClass(x2, (d, 0, 0)), 0) for d in (0, 1)]
+    members = [KClass(1, DivisorClass(x2, (d, 0, 0)), 0) for d in (0, 1)]
     forged = BlockCollection((Block(tuple(members)),))
     u, w = (1, 0, 0), (2, 0, 0)  # u.a = -1 and u + (u.a) a = w
     for vectors in ([u, w], [w, u]):
@@ -709,8 +715,11 @@ def bubble_stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
 
     Each vector, after every reflection made for the vectors before it, is
     reflected in any chain root it pairs positively with until there is
-    none; the chain then keeps the roots that pair to zero with it.
+    none; the chain then keeps the roots that pair to zero with it.  As in
+    the library's walk, a vector takes at most N + 1 passes over the chain,
+    N the number of positive roots of the given reflections' group.
     """
+    passes = _positive_root_count([step.root for step in reflections]) + 1
     chain = list(reflections)
     word = []
     for v in vectors:
@@ -718,14 +727,17 @@ def bubble_stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
             break
         for step in word:
             v = _reflect(v, step)
-        moved = True
-        while moved:
+        for _ in range(passes):
             moved = False
             for step in chain:
                 if sum(map(mul, v, step.covector)) > 0:
                     v = _reflect(v, step)
                     word.append(step)
                     moved = True
+            if not moved:
+                break
+        else:
+            raise AssertionError(f"bubble walk not dominant after {passes} passes")
         chain = [step for step in chain if not sum(map(mul, v, step.covector))]
     return tuple(step.root for step in chain)
 
@@ -795,7 +807,7 @@ def test_chamber_walk_is_bounded_on_forged_reflections():
     # are of type D_5, with 20 positive roots, so the walk stops at 21
     # passes.
     c = catalog.build("x5", 0)
-    forged = tuple(Reflection(g.root, g.coords, g.coords) for g in simple_reflections(c.surface))
+    forged = tuple(Reflection(g.root, g.root.coords) for g in simple_reflections(c.surface))
     start = time.perf_counter()
     with pytest.raises(
         InvariantViolationError,
@@ -830,7 +842,8 @@ def test_swap_recognition(surface):
         assert _swap_at(_reflection(l0 - l1)) is None
         if r >= 3:
             padding = (0,) * (r - 3)
-            assert _swap_at(Reflection(l0, (0, 1, 0, -1) + padding, (0, -1, 1, 0) + padding)) is None
+            root = DivisorClass(surface, (0, 1, 0, -1) + padding)
+            assert _swap_at(Reflection(root, (0, -1, 1, 0) + padding)) is None
     if surface.kind == "plane" and r >= 2:
         l1, l2 = DivisorClass.basis(surface, 1), DivisorClass.basis(surface, 2)
         flipped = _reflection(-1 * (l1 - l2))
