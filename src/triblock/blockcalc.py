@@ -5,12 +5,12 @@ and degree; a block collection is an ordered tuple of blocks with all
 backwards Euler pairings zero.  Mutations act on adjacent pairs of blocks
 and come in three arithmetic flavours (division, recoil, extension)
 depending on the sign of chi across the pair and on a rank inequality.
-A mutation takes a validated collection and rewrites one block, so it
-rechecks only what that block touches: the block axioms on its new members
-and the Euler pairings between it and every other block, computed afresh
-from the new classes.  Pairings between the untouched blocks are the
-input's and keep their order, so they need no recheck.  A failed recheck
-means the arithmetic itself is broken and is reported as
+A mutation takes a validated collection and rewrites one block, and
+certifies the result in work linear in the collection's length instead of
+rechecking it pairwise (:func:`block_mutation` states the certificate and
+its proof).  Pairings between the untouched blocks are the input's and
+keep their order, so they need no recheck.  A failed certificate means the
+arithmetic itself is broken and is reported as
 :class:`InvariantViolationError`, never as bad input.
 
 Closed forms.  For blocks E before F of one valid collection,
@@ -31,10 +31,11 @@ the direct constructions (the twist in :func:`helix_shift` and ``catalog``,
 ``weyl.apply_to_collection``) apply a twist or a lattice isometry, both of
 which preserve the Euler form.
 
-The rechecks compute every pairing afresh from the produced classes with
+Pairings are computed afresh from the classes with
 :func:`kclass.first_nonzero_chi`, Riemann-Roch with each block's one rank
 and degree hoisted out of the member loops, so a pair costs one
 :meth:`Surface.dot`; :func:`chi` reports a nonzero pairing it finds.
+Brute-force revalidation stays in the tests as the certificate's oracle.
 
 Twist classes are decided in one place, by the key of
 :func:`twist_normal_form`; every other twist test compares such keys.
@@ -47,6 +48,7 @@ fields and iterates over them; nothing in the library relies on either.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .kclass import (
@@ -121,24 +123,7 @@ def validate_block(members: Sequence[KClass]) -> Block:
     mutual orthogonality.
     """
     members = tuple(members)
-    if not members:
-        raise BlockError("a block must contain at least one class")
-    surface = members[0].c1.surface
-    if any(m.c1.surface != surface for m in members[1:]):
-        raise BlockError("block members live on different surfaces")
-    degrees = [degree(m) for m in members]
-    for n, (m, d) in enumerate(zip(members, degrees), 1):
-        if not m.is_exceptional:
-            problem = "is not exceptional"
-        elif (m.ch2x2 - d) % 2:
-            problem = "breaks the sheaf parity 2*ch2 == c1.K (mod 2)"
-        else:
-            continue
-        raise BlockError(f"member {n} {describe(m)} {problem}")
-    if len({m.rank for m in members}) > 1:
-        raise BlockError("block members must share a common rank")
-    if len(set(degrees)) > 1:
-        raise BlockError("block members must share a common degree")
+    _require_members(members)
     # For exceptional a, b of equal rank r and degree, chi(a,b) - chi(b,a) =
     # r*(d_b - d_a) = 0 and 2*chi(a,b) = 2 + (c1_a - c1_b)^2 (rank 0 too), so
     # chi(a,b) = 0 makes chi(b,a) vanish and c1_a - c1_b a root: its square
@@ -151,6 +136,31 @@ def validate_block(members: Sequence[KClass]) -> Block:
             "block members must be mutually orthogonal"
         )
     return Block(members)
+
+
+def _require_members(members: tuple[KClass, ...]) -> None:
+    # The block axioms short of orthogonality, in validate_block's order and
+    # with its messages: nonempty, one surface, each member exceptional with
+    # the sheaf parity, one rank and one degree.
+    if not members:
+        raise BlockError("a block must contain at least one class")
+    surface = members[0].c1.surface
+    if any(m.c1.surface != surface for m in members[1:]):
+        raise BlockError("block members live on different surfaces")
+    degree_of = surface.degree
+    degrees = [degree_of(m.c1.coords) for m in members]
+    for n, (m, d) in enumerate(zip(members, degrees), 1):
+        if not m.is_exceptional:
+            problem = "is not exceptional"
+        elif (m.ch2x2 - d) % 2:
+            problem = "breaks the sheaf parity 2*ch2 == c1.K (mod 2)"
+        else:
+            continue
+        raise BlockError(f"member {n} {describe(m)} {problem}")
+    if len({m.rank for m in members}) > 1:
+        raise BlockError("block members must share a common rank")
+    if len(set(degrees)) > 1:
+        raise BlockError("block members must share a common degree")
 
 
 class BlockCollection(NamedTuple):
@@ -263,24 +273,26 @@ def _mutate_members(
     moving: Block, through: Block, chi_val: int, side: str
 ) -> tuple[tuple[KClass, ...], MutationType]:
     # The three arithmetic flavours.  `moving` is the block being rewritten;
-    # each new member is +-(chi_val * sum(through) - m), built once from the
-    # integer coordinates (rank, c1, 2*ch2).
+    # each new member is sign*(chi_val*sum(through) - m), built once from the
+    # integer coordinates (rank, c1, 2*ch2) as sign*chi_val*sum(through) -+ m.
     if chi_val == 0:
         return moving.members, MutationType(RECOIL, trivial=True)
     if side == "left":
         division = chi_val > 0 and through.size * chi_val * through.rank > moving.rank
     else:
         division = chi_val > 0 and moving.rank <= through.size * chi_val * through.rank
-    sign = 1 if division else -1
+    scale, op = (chi_val, sub) if division else (-chi_val, add)
     s, parts = moving.surface, through.members
-    t_rank = chi_val * through.size * through.rank
-    t_c1 = [chi_val * sum(col) for col in zip(*(m.c1.coords for m in parts))]
-    t_ch = chi_val * sum(m.ch2x2 for m in parts)
+    t_rank = scale * through.size * through.rank
+    t_c1 = [scale * sum(col) for col in zip(*(m.c1.coords for m in parts))]
+    t_ch = scale * sum(m.ch2x2 for m in parts)
+    # A list first: tuple(map(...)) over-allocates, and every stored class
+    # would keep the slack.
     new = tuple(
         KClass(
-            sign * (t_rank - m.rank),
-            DivisorClass(s, tuple([sign * (t - x) for t, x in zip(t_c1, m.c1.coords)])),
-            sign * (t_ch - m.ch2x2),
+            op(t_rank, m.rank),
+            DivisorClass(s, tuple([*map(op, t_c1, m.c1.coords)])),
+            op(t_ch, m.ch2x2),
         )
         for m in moving.members
     )
@@ -296,17 +308,31 @@ def block_mutation(
     moves block i rightwards through block i+1.  Returns the new collection
     and the arithmetic flavour of the move.
 
-    The rewritten block is rechecked against everything it touches: the
-    block axioms on its members (validate_block), chi(new, earlier) = 0
-    into every block before it and chi(later, new) = 0 from every block
-    after it, each pairing computed afresh from the produced classes.  The
-    other blocks are the input's, in the input's relative order, so every
-    pairing between them was already checked when ``c`` was validated.
-
     Precondition: ``c`` is valid, as every BlockCollection is (module
     docstring).  The move is fixed by the cross pairing chi(E_i, F_j) of the
     pair, which is then constant, so one :func:`chi` on the first members
     reads it.
+
+    Certificate, for the old members O_j, the new N_j and the m members of
+    the other blocks, in O(n + m) work:
+    (a) each N_j passes the block axioms short of orthogonality;
+    (b) chi(N_0, X) = 0 for each X before the new block and chi(X, N_0) = 0
+        for each X after it, computed afresh;
+    (c) N_j + s*O_j == N_0 + s*O_0 on (c1, 2*ch2) for each j, where s = +1
+        for a division and -1 otherwise; the ranks agree by (a).
+    Proof.  For exceptional a, b of one rank and degree, 2*chi(a, b) =
+    2 + (c1_a - c1_b)^2.  By (c), N_a - N_b = -s*(O_a - O_b), so the new
+    block is orthogonal as the old one is.  By bilinearity chi(N_j, X) =
+    chi(N_0, X) - s*(chi(O_j, X) - chi(O_0, X)), and likewise with the
+    arguments swapped.  The bracket vanishes, as ``c`` is valid: both terms
+    are 0 for a block on the same side of O in both collections, and the
+    cross pairing with the passed block is constant.  So (b) gives every
+    pairing of N_j with the other blocks.  The argument reads neither the
+    cross pairing nor the formula that produced the N_j.
+
+    If the certificate fails, the pairwise recheck names the fault, or
+    else the new block is reported as no translate of the old one; either
+    way the error is an InvariantViolationError.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -314,27 +340,61 @@ def block_mutation(
         raise BlockError(f"no adjacent block pair at position {i}")
     e, f = c.blocks[i - 1], c.blocks[i]
     chi_val = chi(e.members[0], f.members[0])
-    if side == "left":
-        new_members, mtype = _mutate_members(f, e, chi_val, "left")
-        at = i - 1
-    else:
-        new_members, mtype = _mutate_members(e, f, chi_val, "right")
-        at = i
+    old, through, at = (f, e, i - 1) if side == "left" else (e, f, i)
+    new_members, mtype = _mutate_members(old, through, chi_val, side)
+    new = Block(new_members)
+    pair = (new, e) if side == "left" else (f, new)
+    blocks = c.blocks[: i - 1] + pair + c.blocks[i + 1 :]
     try:
-        new = _validate_block_at(new_members, at + 1)
-        if new.surface != c.surface:
-            raise BlockError(f"block {at + 1} lives on a different surface")
-        pair = (new, e) if side == "left" else (f, new)
-        blocks = c.blocks[: i - 1] + pair + c.blocks[i + 1 :]
-        for j in range(at):
-            _require_semiorthogonal(blocks, j, at)
-        for j in range(at + 1, len(blocks)):
-            _require_semiorthogonal(blocks, at, j)
+        try:
+            _require_members(new.members)
+        except BlockError as exc:
+            raise BlockError(f"block {at + 1}: {exc}") from None
+        if not (
+            new.surface == c.surface
+            and _first_member_pairs_vanish(blocks, at)
+            and _is_translate(new.members, old.members, 1 if mtype.kind == DIVISION else -1)
+        ):
+            _recheck(blocks, at, c.surface)
+            raise BlockError(f"block {at + 1} is not a translate of the block it replaces")
     except BlockError as exc:
         raise InvariantViolationError(
             f"mutation {side}@{i} produced an invalid collection: {exc}"
         ) from exc
     return BlockCollection(blocks), mtype
+
+
+def _first_member_pairs_vanish(blocks: Sequence[Block], at: int) -> bool:
+    # Certificate (b) of block_mutation: chi(N_0, earlier) and chi(later, N_0).
+    n0 = blocks[at].members[:1]
+    return all(first_nonzero_chi(n0, b.members) is None for b in blocks[:at]) and all(
+        first_nonzero_chi(b.members, n0) is None for b in blocks[at + 1 :]
+    )
+
+
+def _is_translate(new: Sequence[KClass], old: Sequence[KClass], s: int) -> bool:
+    # Certificate (c) of block_mutation: N_j + s*O_j is one (c1, 2*ch2) for all j.
+    if len(new) != len(old):
+        return False
+    op = add if s > 0 else sub
+    shifted = {
+        (op(n.ch2x2, o.ch2x2), tuple(map(op, n.c1.coords, o.c1.coords)))
+        for n, o in zip(new, old)
+    }
+    return len(shifted) == 1
+
+
+def _recheck(blocks: Sequence[Block], at: int, surface: Surface) -> None:
+    # The brute-force recheck of block `at` (0-based) of `blocks`: the block
+    # axioms on its members, its surface, and every pairing with every other
+    # block; a failure raises BlockError naming the offending member pair.
+    _validate_block_at(blocks[at].members, at + 1)
+    if blocks[at].surface != surface:
+        raise BlockError(f"block {at + 1} lives on a different surface")
+    for j in range(at):
+        _require_semiorthogonal(blocks, j, at)
+    for j in range(at + 1, len(blocks)):
+        _require_semiorthogonal(blocks, at, j)
 
 
 def apply_word(c: BlockCollection, word: Iterable[str]) -> BlockCollection:

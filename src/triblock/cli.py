@@ -92,6 +92,12 @@ def _read_doc(path: str) -> BlockCollection:
     except (json.JSONDecodeError, RecursionError) as exc:
         # the decoder recurses once per nesting level
         raise ValueError(f"not valid JSON: {exc}") from None
+    except ValueError:
+        # Any other ValueError is int()'s refusal of a literal past CPython's
+        # int-from-str digit limit.  The limit stays on while parsing: it
+        # guards against quadratic-time conversion (CVE-2020-10735).
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a document integer exceeds the {limit}-digit read limit") from None
     return collection_from_doc(doc)
 
 

@@ -7,7 +7,7 @@ being frozen here; the arithmetic fits on the back of an envelope.
 import json
 import random
 import re
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -568,7 +568,7 @@ def _braid_closure():
 
 
 def test_mutation_matches_full_revalidation_oracle():
-    # block_mutation rechecks only the rewritten block; full revalidation of
+    # block_mutation certifies only the rewritten block; full revalidation of
     # every result stays here as the oracle.  Every step of the closure is a
     # nontrivial division (the flavours frozen from the fully revalidating
     # version), and undoing it gives the step's input back.
@@ -580,6 +580,76 @@ def test_mutation_matches_full_revalidation_oracle():
         assert block_mutation(child, i, inverse[side])[0] == node
         steps += 1
     assert steps == 16 * (4 + 16 + 64)
+
+
+def _seeded_steps():
+    # Every step (node, side, i, child, kind) of one seeded word of 24 moves
+    # from each of the 16 builds.
+    rng = random.Random(24)
+    moves = [("left", 1), ("left", 2), ("right", 1), ("right", 2)]
+    for node in _all_builds():
+        for _ in range(24):
+            side, i = rng.choice(moves)
+            child, kind = block_mutation(node, i, side)
+            yield node, side, i, child, kind
+            node = child
+
+
+def _flavour_steps():
+    # One step of each flavour, on the small collections mutated above.
+    x1, x4, quadric = Surface.plane(1), Surface.plane(4), Surface.quadric()
+    pair = validate_collection([[lb(x1, 0, 0)], [lb(x1, 0, 1)]])
+    cases = [
+        (validate_collection([[lb(quadric, 1, 0)], [lb(quadric, 0, 1)]]), "left", 1),
+        (pair, "left", 1),
+        (pair, "right", 1),
+        (validate_collection([[lb(x4, 0, 0, 0, 0, 0)], [lb(x4, -1, 1, 1, 1, -1)]]), "left", 1),
+        (catalog.tau0(), "left", 1),
+    ]
+    for node, side, i in cases:
+        child, kind = block_mutation(node, i, side)
+        yield node, side, i, child, kind
+
+
+def test_seeded_words_match_full_revalidation_oracle():
+    inverse = {"left": "right", "right": "left"}
+    steps = 0
+    for node, side, i, child, kind in _seeded_steps():
+        assert validate_collection(child.blocks) == child
+        assert block_mutation(child, i, inverse[side])[0] == node
+        steps += 1
+    assert steps == 16 * 24
+
+
+def test_valid_mutations_pass_the_certificate(monkeypatch):
+    # On the valid path no move falls back to the brute-force recheck, and a
+    # move costs one Surface.dot per member of the collection, plus one for
+    # the chi that reads the cross pairing: n exceptionality checks on the
+    # new members and m pairings of the first of them with the others.
+    steps = list(chain(_braid_closure(), _seeded_steps(), _flavour_steps()))
+    assert len(steps) == 16 * (4 + 16 + 64) + 16 * 24 + 5
+    assert {str(kind) for *_, kind in steps} == {
+        "division", "recoil", "recoil (trivial)", "extension"
+    }
+    uppers, dots = [], [0]
+    real_first, real_dot = blockcalc.first_nonzero_chi, Surface.dot
+
+    def first(rows, cols, upper=False):
+        uppers.append(upper)
+        return real_first(rows, cols, upper)
+
+    def dot(self, x, y):
+        dots[0] += 1
+        return real_dot(self, x, y)
+
+    monkeypatch.setattr(blockcalc, "first_nonzero_chi", first)
+    monkeypatch.setattr(blockcalc, "_recheck", None)  # never reached
+    monkeypatch.setattr(Surface, "dot", dot)
+    for node, side, i, child, kind in steps:
+        dots[0] = 0
+        assert block_mutation(node, i, side) == (child, kind)
+        assert dots[0] == 1 + len(node.members)
+    assert uppers and True not in uppers
 
 
 def _abc_by_brute_force(c):
@@ -673,6 +743,24 @@ FAULTS = {
         lambda c, new: (KClass(0, DivisorClass.basis(c.surface, 1), 2),) + new[1:],
         r"block 2: member 1 \(rank 0, c1 \(0,1,0,0\), 2ch2 2\) "
         r"breaks the sheaf parity 2\*ch2 == c1\.K \(mod 2\)",
+    ),
+    # O(l0 - l1 + l2 - l3) has the new members' rank and degree and is
+    # orthogonal to members 1 and 3, but chi(it, O) = -1: member 1 passes the
+    # pairings and the brute-force recheck names member 2.
+    "member-2-into-earlier": (
+        lambda c, new: new[:1] + (lb(c.surface, 1, -1, 1, -1),) + new[2:],
+        r"chi\(block 2 member 2, block 1 member 1\) = -1; the collection is not semiorthogonal",
+    ),
+    # The new members reversed are a valid block, but not the translate of
+    # the old block that the mutation produces.
+    "permuted": (
+        lambda c, new: new[::-1],
+        r"block 2 is not a translate of the block it replaces",
+    ),
+    # A member past the old block's size has no old member to translate.
+    "appended": (
+        lambda c, new: new + new[:1],
+        r"block 2: chi\(member 1, member 4\) = 1; block members must be mutually orthogonal",
     ),
 }
 

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import random
 import sys
 import unittest
 import warnings
@@ -362,6 +363,23 @@ def test_mutate_prints_results_past_the_digit_limit(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", str(big))
     assert rc == 2
     assert out.startswith("FAIL:") and "limit" in out
+
+
+def test_document_past_the_digit_limit_names_the_read_limit(capsys, tmp_path):
+    # 103 seeded right moves on P2 print integers past 4300 digits; reading
+    # them back names the limit instead of advising a call no user can make.
+    path = write_catalog_doc(capsys, tmp_path, "p2")
+    rng = random.Random(1)
+    word = [rng.choice(("R1", "R2")) for _ in range(103)]
+    rc, out, err = run(capsys, "mutate", str(path), *word)
+    assert (rc, err) == (0, "")
+    big = tmp_path / "big.json"
+    big.write_text(out, encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    message = f"a document integer exceeds the {limit}-digit read limit"
+    assert run(capsys, "verify", str(big)) == (2, f"FAIL: {message}\n", "")
+    assert run(capsys, "mutate", str(big), "R1") == (2, "", f"error: {message}\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_missing_file(capsys, tmp_path):
