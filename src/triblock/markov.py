@@ -15,17 +15,22 @@ flip in coordinate i lowers the sum exactly when 2*U_i > U_x + U_y + U_z,
 and at most one i passes (:func:`_descent`, proof in :func:`_walk`).  So
 every positive solution reduces to a minimum by a unique chain of strictly
 sum-decreasing mutations: the solutions form a forest rooted at the minima,
-which come from a proven finite region.  One walk up that forest gives the
-solutions within a bound and their mutation graph.
+which come from a proven finite region.  One walk up that forest
+(:func:`_walk`) gives the solutions within a bound and their mutation
+graph.  It works on plain integers: each node carries its sum, taken from
+its parent's with one coordinate replaced, and its key (sum, x, y, z), by
+which callers sort; a :class:`SolutionTriple` is built once per node, for
+what is returned.  Each flip the walk computes also checks the forest: one
+that lowers a sum anywhere but back to the parent is an internal invariant.
 
 Each public function checks the solution it is given once.  Internally a
 solution travels with its weighted squares U (:func:`_squares`), computed
 once for a checked input or a minimum and then carried: every mutation goes
 through :func:`_flip`, which trusts (s, U) and returns the result with its
-own squares, certified by the equation itself.  The result shares two
-coordinates with s, so it shares their squares, and the one new square is
-computed; so by induction the carried U is always the solution's own, and
-the rule reads it without multiplying.  A failure in a flip is an internal
+own squares, as plain tuples, certified by the equation itself.  The result
+shares two coordinates with s, so it shares their squares, and the one new
+square is computed; so by induction the carried U is always the solution's
+own, and the rule reads it without multiplying.  A failure in a flip is an internal
 invariant.  The rule picks the flip, and the flip's result is certified:
 each descent step must solve the equation and lower the sum, the squares
 carried to the minimum a reduction ends at must equal fresh ones, and that
@@ -42,6 +47,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations
 from math import gcd, isqrt, prod
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .kclass import InvariantViolationError, render_int
@@ -68,9 +74,12 @@ class MarkovEquation(NamedTuple):
     alpha: int
     beta: int
     gamma: int
-    ksq: int
-    coeff: int
+    coeff: int  # stored, not derived: every flip reads it
     surface: Surface
+
+    @property
+    def ksq(self) -> int:
+        return self.surface.k_squared
 
     @property
     def type_vector(self) -> tuple[int, int, int]:
@@ -95,7 +104,7 @@ def _eq(label: str, alpha: int, beta: int, gamma: int) -> MarkovEquation:
     coeff = isqrt(square)
     if coeff * coeff != square:
         raise InvariantViolationError(f"{label}: K^2*alpha*beta*gamma = {square} is not a square")
-    return MarkovEquation(label, alpha, beta, gamma, ksq, coeff, surface)
+    return MarkovEquation(label, alpha, beta, gamma, coeff, surface)
 
 
 EQUATIONS: tuple[MarkovEquation, ...] = (
@@ -171,8 +180,8 @@ def _squares(eq: MarkovEquation, s) -> tuple[int, int, int]:
 
 
 def _flip(
-    eq: MarkovEquation, s: SolutionTriple, u: tuple[int, int, int], i: int
-) -> tuple[SolutionTriple, tuple[int, int, int]]:
+    eq: MarkovEquation, s: tuple[int, int, int], u: tuple[int, int, int], i: int
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """The other root t in coordinate i of the solution s, and its squares.
 
     s and its weighted squares u (:func:`_squares`) are trusted.  By Vieta
@@ -181,7 +190,8 @@ def _flip(
     copies s_j and s_k, so u_j and u_k are its own squares too, and
     t >= 1 with u_j + u_k + w_i*t^2 == P*t is exactly :func:`check_solution`
     on it: every flip certifies what it produces, and its squares come
-    with it.
+    with it.  Both come back as plain tuples; the public functions wrap
+    what they return in :class:`SolutionTriple`.
     """
     p = eq.coeff * s[i - 1] * s[i - 2]
     w = eq[i + 1]  # the weight: alpha, beta and gamma are fields 1 to 3
@@ -197,10 +207,10 @@ def _flip(
             f"mutation of {_show(s)} in {VARIABLES[i]} left the solution set of {eq.label}"
         )
     if i == 0:
-        return SolutionTriple._make((t, s[1], s[2])), (square, u[1], u[2])
+        return (t, s[1], s[2]), (square, u[1], u[2])
     if i == 1:
-        return SolutionTriple._make((s[0], t, s[2])), (u[0], square, u[2])
-    return SolutionTriple._make((s[0], s[1], t)), (u[0], u[1], square)
+        return (s[0], t, s[2]), (u[0], square, u[2])
+    return (s[0], s[1], t), (u[0], u[1], square)
 
 
 def mutate_solution(eq: MarkovEquation, s, var: str) -> SolutionTriple:
@@ -208,11 +218,7 @@ def mutate_solution(eq: MarkovEquation, s, var: str) -> SolutionTriple:
     s = _require_solution(eq, s)
     if var not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")
-    return _flip(eq, s, _squares(eq, s), VARIABLES.index(var))[0]
-
-
-def _key(s: SolutionTriple) -> tuple[int, ...]:
-    return (s.total,) + tuple(s)
+    return SolutionTriple._make(_flip(eq, s, _squares(eq, s), VARIABLES.index(var))[0])
 
 
 def _descent(u: tuple[int, int, int]) -> int | None:
@@ -234,7 +240,11 @@ def _descent(u: tuple[int, int, int]) -> int | None:
 
 
 def _walk(eq: MarkovEquation, sum_bound: int):
-    """Yield (s, its flips in x, y, z) once for each solution within the bound.
+    """Yield (key, up, parent, loops) once for each solution s within the bound.
+
+    key is (x + y + z, x, y, z); up is the coordinate of the flip back to
+    the parent and parent the parent's key (both None at a root); loops
+    holds the coordinates whose flip fixes s.
 
     A flip changes one coordinate, so it fixes s or changes the sum
     strictly.  With u_i = sqrt(w_i)*s_i it lowers the sum exactly when
@@ -245,36 +255,50 @@ def _walk(eq: MarkovEquation, sum_bound: int):
     from the minima within the bound by flips that raise the sum and stay
     within it reaches each solution there once, with no visited set.
 
-    The stack holds (s, its squares, up, parent): a root's squares are
-    computed from it, and a child's are the ones its certified flip
-    (:func:`_flip`) produced.  The child's flip in coordinate up is its
-    parent (flips are involutions), so the other two are all that is
-    computed for it, and a raising flip within the bound is pushed as it
-    is found.
+    The stack holds (key, s, its squares, up, parent): a root's squares
+    are computed from it, and a child's are the ones its certified flip
+    (:func:`_flip`) produced.  A child's sum is its parent's with one
+    coordinate replaced, total - s_i + t_i, so no sum is recomputed.  The
+    child's flip in coordinate up is its parent (flips are involutions),
+    so the other two are all that is computed for it, and a raising flip
+    within the bound is pushed as it is found.  Each computed flip is also
+    the forest's certificate: one that lowers the sum, at a root or off
+    the parent, raises :class:`InvariantViolationError`.
     """
-    stack = [
-        (m, _squares(eq, m), None, None) for m in minimum_solutions(eq) if m.total <= sum_bound
-    ]
+    stack = []
+    for m in minimum_solutions(eq):
+        if m.total <= sum_bound:
+            stack.append(((m.total, *m), m, _squares(eq, m), None, None))
     while stack:
-        s, u, up, parent = stack.pop()
-        total = s.total
-        flips = []
+        key, s, u, up, parent = stack.pop()
+        total = key[0]
+        loops = ()
         for i in range(3):
             if i == up:
-                flips.append(parent)
                 continue
             t, squares = _flip(eq, s, u, i)
-            flips.append(t)
-            if total < t.total <= sum_bound:
-                stack.append((t, squares, i, s))
-        yield s, flips
+            old, new = s[i], t[i]
+            if new > old:
+                child_total = total - old + new
+                if child_total <= sum_bound:
+                    stack.append(((child_total,) + t, t, squares, i, key))
+            elif new == old:
+                loops += (i,)
+            else:
+                raise InvariantViolationError(
+                    f"mutation of {_show(s)} in {VARIABLES[i]} lowers the sum "
+                    f"but is not its parent in the forest of {eq.label}"
+                )
+        yield key, up, parent, loops
 
 
 def enumerate_solutions(eq: MarkovEquation, sum_bound: int) -> tuple[SolutionTriple, ...]:
     """All positive solutions with x + y + z <= sum_bound, by sum, then x, y, z:
-    the nodes of the mutation forest below the bound (see :func:`_walk`).
+    the nodes of the mutation forest below the bound (see :func:`_walk`),
+    sorted by their integer keys.
     """
-    return tuple(sorted((s for s, _ in _walk(eq, sum_bound)), key=_key))
+    keys = sorted([node[0] for node in _walk(eq, sum_bound)])
+    return tuple([SolutionTriple(x, y, z) for _, x, y, z in keys])
 
 
 def is_minimum(eq: MarkovEquation, s) -> bool:
@@ -310,16 +334,16 @@ def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
     candidate is kept when the descent rule (:func:`_descent`) finds no
     flip that lowers its sum.
     """
-    w = eq.type_vector
+    w, ksq = eq.type_vector, eq.ksq
     found = set()
     for a, b, c in permutations(range(3)):
         s_a = 1
-        while eq.ksq * w[a] * s_a * s_a <= 16:
+        while ksq * w[a] * s_a * s_a <= 16:
             big_a = w[a] * s_a * s_a
             s_b = 1
-            while eq.ksq * big_a > 4:
+            while ksq * big_a > 4:
                 big_b = w[b] * s_b * s_b
-                if eq.ksq * big_a * big_b * big_b > (big_a + 2 * big_b) ** 2:
+                if ksq * big_a * big_b * big_b > (big_a + 2 * big_b) ** 2:
                     break
                 # w_c*t^2 - coeff*s_a*s_b*t + U_a + U_b = 0
                 linear = eq.coeff * s_a * s_b
@@ -359,7 +383,7 @@ def reduce_to_minimum(
                 f"mutation of {_show(s)} in {VARIABLES[i]} does not lower the sum for {eq.label}"
             )
         path.append((s, VARIABLES[i]))
-        s = nxt
+        s = SolutionTriple._make(nxt)
     if u != _squares(eq, s):
         raise InvariantViolationError(
             f"the squares carried to {_show(s)} are not its own for {eq.label}"
@@ -397,27 +421,34 @@ class SolutionGraph(NamedTuple):
 def build_solution_graph(eq: MarkovEquation, sum_bound: int) -> SolutionGraph:
     """Nodes are solutions within the bound; edges are mutations between them.
 
-    One walk of the forest (:func:`_walk`) gives all four parts: a flip that
-    fixes a node is a loop, one that lowers its sum is the edge (parent,
-    node, variable), and a node without one is a minimum.
+    One walk of the forest (:func:`_walk`) gives all four parts: each node
+    comes with the flip to its parent, which is the edge (parent, node,
+    variable), and with its loops; the roots are the minima, which
+    :func:`minimum_solutions` certified.  The walk's integer keys are
+    sorted, and each node becomes one :class:`SolutionTriple`, shared by
+    the nodes, edges, loops and minima.
     """
-    nodes, edges, loops, minima = [], [], [], []
-    for s, flips in _walk(eq, sum_bound):
-        nodes.append(s)
-        for v, t in zip(VARIABLES, flips):
-            if t == s:
-                loops.append((s, v))
-            elif t.total < s.total:
-                edges.append((t, s, v))
-        if all(t.total >= s.total for t in flips):
+    node, edges, loops, minima = {}, [], [], []
+    for key, up, parent, fixed in sorted(_walk(eq, sum_bound), key=itemgetter(0)):
+        s = SolutionTriple(key[1], key[2], key[3])
+        node[key] = s
+        if up is None:
             minima.append(s)
+        else:
+            # A parent's sum is smaller, so it is already in node.  The edges
+            # come in child order, so the stable sort by parent key below
+            # orders them by (parent, child).
+            edges.append((parent, (node[parent], s, VARIABLES[up])))
+        for i in fixed:
+            loops.append((s, VARIABLES[i]))
+    edges.sort(key=itemgetter(0))
     return SolutionGraph(
         eq,
         sum_bound,
-        tuple(sorted(nodes, key=_key)),
-        tuple(sorted(edges, key=lambda e: (_key(e[0]), _key(e[1]), e[2]))),
-        tuple(sorted(loops, key=lambda l: (tuple(l[0]), l[1]))),
-        tuple(sorted(minima, key=_key)),
+        tuple(node.values()),
+        tuple([edge for _, edge in edges]),
+        tuple(sorted(loops)),
+        tuple(minima),
     )
 
 

@@ -123,7 +123,11 @@ class Surface(NamedTuple):
 class DivisorClass(
     NamedTuple("DivisorClass", [("surface", Surface), ("coords", tuple[int, ...])])
 ):
-    """An integral divisor class, stored as coordinates in the fixed basis."""
+    """An integral divisor class, stored as coordinates in the fixed basis.
+
+    Its arithmetic builds each coordinate tuple from a list: ``tuple(map(...))``
+    over-allocates, and every stored class would keep the slack.
+    """
 
     __slots__ = ()
 
@@ -140,7 +144,7 @@ class DivisorClass(
 
     @classmethod
     def from_coords(cls, surface: Surface, coords) -> "DivisorClass":
-        return cls(surface, tuple(map(index, coords)))
+        return cls(surface, tuple([*map(index, coords)]))
 
     @classmethod
     def basis(cls, surface: Surface, i: int) -> "DivisorClass":
@@ -155,14 +159,14 @@ class DivisorClass(
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         same_surface(self, other)
-        return DivisorClass(self.surface, tuple(map(add, self.coords, other.coords)))
+        return DivisorClass(self.surface, tuple([*map(add, self.coords, other.coords)]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         same_surface(self, other)
-        return DivisorClass(self.surface, tuple(map(sub, self.coords, other.coords)))
+        return DivisorClass(self.surface, tuple([*map(sub, self.coords, other.coords)]))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(map(neg, self.coords)))
+        return DivisorClass(self.surface, tuple([*map(neg, self.coords)]))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
         if not isinstance(scalar, int):

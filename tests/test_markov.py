@@ -83,6 +83,9 @@ COUNTS_100 = {
     "x8.3": 13, "x8.4": 28,
 }
 
+# The ROADMAP's recorded counts, x + y + z <= 10^20, in EQUATIONS order.
+COUNTS_1E20 = (2410, 1211, 1233, 2608, 1211, 2410, 1224, 1191, 1199, 1216, 2328, 1173, 1207, 2542)
+
 COUNTS_200 = {
     "p2": 40, "quadric": 21, "x3": 22, "x4": 42, "x5": 21, "x6.1": 40,
     "x6.2": 20, "x7.1": 17, "x7.2": 21, "x7.3": 18, "x8.1": 30, "x8.2": 15,
@@ -441,6 +444,11 @@ def test_solution_counts():
         assert sorted(sols, key=lambda s: (s.total,) + tuple(s)) == list(sols)
 
 
+def test_recorded_counts_to_1e20():
+    counts = tuple(len(enumerate_solutions(eq, 10**20)) for eq in EQUATIONS)
+    assert counts == COUNTS_1E20
+
+
 def test_minimum_solutions():
     for eq in EQUATIONS:
         assert [tuple(s) for s in minimum_solutions(eq)] == MINIMA[eq.label]
@@ -604,6 +612,26 @@ def test_carried_squares_are_the_solutions_own(monkeypatch):
             assert {p for p, _ in path} == set(seen), eq.label
 
 
+def test_walk_certifies_the_forest(monkeypatch):
+    # A flip of the child (2,5,1) that lowers its sum in x, which is not the
+    # coordinate back to its parent (2,1,1): the walk must refuse it.
+    p2 = equation_by_label("p2")
+    flip = markov._flip
+
+    def lowering_flip(eq, s, u, i):
+        if tuple(s) == (2, 5, 1) and i == 0:
+            return (1, 5, 1), markov._squares(eq, (1, 5, 1))
+        return flip(eq, s, u, i)
+
+    monkeypatch.setattr(markov, "_flip", lowering_flip)
+    assert len(build_solution_graph(p2, 7).nodes) == 4
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"mutation of \(2,5,1\) in x lowers the sum but is not its parent in the forest of p2",
+    ):
+        build_solution_graph(p2, 8)
+
+
 def test_walk_matches_the_oracle_walk():
     # Nodes, edges, loops and minima of the walk on carried squares equal
     # those of the walk that re-squares every flip to check it.
@@ -758,22 +786,39 @@ def test_minima_region_matches_the_sweep():
 
 def test_graph_matches_the_oracles():
     # Nodes from the sweep, edges and loops from every mutation between
-    # them, shape from a union-find and a cycle search.
+    # them, shape from a union-find and a cycle search.  Besides 400, the
+    # bounds are 0, one below the smallest minimum's sum (both give the
+    # empty graph) and the sum of a node halfway up (the bound is inclusive).
     for eq in EQUATIONS:
-        g = build_solution_graph(eq, 400)
-        assert g.nodes == sweep(eq, 400), eq.label
-        nodes = set(g.nodes)
-        edges, loops = set(), set()
-        for s in g.nodes:
-            for var in "xyz":
-                t = mutate_solution(eq, s, var)
-                if t == s:
-                    loops.add((s, var))
-                elif t in nodes:
-                    edges.add((*sorted((s, t), key=lambda u: (u.total,) + tuple(u)), var))
-        assert set(g.edges) == edges and set(g.loops) == loops, eq.label
-        assert g.component_count() == union_find_components(g), eq.label
-        assert g.is_acyclic() == (not has_cycle(g)), eq.label
+        swept = sweep(eq, 400)
+        lowest = min(m.total for m in minimum_solutions(eq))
+        for bound in (0, lowest - 1, swept[len(swept) // 2].total, 400):
+            _assert_graph_matches_the_oracles(eq, bound)
+        assert build_solution_graph(eq, lowest - 1).nodes == (), eq.label
+
+
+def _assert_graph_matches_the_oracles(eq, bound):
+    def key(u):
+        return (u.total,) + tuple(u)
+
+    g = build_solution_graph(eq, bound)
+    assert g.nodes == sweep(eq, bound), (eq.label, bound)
+    nodes = set(g.nodes)
+    edges, loops = set(), set()
+    for s in g.nodes:
+        for var in "xyz":
+            t = mutate_solution(eq, s, var)
+            if t == s:
+                loops.add((s, var))
+            elif t in nodes:
+                edges.add((*sorted((s, t), key=key), var))
+    assert set(g.edges) == edges and set(g.loops) == loops, (eq.label, bound)
+    # The order the CLI prints: edges by (parent, child), minima by key,
+    # loops by solution then variable.
+    assert list(g.edges) == sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))
+    assert list(g.minima) == sorted(g.minima, key=key) and list(g.loops) == sorted(loops)
+    assert g.component_count() == union_find_components(g), (eq.label, bound)
+    assert g.is_acyclic() == (not has_cycle(g)), (eq.label, bound)
 
 
 def test_large_graph_is_the_forest_below_the_bound():
