@@ -398,9 +398,12 @@ def _recheck(blocks: Sequence[Block], at: int, surface: Surface) -> None:
 
 
 def apply_word(c: BlockCollection, word: Iterable[str]) -> BlockCollection:
-    """Apply braid moves in the given order; tokens look like "L2" or "R1"."""
-    for token in word:
-        side, index = parse_move(token)
+    """Apply braid moves in the given order; tokens look like "L2" or "R1".
+
+    The whole word is parsed before the first move, so a bad token anywhere
+    raises ValueError without any mutation being computed.
+    """
+    for side, index in [parse_move(token) for token in word]:
         c, _ = block_mutation(c, index, side)
     return c
 

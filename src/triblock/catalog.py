@@ -4,7 +4,15 @@ Every cataloged collection is *computed*: a seed collection of line bundles
 and torsion sheaves on curves is pushed through an explicit braid word, and
 the two halves of the distinguished block are merged at the end.  Nothing
 in the final collections is typed in by hand; the literal tuples below are
-expected values used only to cross-check the computation.
+expected values used only to cross-check the computation.  A c1 there may
+leave out trailing zero coordinates, since the label's equation fixes the
+surface; :func:`verify_entry` pads it with zeros before it compares.
+
+The catalog owns its solutions: an equation with a second cataloged
+minimal solution gets it from an extra braid word on top of the first
+build.  :func:`builds` lists every cataloged collection of a label and
+:func:`word` gives the braid word behind each, so no caller counts
+solutions or rebuilds a word.
 
 A seed on a blown-up plane X_r is the pullback of a smaller collection,
 its base on X_r', plus the torsion block of the exceptional curves
@@ -84,12 +92,6 @@ def _twisted_by_line(c: BlockCollection, amount: int) -> BlockCollection:
     return BlockCollection(tuple(b.twisted(d) for b in c.blocks))
 
 
-def _c(r: int, a: int, *b: int) -> tuple[int, ...]:
-    if len(b) > r:
-        raise ValueError("too many exceptional coordinates")
-    return (a,) + b + (0,) * (r - len(b))
-
-
 class CatalogEntry(NamedTuple):
     label: str
     word: tuple[str, ...]
@@ -152,13 +154,13 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x3",
             _R13 + ("R3",),
             (
-                frozenset({(1, _c(3, 0))}),
-                frozenset({(1, _c(3, 1)), (1, _c(3, 2, -1, -1, -1))}),
+                frozenset({(1, (0,))}),
+                frozenset({(1, (1,)), (1, (2, -1, -1, -1))}),
                 frozenset(
                     {
-                        (1, _c(3, 2, 0, -1, -1)),
-                        (1, _c(3, 2, -1, 0, -1)),
-                        (1, _c(3, 2, -1, -1, 0)),
+                        (1, (2, 0, -1, -1)),
+                        (1, (2, -1, 0, -1)),
+                        (1, (2, -1, -1, 0)),
                     }
                 ),
             ),
@@ -167,15 +169,15 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x4",
             _R13 + ("R3", "L2"),
             (
-                frozenset({(1, _c(4, 0))}),
-                frozenset({(2, _c(4, 3, -1, -1, -1, -1))}),
+                frozenset({(1, (0,))}),
+                frozenset({(2, (3, -1, -1, -1, -1))}),
                 frozenset(
                     {
-                        (1, _c(4, 1)),
-                        (1, _c(4, 2, 0, -1, -1, -1)),
-                        (1, _c(4, 2, -1, 0, -1, -1)),
-                        (1, _c(4, 2, -1, -1, 0, -1)),
-                        (1, _c(4, 2, -1, -1, -1, 0)),
+                        (1, (1,)),
+                        (1, (2, 0, -1, -1, -1)),
+                        (1, (2, -1, 0, -1, -1)),
+                        (1, (2, -1, -1, 0, -1)),
+                        (1, (2, -1, -1, -1, 0)),
                     }
                 ),
             ),
@@ -186,14 +188,14 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x5",
             ("R1",) + _R13,
             (
-                frozenset({(1, _c(5, 0, 0, 0, 0, 1)), (1, _c(5, 0, 0, 0, 0, 0, 1))}),
-                frozenset({(1, _c(5, 1)), (1, _c(5, 2, -1, -1, -1))}),
+                frozenset({(1, (0, 0, 0, 0, 1)), (1, (0, 0, 0, 0, 0, 1))}),
+                frozenset({(1, (1,)), (1, (2, -1, -1, -1))}),
                 frozenset(
                     {
-                        (1, _c(5, 3, -1, -1, -1, -1, -1)),
-                        (1, _c(5, 2, -1, -1, 0)),
-                        (1, _c(5, 2, 0, -1, -1)),
-                        (1, _c(5, 2, -1, 0, -1)),
+                        (1, (3, -1, -1, -1, -1, -1)),
+                        (1, (2, -1, -1, 0)),
+                        (1, (2, 0, -1, -1)),
+                        (1, (2, -1, 0, -1)),
                     }
                 ),
             ),
@@ -206,23 +208,23 @@ ENTRIES: dict[str, CatalogEntry] = {
             (
                 frozenset(
                     {
-                        (1, _c(6, 0, 0, 0, 0, 1)),
-                        (1, _c(6, 0, 0, 0, 0, 0, 1)),
-                        (1, _c(6, 0, 0, 0, 0, 0, 0, 1)),
+                        (1, (0, 0, 0, 0, 1)),
+                        (1, (0, 0, 0, 0, 0, 1)),
+                        (1, (0, 0, 0, 0, 0, 0, 1)),
                     }
                 ),
                 frozenset(
                     {
-                        (1, _c(6, 1, -1)),
-                        (1, _c(6, 1, 0, -1)),
-                        (1, _c(6, 1, 0, 0, -1)),
+                        (1, (1, -1)),
+                        (1, (1, 0, -1)),
+                        (1, (1, 0, 0, -1)),
                     }
                 ),
                 frozenset(
                     {
-                        (1, _c(6, 3, -1, -1, -1, -1, -1, -1)),
-                        (1, _c(6, 1)),
-                        (1, _c(6, 2, -1, -1, -1)),
+                        (1, (3, -1, -1, -1, -1, -1, -1)),
+                        (1, (1,)),
+                        (1, (2, -1, -1, -1)),
                     }
                 ),
             ),
@@ -233,16 +235,16 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x6.2",
             ("R2", "R1") + _R13 + _R13,
             (
-                frozenset({(2, _c(6, 1))}),
-                frozenset({(1, _c(6, 1)), (1, _c(6, 3, -1, -1, -1, -1, -1, -1))}),
+                frozenset({(2, (1,))}),
+                frozenset({(1, (1,)), (1, (3, -1, -1, -1, -1, -1, -1))}),
                 frozenset(
                     {
-                        (1, _c(6, 3, 0, -1, -1, -1, -1, -1)),
-                        (1, _c(6, 3, -1, 0, -1, -1, -1, -1)),
-                        (1, _c(6, 3, -1, -1, 0, -1, -1, -1)),
-                        (1, _c(6, 3, -1, -1, -1, 0, -1, -1)),
-                        (1, _c(6, 3, -1, -1, -1, -1, 0, -1)),
-                        (1, _c(6, 3, -1, -1, -1, -1, -1, 0)),
+                        (1, (3, 0, -1, -1, -1, -1, -1)),
+                        (1, (3, -1, 0, -1, -1, -1, -1)),
+                        (1, (3, -1, -1, 0, -1, -1, -1)),
+                        (1, (3, -1, -1, -1, 0, -1, -1)),
+                        (1, (3, -1, -1, -1, -1, 0, -1)),
+                        (1, (3, -1, -1, -1, -1, -1, 0)),
                     }
                 ),
             ),
@@ -252,11 +254,11 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x7.1",
             ("R1", "L3") + _L33 + ("R1",) + _R13,
             (
-                frozenset({(2, _c(7, -2, 1, 1, 1, 1, 1, 1, 1))}),
-                frozenset({(2, _c(7, 1))}),
+                frozenset({(2, (-2, 1, 1, 1, 1, 1, 1, 1))}),
+                frozenset({(2, (1,))}),
                 frozenset(
-                    {(1, _c(7, 3, -1, -1, -1, -1, -1, -1, -1))}
-                    | {(1, _c(7, 1, *(-1 if j == i else 0 for j in range(1, 8)))) for i in range(1, 8)}
+                    {(1, (3, -1, -1, -1, -1, -1, -1, -1))}
+                    | {(1, (1, *(-1 if j == i else 0 for j in range(1, 8)))) for i in range(1, 8)}
                 ),
             ),
             alt_words=(("R1", "L3", "L3", "L2", "R1", "R2", "R3"),),
@@ -267,24 +269,24 @@ ENTRIES: dict[str, CatalogEntry] = {
             (
                 frozenset(
                     {
-                        (2, _c(7, -2, 1, 1, 1, 1, 1, 1, 1)),
-                        (2, _c(7, -1, 0, 0, 0, 1, 1, 1, 1)),
+                        (2, (-2, 1, 1, 1, 1, 1, 1, 1)),
+                        (2, (-1, 0, 0, 0, 1, 1, 1, 1)),
                     }
                 ),
                 frozenset(
                     {
-                        (1, _c(7, 0, 0, 0, 0, 1)),
-                        (1, _c(7, 0, 0, 0, 0, 0, 1)),
-                        (1, _c(7, 0, 0, 0, 0, 0, 0, 1)),
-                        (1, _c(7, 0, 0, 0, 0, 0, 0, 0, 1)),
+                        (1, (0, 0, 0, 0, 1)),
+                        (1, (0, 0, 0, 0, 0, 1)),
+                        (1, (0, 0, 0, 0, 0, 0, 1)),
+                        (1, (0, 0, 0, 0, 0, 0, 0, 1)),
                     }
                 ),
                 frozenset(
                     {
-                        (1, _c(7, 3, -1, -1, -1, -1, -1, -1, -1)),
-                        (1, _c(7, 1, -1)),
-                        (1, _c(7, 1, 0, -1)),
-                        (1, _c(7, 1, 0, 0, -1)),
+                        (1, (3, -1, -1, -1, -1, -1, -1, -1)),
+                        (1, (1, -1)),
+                        (1, (1, 0, -1)),
+                        (1, (1, 0, 0, -1)),
                     }
                 ),
             ),
@@ -295,16 +297,16 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x7.3",
             ("R1",) + _R13,
             (
-                frozenset({(3, _c(7, 0, 0, 0, 0, 1, 1, 1, 1))}),
-                frozenset({(1, _c(7, 1, -1)), (1, _c(7, 1, 0, -1)), (1, _c(7, 1, 0, 0, -1))}),
+                frozenset({(3, (0, 0, 0, 0, 1, 1, 1, 1))}),
+                frozenset({(1, (1, -1)), (1, (1, 0, -1)), (1, (1, 0, 0, -1))}),
                 frozenset(
                     {
-                        (1, _c(7, 1)),
-                        (1, _c(7, 2, -1, -1, -1)),
-                        (1, _c(7, 3, -1, -1, -1, 0, -1, -1, -1)),
-                        (1, _c(7, 3, -1, -1, -1, -1, 0, -1, -1)),
-                        (1, _c(7, 3, -1, -1, -1, -1, -1, 0, -1)),
-                        (1, _c(7, 3, -1, -1, -1, -1, -1, -1, 0)),
+                        (1, (1,)),
+                        (1, (2, -1, -1, -1)),
+                        (1, (3, -1, -1, -1, 0, -1, -1, -1)),
+                        (1, (3, -1, -1, -1, -1, 0, -1, -1)),
+                        (1, (3, -1, -1, -1, -1, -1, 0, -1)),
+                        (1, (3, -1, -1, -1, -1, -1, -1, 0)),
                     }
                 ),
             ),
@@ -315,11 +317,11 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x8.1",
             ("R1", "L3") + _L33 + ("L1", "L2"),
             (
-                frozenset({(3, _c(8, -7, 2, 2, 2, 2, 2, 2, 2, 2))}),
-                frozenset({(3, _c(8, -4, 1, 1, 1, 1, 1, 1, 1, 1))}),
+                frozenset({(3, (-7, 2, 2, 2, 2, 2, 2, 2, 2))}),
+                frozenset({(3, (-4, 1, 1, 1, 1, 1, 1, 1, 1))}),
                 frozenset(
-                    {(1, _c(8, -3, 1, 1, 1, 1, 1, 1, 1, 1))}
-                    | {(1, _c(8, 0, *(-1 if j == i else 0 for j in range(1, 9)))) for i in range(1, 9)}
+                    {(1, (-3, 1, 1, 1, 1, 1, 1, 1, 1))}
+                    | {(1, (0, *(-1 if j == i else 0 for j in range(1, 9)))) for i in range(1, 9)}
                 ),
             ),
             line_twist=-1,
@@ -328,11 +330,11 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x8.2",
             ("L3", "L3", "R1", "R1") + _R13,
             (
-                frozenset({(4, _c(8, 0, 0, 0, 0, 1, 1, 1, 1, 1))}),
-                frozenset({(2, _c(8, 1)), (2, _c(8, 2, -1, -1, -1))}),
+                frozenset({(4, (0, 0, 0, 0, 1, 1, 1, 1, 1))}),
+                frozenset({(2, (1,)), (2, (2, -1, -1, -1))}),
                 frozenset(
-                    {(1, _c(8, 3, -1, -1, -1, *(0 if j == i else -1 for j in range(4, 9)))) for i in range(4, 9)}
-                    | {(1, _c(8, 1, *(-1 if j == i else 0 for j in range(1, 9)))) for i in (1, 2, 3)}
+                    {(1, (3, -1, -1, -1, *(0 if j == i else -1 for j in range(4, 9)))) for i in range(4, 9)}
+                    | {(1, (1, *(-1 if j == i else 0 for j in range(1, 9)))) for i in (1, 2, 3)}
                 ),
             ),
             base="x3",
@@ -344,20 +346,20 @@ ENTRIES: dict[str, CatalogEntry] = {
             (
                 frozenset(
                     {
-                        (3, _c(8, 0, 0, 0, 0, 1, 1, 1, 1, 0)),
-                        (3, _c(8, 0, 0, 0, 0, 1, 1, 1, 0, 1)),
+                        (3, (0, 0, 0, 0, 1, 1, 1, 1, 0)),
+                        (3, (0, 0, 0, 0, 1, 1, 1, 0, 1)),
                     }
                 ),
                 frozenset(
                     {
-                        (2, _c(8, 1)),
-                        (2, _c(8, 2, -1, -1, -1)),
-                        (2, _c(8, 0, 0, 0, 0, 1, 1, 1)),
+                        (2, (1,)),
+                        (2, (2, -1, -1, -1)),
+                        (2, (0, 0, 0, 0, 1, 1, 1)),
                     }
                 ),
                 frozenset(
-                    {(1, _c(8, 3, -1, -1, -1, *(0 if j == i else -1 for j in range(4, 9)))) for i in (4, 5, 6)}
-                    | {(1, _c(8, 1, *(-1 if j == i else 0 for j in range(1, 9)))) for i in (1, 2, 3)}
+                    {(1, (3, -1, -1, -1, *(0 if j == i else -1 for j in range(4, 9)))) for i in (4, 5, 6)}
+                    | {(1, (1, *(-1 if j == i else 0 for j in range(1, 9)))) for i in (1, 2, 3)}
                 ),
             ),
             base="x6.1",
@@ -367,17 +369,17 @@ ENTRIES: dict[str, CatalogEntry] = {
             "x8.4",
             ("L2", "R1", "L3") + _R13,
             (
-                frozenset({(5, _c(8, 6, -2, -2, -2))}),
+                frozenset({(5, (6, -2, -2, -2))}),
                 frozenset(
-                    {(2, _c(8, 3, -1, -1, -1, *(-1 if j == i else 0 for j in range(4, 9)))) for i in range(4, 9)}
+                    {(2, (3, -1, -1, -1, *(-1 if j == i else 0 for j in range(4, 9)))) for i in range(4, 9)}
                 ),
                 frozenset(
                     {
-                        (1, _c(8, 1)),
-                        (1, _c(8, 2, -1, -1, -1)),
-                        (1, _c(8, 4, -2, -1, -1, -1, -1, -1, -1, -1)),
-                        (1, _c(8, 4, -1, -2, -1, -1, -1, -1, -1, -1)),
-                        (1, _c(8, 4, -1, -1, -2, -1, -1, -1, -1, -1)),
+                        (1, (1,)),
+                        (1, (2, -1, -1, -1)),
+                        (1, (4, -2, -1, -1, -1, -1, -1, -1, -1)),
+                        (1, (4, -1, -2, -1, -1, -1, -1, -1, -1)),
+                        (1, (4, -1, -1, -2, -1, -1, -1, -1, -1)),
                     }
                 ),
             ),
@@ -422,6 +424,16 @@ def _entry(label: str) -> CatalogEntry:
     return ENTRIES[label]
 
 
+def _solution_entry(label: str, solution: int) -> CatalogEntry:
+    entry = _entry(label)
+    if not 0 <= solution < entry.solution_count:
+        raise ValueError(
+            f"{label} has {entry.solution_count} cataloged solution(s); "
+            f"index {solution} is out of range"
+        )
+    return entry
+
+
 def _construct(entry: CatalogEntry, word: tuple[str, ...]) -> BlockCollection:
     c = apply_word(entry.seed(), word)
     return c if len(c.blocks) == 3 else _merge_distinguished(c)
@@ -436,16 +448,26 @@ def build(label: str, solution: int = 0) -> BlockCollection:
     The cache keys on the call's shape, so internal callers all pass
     ``build(label, solution)`` positionally.
     """
-    entry = _entry(label)
-    if not 0 <= solution < entry.solution_count:
-        raise ValueError(
-            f"{label} has {entry.solution_count} cataloged solution(s); "
-            f"index {solution} is out of range"
-        )
+    entry = _solution_entry(label, solution)
     c = _construct(entry, entry.word)
     if solution == 1:
         c = apply_word(c, entry.extra_word)
     return c
+
+
+def builds(label: str) -> tuple[BlockCollection, ...]:
+    """Every cataloged collection of the label: ``build(label, i)`` for each
+    solution index i, in order."""
+    return tuple(build(label, i) for i in range(_entry(label).solution_count))
+
+
+def word(label: str, solution: int = 0) -> tuple[str, ...]:
+    """The braid word that takes the seed to ``build(label, solution)``: the
+    entry's word, then for the second solution its extra word.  The merge of
+    the distinguished block between the two is not a move and is not listed.
+    """
+    entry = _solution_entry(label, solution)
+    return entry.word + entry.extra_word if solution == 1 else entry.word
 
 
 class Check(NamedTuple):
@@ -519,13 +541,18 @@ def verify_entry(label: str) -> list[Check]:
     minima = minimum_solutions(eq)
     triple = block_rank_triple(c)
     got = _block_signature(c)
+    n = c.surface.picard_rank
+    expected = tuple(
+        frozenset((rank, coords + (0,) * (n - len(coords))) for rank, coords in block)
+        for block in entry.expected_blocks
+    )
     out += [
         Check("equation", eq.label == label, f"matched {eq.label}"),
         Check("minimal solution", triple in minima, f"ranks {triple}"),
         Check(
             "block classes",
-            got == entry.expected_blocks,
-            "all members match" if got == entry.expected_blocks else f"mismatch: {got}",
+            got == expected,
+            "all members match" if got == expected else f"mismatch: {got}",
         ),
     ]
     out += [

@@ -1,9 +1,14 @@
 """Command line interface.
 
+The CLI renders library records and decides nothing: every count, check,
+braid word and parse of a move is the library's, and each command prints
+what one call returns, such as the fields of a :class:`weyl.OrbitRow` in
+their own order.  ``verify`` and ``catalog --verify`` only render the
+records of :func:`catalog.checks` and :func:`catalog.verify_entry`.
+
 Exit codes: 0 success, 2 bad input or failed verification, 3 broken internal
 invariant.  All numeric output is exact; rationals print as p/q and JSON
-carries integers only.  ``verify`` and ``catalog --verify`` only render the
-records of :func:`catalog.checks` and :func:`catalog.verify_entry`.
+carries integers only.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ def cmd_equations(args) -> int:
     print(header)
     print("-" * len(header))
     for eq in rows:
-        minima = " ".join(f"({_triple_str(s)})" for s in markov.minimum_solutions(eq))
+        minima = " ".join(map(str, markov.minimum_solutions(eq)))
         type_str = "(" + ",".join(str(t) for t in eq.type_vector) + ")"
         print(
             f"{eq.label:<8} {eq.surface.name:<8} {type_str:<9} {eq.ksq:<4} {str(eq):<28} {minima}"
@@ -166,10 +171,7 @@ def cmd_reduce(args) -> int:
         )
         return 0
     for s, var in path:
-        if var is None:
-            print(f"({_triple_str(s)})  minimum")
-        else:
-            print(f"({_triple_str(s)})  --{var}-->")
+        print(f"{s}  minimum" if var is None else f"{s}  --{var}-->")
     return 0
 
 
@@ -225,8 +227,6 @@ def cmd_mutate(args) -> int:
     word = []
     for token in args.word:
         word.extend(token.replace(",", " ").split())
-    for token in word:
-        blockcalc.parse_move(token)  # fail fast on bad syntax before mutating
     result = blockcalc.apply_word(c, word)
     _print_json(collection_to_doc(result, {"word": word}))
     return 0
@@ -248,10 +248,7 @@ def cmd_catalog(args) -> int:
             exit_code = max(exit_code, _print_checks(checks))
         else:
             c = catalog.build(label, solution)
-            entry = catalog.ENTRIES[label]
-            word = list(entry.word)
-            if solution == 1:
-                word += list(entry.extra_word)
+            word = catalog.word(label, solution)
             _print_json(
                 collection_to_doc(c, {"label": label, "solution": solution, "word": word})
             )
@@ -260,54 +257,30 @@ def cmd_catalog(args) -> int:
 
 def cmd_orbits(args) -> int:
     rows = [weyl.orbit_row(args.label)] if args.label is not None else list(weyl.orbit_table())
-    payload = {
-        "rows": [
-            {
-                "label": r.label,
-                "solution_classes": r.solution_classes,
-                "repetition": r.repetition,
-                "orbits": r.orbits,
-            }
-            for r in rows
-        ]
-    }
-    failures = 0
-    if args.check_c:
-        payload["c_witnesses"] = {}
-        for label in weyl.C_WITNESS_LABELS:
-            ok = weyl.verify_c(label)
-            payload["c_witnesses"][label] = ok
-            failures += 0 if ok else 1
-    if args.check_recursion:
-        payload["recursion"] = []
-        for label in sorted(weyl.RECURSION_CASES):
-            report = weyl.recursion_check(label)
-            payload["recursion"].append(
-                {
-                    "label": report.label,
-                    "solution_classes": report.solution_classes,
-                    "binom": report.binom,
-                    "smaller_classes": report.smaller_classes,
-                    "disjoint_sets": report.disjoint_sets,
-                    "ok": report.ok,
-                }
-            )
-            failures += 0 if report.ok else 1
+    witnesses = {label: weyl.verify_c(label) for label in weyl.C_WITNESSES} if args.check_c else {}
+    cases = sorted(weyl.RECURSION_CASES) if args.check_recursion else []
+    reports = [weyl.recursion_check(label) for label in cases]
+    code = 0 if all(witnesses.values()) and all(report.ok for report in reports) else 2
     if args.json:
+        payload = {"rows": [r._asdict() for r in rows]}
+        if args.check_c:
+            payload["c_witnesses"] = witnesses
+        if args.check_recursion:
+            payload["recursion"] = [report._asdict() for report in reports]
         _print_json(payload)
-        return 2 if failures else 0
+        return code
     print(f"{'label':<8} {'N':>8} {'C':>3} {'orbits':>8}")
     for r in rows:
         print(f"{r.label:<8} {r.solution_classes:>8} {r.repetition:>3} {r.orbits:>8}")
-    for label, ok in payload.get("c_witnesses", {}).items():
+    for label, ok in witnesses.items():
         print(f"C witness {label}: {'ok' if ok else 'FAIL'}")
-    for entry in payload.get("recursion", []):
-        status = "ok" if entry["ok"] else "FAIL"
+    for report in reports:
+        status = "ok" if report.ok else "FAIL"
         print(
-            f"recursion {entry['label']}: {entry['solution_classes']} * "
-            f"{entry['binom']} == {entry['smaller_classes']} * {entry['disjoint_sets']}  {status}"
+            f"recursion {report.label}: {report.solution_classes} * "
+            f"{report.binom} == {report.smaller_classes} * {report.disjoint_sets}  {status}"
         )
-    return 2 if failures else 0
+    return code
 
 
 def cmd_curves(args) -> int:

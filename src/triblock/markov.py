@@ -311,8 +311,10 @@ def is_minimum(eq: MarkovEquation, s) -> bool:
     return _descent(_squares(eq, s)) is None
 
 
+@cache
 def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
-    """The minimal solutions, ordered by the key (z, x, y).
+    """The minimal solutions, ordered by the key (z, x, y), computed once per
+    equation: every walk from the minima and every group witness reads them.
 
     Write u_i = sqrt(w_i)*s_i for the weights w = (alpha, beta, gamma) and
     k = sqrt(K^2); a solution is then sum(u_i^2) = k*u_1*u_2*u_3.  Order

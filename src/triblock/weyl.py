@@ -12,8 +12,9 @@ stabiliser read off a dominant-chamber reduction.  Neither enumerates
 minus-one classes.
 
 What depends only on the surface is computed once per surface and cached,
-like picard.canonical_class: the simple roots, the reflection in each, and
-|W|, read off their Dynkin types, which also bound each chamber walk.
+like picard.canonical_class: the reflection in each simple root, which
+holds its root, and |W|, read off the roots' Dynkin types, which also
+bound each chamber walk.
 Each orbit row is computed once per process, so the orbit table and the
 recursion checks share rows; every certificate still runs on each count.
 
@@ -85,10 +86,9 @@ class Reflection(NamedTuple):
 
 
 class SimpleSystem(NamedTuple):
-    """A surface's simple roots, the reflection in each, and |W|."""
+    """The reflections in a surface's simple roots, and |W|."""
 
-    roots: tuple[DivisorClass, ...]
-    reflections: tuple[Reflection, ...]  # aligned with roots
+    reflections: tuple[Reflection, ...]
     order: int
 
 
@@ -102,11 +102,11 @@ def simple_system(surface: Surface) -> SimpleSystem:
         cremona = [(1, -1, -1, -1) + (0,) * (r - 3)] if r >= 3 else []
         swaps = [(0,) * i + (1, -1) + (0,) * (r - 1 - i) for i in range(1, r)]
         roots = tuple(DivisorClass(surface, coords) for coords in cremona + swaps)
-    return SimpleSystem(roots, tuple(map(_reflection, roots)), coxeter_order(roots))
+    return SimpleSystem(tuple(map(_reflection, roots)), coxeter_order(roots))
 
 
 def simple_roots(surface: Surface) -> tuple[DivisorClass, ...]:
-    return simple_system(surface).roots
+    return tuple(g.root for g in simple_system(surface).reflections)
 
 
 def simple_reflections(surface: Surface) -> tuple[Reflection, ...]:
@@ -427,8 +427,6 @@ C_WITNESSES = {
     "x6.1": ((), ("L2", "L1"), ("L2", "L1", "L2", "L1")),
 }
 
-C_WITNESS_LABELS = tuple(C_WITNESSES)
-
 
 class OrbitRow(NamedTuple):
     label: str
@@ -442,8 +440,7 @@ def orbit_row(label: str) -> OrbitRow:
     """N, C and N/C for one equation label, computed once per process."""
     if label not in catalog.ENTRIES:
         raise ValueError(f"unknown equation label {label!r}")
-    entry = catalog.ENTRIES[label]
-    n = sum(orbit_count(catalog.build(label, i)) for i in range(entry.solution_count))
+    n = sum(map(orbit_count, catalog.builds(label)))
     c = C_VALUES[label]
     if n % c:
         raise InvariantViolationError(f"orbit count {n} of {label} is not divisible by {c}")
@@ -537,7 +534,7 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
         return 1
     if surface.kind == "quadric" or m > surface.blowups:
         return 0
-    _, reflections, order = simple_system(surface)
+    reflections, order = simple_system(surface)
     ordered = 0
     for representative in _disjoint_representatives(surface, m):
         _check_disjoint_minus_ones(representative)

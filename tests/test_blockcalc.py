@@ -107,12 +107,11 @@ def _dropped_block_checks_hold(a, b) -> bool:
 
 
 def test_block_orthogonality_implies_dropped_checks_on_catalog():
-    for label in catalog.labels():
-        for solution in range(catalog.ENTRIES[label].solution_count):
-            for block in catalog.build(label, solution).blocks:
-                for a, b in product(block.members, repeat=2):
-                    if a is not b:
-                        assert _dropped_block_checks_hold(a, b)
+    for c in _all_builds():
+        for block in c.blocks:
+            for a, b in product(block.members, repeat=2):
+                if a is not b:
+                    assert _dropped_block_checks_hold(a, b)
 
 
 def test_block_orthogonality_implies_dropped_checks_on_random_pairs():
@@ -320,11 +319,7 @@ def test_is_complete():
 
 
 def _all_builds():
-    return [
-        catalog.build(label, solution)
-        for label in catalog.labels()
-        for solution in range(catalog.ENTRIES[label].solution_count)
-    ]
+    return [c for label in catalog.labels() for c in catalog.builds(label)]
 
 
 def test_is_complete_matches_determinant_oracle():
@@ -526,6 +521,15 @@ def test_braid_relation_spot_checks():
         lhs = apply_word(c, ("R1", "R2", "R1"))
         rhs = apply_word(c, ("R2", "R1", "R2"))
         assert lhs.members == rhs.members
+
+
+def test_apply_word_parses_the_whole_word_first(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a move was made before the word was parsed")
+
+    monkeypatch.setattr(blockcalc, "block_mutation", forbidden)
+    with pytest.raises(ValueError, match="invalid mutation token 'Q9'"):
+        apply_word(catalog.build("x8.3"), ["R1", "Q9"])
 
 
 def test_apply_word_inverses():

@@ -59,8 +59,22 @@ def test_second_solutions():
     for label in TABLE:
         if label not in ("x4", "x8.4"):
             assert catalog.ENTRIES[label].solution_count == 1
+        builds = catalog.builds(label)
+        assert len(builds) == catalog.ENTRIES[label].solution_count
+        assert all(c is catalog.build(label, i) for i, c in enumerate(builds))
     assert catalog.build("x4", solution=1).ranks == (2, 1, 1)
     assert catalog.build("x8.4", solution=1).ranks == (5, 1, 2)
+
+
+def test_words_lead_from_the_seed_to_each_build():
+    for label in TABLE:
+        assert catalog.word(label) == catalog.ENTRIES[label].word
+    assert catalog.word("x4", 1) == ("R1", "R2", "R3", "R3", "L2", "R1", "R2", "R2")
+    # The second solution's word continues the first past the merge.
+    for label in ("x4", "x8.4"):
+        first, second = catalog.word(label, 0), catalog.word(label, 1)
+        assert second[: len(first)] == first
+        assert apply_word(catalog.build(label, 0), second[len(first) :]) == catalog.build(label, 1)
 
 
 def test_build_errors():
@@ -72,6 +86,12 @@ def test_build_errors():
         catalog.build("x4", solution=2)
     with pytest.raises(ValueError, match="out of range"):
         catalog.build("x4", solution=-1)
+    for fn in (catalog.builds, catalog.word):
+        with pytest.raises(ValueError, match="unknown catalog label"):
+            fn("x9")
+    for label, solution in (("p2", 1), ("x4", 2), ("x4", -1)):
+        with pytest.raises(ValueError, match=f"^{label} has .* index {solution} is out of range$"):
+            catalog.word(label, solution)
 
 
 def test_build_is_cached():
@@ -85,7 +105,7 @@ def test_one_build_per_collection():
     catalog.build.cache_clear()
     weyl.orbit_row.cache_clear()
     weyl.orbit_table()
-    for label in weyl.C_WITNESS_LABELS:
+    for label in weyl.C_WITNESSES:
         assert weyl.verify_c(label)
     for label in catalog.labels():
         catalog.verify_entry(label)
@@ -113,6 +133,19 @@ def test_verify_every_entry():
             assert required in names
 
 
+def test_block_classes_pad_short_coordinates(monkeypatch):
+    # A stored c1 may stop early: (0,) stands for (0, 0, 0, 0) on X3.  A
+    # class off in one coordinate, or longer than the surface allows, fails.
+    entry = catalog.ENTRIES["x3"]
+    assert entry.expected_blocks[0] == frozenset({(1, (0,))})
+    for head, ok in (((0, 0, 0, 0), True), ((0, 0, 0, 1), False), ((0, 0, 0, 0, 0), False)):
+        blocks = (frozenset({(1, head)}),) + entry.expected_blocks[1:]
+        monkeypatch.setitem(catalog.ENTRIES, "x3", entry._replace(expected_blocks=blocks))
+        (record,) = [c for c in catalog.verify_entry("x3") if c.name == "block classes"]
+        assert record.ok == ok
+        assert record.detail.startswith("all members match" if ok else "mismatch: ")
+
+
 def test_verify_reports_second_solution():
     names = [c.name for c in catalog.verify_entry("x4")]
     assert names == [
@@ -136,8 +169,7 @@ def test_block_slopes_compare_exactly():
     moves = ("L1", "L2", "R1", "R2")
     words = [()] + [(m,) for m in moves] + [(m, n) for m in moves for n in moves]
     for label in catalog.labels():
-        for solution in range(catalog.ENTRIES[label].solution_count):
-            c = catalog.build(label, solution)
+        for c in catalog.builds(label):
             for word in words:
                 records = catalog.checks(apply_word(c, word))
                 assert [r.name for r in records if r.name == "block slopes"] == ["block slopes"]

@@ -428,14 +428,14 @@ def test_verify_and_catalog_verify_share_one_check_path(capsys, tmp_path):
         rc, listing, _ = run(capsys, "catalog", label, "--verify")
         assert rc == 0
         listing = listing.splitlines()
-        for solution in range(catalog.ENTRIES[label].solution_count):
+        for solution, c in enumerate(catalog.builds(label)):
             rc, doc, err = run(capsys, "catalog", label, "--solution", str(solution))
             assert rc == 0, err
             path = tmp_path / f"{label}-{solution}.json"
             path.write_text(doc, encoding="utf-8")
             rc, out, _ = run(capsys, "verify", str(path))
             assert rc == 0
-            lines = _rendered(catalog.checks(catalog.build(label, solution)))
+            lines = _rendered(catalog.checks(c))
             assert out.splitlines() == lines
             if solution == 0:
                 # catalog --verify prints the build line, then these checks

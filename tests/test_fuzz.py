@@ -23,11 +23,7 @@ MOVES = ("L1", "L2", "L3", "R1", "R2", "R3")
 
 
 def _builds():
-    return [
-        cli.collection_to_doc(catalog.build(label, solution))
-        for label in catalog.labels()
-        for solution in range(catalog.ENTRIES[label].solution_count)
-    ]
+    return [cli.collection_to_doc(c) for label in catalog.labels() for c in catalog.builds(label)]
 
 
 # Perturbations that keep every field an integer of the right shape, and

@@ -456,6 +456,11 @@ def test_minimum_solutions():
             assert is_minimum(eq, s)
 
 
+def test_minimum_solutions_are_computed_once_per_equation():
+    for eq in EQUATIONS:
+        assert minimum_solutions(eq) is minimum_solutions(eq)
+
+
 def test_exactly_one_decreasing_mutation_off_minimum():
     # is_minimum decides by the descent rule alone; the oracle flips all three.
     for eq in EQUATIONS:
@@ -849,6 +854,9 @@ def test_import_loads_only_the_layers_below():
         "kclass": {"picard", "kclass"},
         "blockcalc": {"picard", "kclass", "blockcalc"},
         "markov": {"picard", "kclass", "markov"},
+        "catalog": {"picard", "kclass", "blockcalc", "markov", "catalog"},
+        # weyl reads its collections from the catalog
+        "weyl": {"picard", "kclass", "blockcalc", "markov", "catalog", "weyl"},
     }
     root = os.path.dirname(os.path.dirname(os.path.abspath(triblock.__file__)))
     env = dict(os.environ, PYTHONPATH=root)
