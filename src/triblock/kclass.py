@@ -48,11 +48,6 @@ from .picard import (
     same_surface,
 )
 
-HOM = "hom"
-EXT = "ext"
-ZERO = "zero"
-
-
 class InvariantViolationError(RuntimeError):
     """An arithmetic identity that must hold internally failed to hold."""
 
@@ -216,28 +211,3 @@ def torsion_class(curve: DivisorClass, m: int) -> KClass:
     if not is_kind(curve, MINUS_ONE):
         raise ValueError("not a minus-one curve class")
     return KClass(0, curve, 2 * m + 1)
-
-
-def exceptional_ch2(rank: int, c1: DivisorClass) -> int:
-    """The unique 2*ch2 making (rank, c1) exceptional, when it exists."""
-    if rank == 0:
-        raise ValueError("no exceptional class with these (r, c1): rank must be nonzero")
-    num = 1 + intersect(c1, c1) - rank * rank
-    if num % rank:
-        raise ValueError("no exceptional class with these (r, c1)")
-    return num // rank
-
-
-def exceptional_class(rank: int, c1: DivisorClass) -> KClass:
-    """Convenience constructor pairing (rank, c1) with its forced 2*ch2."""
-    return KClass(rank, c1, exceptional_ch2(rank, c1))
-
-
-def classify_pair(e: KClass, f: KClass) -> str:
-    """Sort an exceptional pair by slope: 'hom' (<), 'ext' (>) or 'zero' (=)."""
-    se, sf = slope(e), slope(f)
-    if se < sf:
-        return HOM
-    if se > sf:
-        return EXT
-    return ZERO

@@ -35,18 +35,13 @@ invariant.  The rule picks the flip, and the flip's result is certified:
 each descent step must solve the equation and lower the sum, the squares
 carried to the minimum a reduction ends at must equal fresh ones, and that
 minimum must have no sum-lowering flip among its three.
-
-The fourteen equations fall into four transport groups: scaling and
-permuting coordinates carries the solutions of each onto those of its
-group's representative.  Each witness map is derived from the equation's
-weights and minima and certified, not shipped (:func:`_groups`).
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
-from math import gcd, isqrt, prod
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -314,7 +309,7 @@ def is_minimum(eq: MarkovEquation, s) -> bool:
 @cache
 def minimum_solutions(eq: MarkovEquation) -> tuple[SolutionTriple, ...]:
     """The minimal solutions, ordered by the key (z, x, y), computed once per
-    equation: every walk from the minima and every group witness reads them.
+    equation: every walk from the minima reads them.
 
     Write u_i = sqrt(w_i)*s_i for the weights w = (alpha, beta, gamma) and
     k = sqrt(K^2); a solution is then sum(u_i^2) = k*u_1*u_2*u_3.  Order
@@ -452,94 +447,3 @@ def build_solution_graph(eq: MarkovEquation, sum_bound: int) -> SolutionGraph:
         tuple(sorted(loops)),
         tuple(minima),
     )
-
-
-class GroupWitness(NamedTuple):
-    """How an equation maps onto its group representative.
-
-    Solutions transport by dividing coordinatewise by ``scale`` and then
-    permuting: t[i] = (s/scale)[perm[i]].  The inverse multiplies back.
-    """
-
-    group: str
-    representative: str
-    scale: tuple[int, int, int]
-    perm: tuple[int, int, int]
-
-
-@cache
-def _groups() -> dict[str, GroupWitness]:
-    """Every equation's witness, derived from its weights w and its minima.
-
-    scale d_i is the gcd of coordinate i over the minima, g = gcd(w_i*d_i^2)
-    and w'_i = w_i*d_i^2/g; perm is the stable argsort of w', the
-    representative is the equation of type sorted(w'), and the groups are
-    named I, II, ... in the order their representatives appear in
-    EQUATIONS.  Certified: q*d_1*d_2*d_3 = g*q' for the representative's
-    coefficient q', its weights divide q' (so its flips are integral), and
-    the transported minima are its minima.
-
-    Then the transport s = d*t (up to perm) is a bijection of solutions.
-    Both sides of the equation scale by g under it.  By Vieta the other
-    root in coordinate i is q*s_j*s_k/w_i - s_i = d_i*(q'*t_j*t_k/w'_i -
-    t_i), so the flips commute with the transport, and the descent rule
-    2*w_i*s_i^2 > sum_j w_j*s_j^2 (:func:`_descent`) is the rule for t
-    multiplied by g.  So the mutation forests rooted at the minima
-    (:func:`_walk`) correspond tree for tree, and every solution, reached
-    from a minimum by flips, has an integral image on the other side.
-    """
-    witnesses = {}
-    for eq in EQUATIONS:
-        minima = minimum_solutions(eq)
-        scale = tuple(gcd(*column) for column in zip(*minima))
-        big = [w * d * d for w, d in zip(eq.type_vector, scale)]
-        g = gcd(*big)
-        weights = [b // g for b in big]
-        perm = tuple(sorted(range(3), key=weights.__getitem__))
-        rep = next((r for r in EQUATIONS if r.type_vector == tuple(sorted(weights))), None)
-        transported = {tuple(m[p] // scale[p] for p in perm) for m in minima}
-        if (
-            rep is None
-            or eq.coeff * prod(scale) != g * rep.coeff
-            or any(rep.coeff % w for w in rep.type_vector)
-            or transported != set(minimum_solutions(rep))
-        ):
-            raise InvariantViolationError(f"{eq.label} has no certified group representative")
-        witnesses[eq.label] = (rep.label, scale, perm)
-    used = {rep for rep, _, _ in witnesses.values()}
-    names = dict(zip((eq.label for eq in EQUATIONS if eq.label in used), ("I", "II", "III", "IV")))
-    return {
-        label: GroupWitness(names[rep], rep, scale, perm)
-        for label, (rep, scale, perm) in witnesses.items()
-    }
-
-
-def equation_group(eq: MarkovEquation) -> GroupWitness:
-    """The solution-transport class of the equation and its witness map."""
-    return _groups()[eq.label]
-
-
-def to_representative(eq: MarkovEquation, s) -> SolutionTriple:
-    """Transport a solution of eq to one of its group representative."""
-    s = _require_solution(eq, s)
-    w = equation_group(eq)
-    scaled = []
-    for value, factor in zip(s, w.scale):
-        if value % factor:
-            raise InvariantViolationError(
-                f"solution {_show(s)} of {eq.label} is not divisible by the scale {w.scale}"
-            )
-        scaled.append(value // factor)
-    t = SolutionTriple(*(scaled[w.perm[i]] for i in range(3)))
-    return _require_solution(equation_by_label(w.representative), t)
-
-
-def from_representative(eq: MarkovEquation, t) -> SolutionTriple:
-    """Transport a solution of the group representative back to eq."""
-    w = equation_group(eq)
-    t = _require_solution(equation_by_label(w.representative), t)
-    scaled = [0, 0, 0]
-    for i in range(3):
-        scaled[w.perm[i]] = t[i]
-    s = SolutionTriple(*(scaled[j] * w.scale[j] for j in range(3)))
-    return _require_solution(eq, s)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import isqrt
-from operator import add, index, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterator, NamedTuple
 
 PLANE = "plane"
@@ -143,19 +143,12 @@ class DivisorClass(
         return cls(surface, (0,) * surface.picard_rank)
 
     @classmethod
-    def from_coords(cls, surface: Surface, coords) -> "DivisorClass":
-        return cls(surface, tuple([*map(index, coords)]))
-
-    @classmethod
     def basis(cls, surface: Surface, i: int) -> "DivisorClass":
         """The i-th basis vector (l_i on a blown-up plane, f_{i+1} on the quadric)."""
         n = surface.picard_rank
         if not 0 <= i < n:
             raise ValueError(f"basis index {i} out of range for {surface}")
         return cls(surface, tuple(1 if j == i else 0 for j in range(n)))
-
-    def dot(self, other: "DivisorClass") -> int:
-        return intersect(self, other)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         same_surface(self, other)

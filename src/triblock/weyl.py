@@ -105,10 +105,6 @@ def simple_system(surface: Surface) -> SimpleSystem:
     return SimpleSystem(tuple(map(_reflection, roots)), coxeter_order(roots))
 
 
-def simple_roots(surface: Surface) -> tuple[DivisorClass, ...]:
-    return tuple(g.root for g in simple_system(surface).reflections)
-
-
 def simple_reflections(surface: Surface) -> tuple[Reflection, ...]:
     return simple_system(surface).reflections
 

@@ -26,7 +26,6 @@ from triblock.blockcalc import (
     block_rank_triple,
     chi_block,
     dual_basis,
-    equivalent_up_to_twist,
     helix_shift,
     is_complete,
     pairing,
@@ -40,7 +39,6 @@ from triblock.kclass import (
     InvariantViolationError,
     KClass,
     chi,
-    exceptional_class,
     line_bundle,
     torsion_class,
     twist,
@@ -59,6 +57,12 @@ P2 = Surface.plane(0)
 
 def lb(surface, *coords):
     return line_bundle(DivisorClass(surface, coords))
+
+
+def exceptional_class(rank, c1):
+    # (rank, c1, n) with rank*n = 1 + c1^2 - rank^2, or None if no integer n.
+    n, remainder = divmod(1 + intersect(c1, c1) - rank * rank, rank)
+    return None if remainder else KClass(rank, c1, n)
 
 
 def test_validate_block_basics():
@@ -134,10 +138,8 @@ def test_block_orthogonality_implies_dropped_checks_on_random_pairs():
             t = DivisorClass(s, tuple(rng.randint(-1, 1) for _ in range(s.picard_rank)))
             if intersect(t, canonical_class(s)) != 0:
                 continue
-            try:
-                a = exceptional_class(rank, ca)
-                b = exceptional_class(rank, ca + t)
-            except ValueError:
+            a, b = exceptional_class(rank, ca), exceptional_class(rank, ca + t)
+            if a is None or b is None:
                 continue
         pairs += 1
         assert chi(a, b) == chi(b, a)
@@ -185,6 +187,12 @@ def test_failures_name_offending_members():
         validate_collection([[lb(x1, 0, 0)], [lb(x1, 1, 0), KClass(1, DivisorClass.zero(x1), 2)]])
     assert str(err.value).startswith("block 2: member 2 (rank 1, c1 (0,0), 2ch2 2)")
     assert str(err.value).endswith("is not exceptional")
+    with pytest.raises(BlockError) as err:
+        validate_collection([[lb(x1, 0, 0)], [lb(x1, 1, 0)], [lb(x2, 0, 0, 0)], [lb(x1, 2, 0)]])
+    assert str(err.value) == "block 3 lives on a different surface"
+    with pytest.raises(BlockError) as err:
+        validate_collection([[lb(x2, 0, 0, 0)], [lb(x1, 0, 0)], [lb(x1, 1, 0)]])
+    assert str(err.value) == "block 1 lives on a different surface"
 
 
 def test_chi_block_requires_constant_pairing():
@@ -436,12 +444,11 @@ def test_helix_round_trip_and_period():
 
 
 def test_helix_shift_twist_recognition():
+    # One step along the plane's helix twists tau0 by l0; on x6.1 three
+    # steps do (test_twist_normal_form_separates_the_x61_helix_shifts).
     c = catalog.tau0()
-    shifted = helix_shift(c, 1)
-    assert equivalent_up_to_twist(c, shifted) == DivisorClass(P2, (1,))
-    x61 = catalog.build("x6.1")
-    assert equivalent_up_to_twist(x61, helix_shift(x61, 1)) is None
-    assert equivalent_up_to_twist(x61, helix_shift(x61, -1)) is None
+    (key, d), (shifted_key, shifted_d) = twist_normal_form(c), twist_normal_form(helix_shift(c, 1))
+    assert shifted_key == key and d - shifted_d == DivisorClass(P2, (1,))
 
 
 def _twist_key_cases():
@@ -489,8 +496,6 @@ def test_twist_normal_form_sees_through_twists_and_member_order():
         moved_key, moved_d = twist_normal_form(moved)
         assert moved_key == key
         assert d - moved_d == e
-        assert equivalent_up_to_twist(c, moved) == e
-        assert equivalent_up_to_twist(moved, c) == -e
 
 
 def test_twist_normal_form_separates_the_x61_helix_shifts():
@@ -509,10 +514,6 @@ def test_twist_needs_a_member_of_nonzero_rank():
     c = validate_collection([[torsion_class(DivisorClass.basis(x1, 1), 0)]])
     with pytest.raises(BlockError, match="torsion-only"):
         twist_normal_form(c)
-    with pytest.raises(BlockError, match="torsion-only"):
-        equivalent_up_to_twist(c, c)
-    # A different surface answers None before any twist is looked for.
-    assert equivalent_up_to_twist(c, catalog.tau0()) is None
 
 
 def test_braid_relation_spot_checks():
@@ -626,7 +627,7 @@ def test_seeded_words_match_full_revalidation_oracle():
 
 
 def test_valid_mutations_pass_the_certificate(monkeypatch):
-    # On the valid path no move falls back to the brute-force recheck, and a
+    # On the valid path no move falls back to validate_collection, and a
     # move costs one Surface.dot per member of the collection, plus one for
     # the chi that reads the cross pairing: n exceptionality checks on the
     # new members and m pairings of the first of them with the others.
@@ -647,7 +648,7 @@ def test_valid_mutations_pass_the_certificate(monkeypatch):
         return real_dot(self, x, y)
 
     monkeypatch.setattr(blockcalc, "first_nonzero_chi", first)
-    monkeypatch.setattr(blockcalc, "_recheck", None)  # never reached
+    monkeypatch.setattr(blockcalc, "validate_collection", None)  # never reached
     monkeypatch.setattr(Surface, "dot", dot)
     for node, side, i, child, kind in steps:
         dots[0] = 0

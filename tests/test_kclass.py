@@ -12,17 +12,11 @@ from math import inf
 import pytest
 
 from triblock.kclass import (
-    EXT,
-    HOM,
-    ZERO,
     InvariantViolationError,
     KClass,
     chi,
     chi_minus,
-    classify_pair,
     degree,
-    exceptional_ch2,
-    exceptional_class,
     first_nonzero_chi,
     line_bundle,
     render_int,
@@ -38,6 +32,12 @@ QUADRIC = Surface.quadric()
 
 def pl(surface, *coords):
     return DivisorClass(surface, coords)
+
+
+def exceptional_class(rank, c1):
+    # (rank, c1, n) with rank*n = 1 + c1^2 - rank^2, or None if no integer n.
+    n, remainder = divmod(1 + intersect(c1, c1) - rank * rank, rank)
+    return None if remainder else KClass(rank, c1, n)
 
 
 def structure_sheaf(surface):
@@ -100,8 +100,8 @@ def test_torsion_class_oracles():
                     s, tuple(rng.randint(-3, 3) for _ in range(s.picard_rank))
                 )
                 lb = line_bundle(d)
-                assert chi(t, lb) == m - curve.dot(d)
-                assert chi(lb, t) == m + 1 - d.dot(curve)
+                assert chi(t, lb) == m - intersect(curve, d)
+                assert chi(lb, t) == m + 1 - intersect(d, curve)
 
 
 def test_torsion_class_rejects_other_curves():
@@ -205,12 +205,6 @@ def test_exceptionality():
     assert KClass(2, pl(P2, 1), -1).is_exceptional  # the twisted tangent class
     assert not KClass(2, pl(P2, 1), 0).is_exceptional
     assert not KClass(0, pl(P2, 0), 2).is_exceptional  # a point class
-    assert exceptional_ch2(2, pl(P2, 1)) == -1
-    assert exceptional_class(2, pl(P2, 1)) == KClass(2, pl(P2, 1), -1)
-    with pytest.raises(ValueError, match=r"no exceptional class with these \(r, c1\)"):
-        exceptional_ch2(3, pl(P2, 1))
-    with pytest.raises(ValueError):
-        exceptional_ch2(0, pl(P2, 1))
 
 
 def test_slope_orders_vanishing():
@@ -225,14 +219,6 @@ def test_slope_orders_vanishing():
                 expected = (sf > se) - (sf < se)
                 got = chi_minus(e, f)
                 assert (got > 0) - (got < 0) == expected
-
-
-def test_classify_pair():
-    o = structure_sheaf(P2)
-    h = line_bundle(pl(P2, 1))
-    assert classify_pair(o, h) == HOM
-    assert classify_pair(h, o) == EXT
-    assert classify_pair(h, h) == ZERO
 
 
 def test_cross_surface_guards():
@@ -299,10 +285,9 @@ def _random_classes(surface, rng, count):
     while len(out) < count:
         c1 = DivisorClass(surface, tuple(rng.randint(-5, 5) for _ in range(surface.picard_rank)))
         if rng.random() < 0.4:
-            try:
-                out.append(exceptional_class(rng.randint(1, 3), c1))
-            except ValueError:
-                pass
+            e = exceptional_class(rng.randint(1, 3), c1)
+            if e is not None:
+                out.append(e)
             continue
         rank = rng.randint(-3, 4)
         if rank == 0 and rng.random() < 0.5:

@@ -24,7 +24,6 @@ from triblock import markov
 from triblock.kclass import InvariantViolationError
 from triblock.markov import (
     EQUATIONS,
-    GroupWitness,
     SolutionTriple,
     build_solution_graph,
     check_solution,
@@ -32,13 +31,10 @@ from triblock.markov import (
     enumerate_solutions,
     equation_by_label,
     equation_for,
-    equation_group,
-    from_representative,
     is_minimum,
     minimum_solutions,
     mutate_solution,
     reduce_to_minimum,
-    to_representative,
 )
 from triblock.picard import ROOT, Surface, enumerate_classes
 
@@ -92,30 +88,25 @@ COUNTS_200 = {
     "x8.3": 17, "x8.4": 30,
 }
 
-GROUPS = {
-    "I": ["p2", "x6.1", "x8.1"],
-    "II": ["quadric", "x5", "x7.1", "x7.2", "x8.2"],
-    "III": ["x3", "x6.2", "x7.3", "x8.3"],
-    "IV": ["x4", "x8.4"],
-}
-
-# The hand-written witnesses that markov used to ship; the oracle for the
-# derived ones.
+# label -> (group, representative, scale d, perm): the coordinates of a
+# solution s, divided by d and permuted, t[i] = s[perm[i]] / d[perm[i]],
+# solve the representative.  The group column of the ROADMAP's recorded
+# counts; test_group_witnesses_are_certified certifies it.
 GROUP_WITNESSES = {
-    "p2": GroupWitness("I", "p2", (1, 1, 1), (0, 1, 2)),
-    "x6.1": GroupWitness("I", "p2", (1, 1, 1), (0, 1, 2)),
-    "x8.1": GroupWitness("I", "p2", (3, 3, 1), (0, 1, 2)),
-    "quadric": GroupWitness("II", "quadric", (1, 1, 1), (0, 1, 2)),
-    "x5": GroupWitness("II", "quadric", (1, 1, 1), (0, 1, 2)),
-    "x7.1": GroupWitness("II", "quadric", (2, 2, 1), (0, 1, 2)),
-    "x7.2": GroupWitness("II", "quadric", (2, 1, 1), (1, 2, 0)),
-    "x8.2": GroupWitness("II", "quadric", (4, 2, 1), (1, 2, 0)),
-    "x3": GroupWitness("III", "x3", (1, 1, 1), (0, 1, 2)),
-    "x6.2": GroupWitness("III", "x3", (2, 1, 1), (1, 0, 2)),
-    "x7.3": GroupWitness("III", "x3", (3, 1, 1), (1, 2, 0)),
-    "x8.3": GroupWitness("III", "x3", (3, 2, 1), (2, 1, 0)),
-    "x4": GroupWitness("IV", "x4", (1, 1, 1), (0, 1, 2)),
-    "x8.4": GroupWitness("IV", "x4", (5, 1, 1), (1, 2, 0)),
+    "p2": ("I", "p2", (1, 1, 1), (0, 1, 2)),
+    "x6.1": ("I", "p2", (1, 1, 1), (0, 1, 2)),
+    "x8.1": ("I", "p2", (3, 3, 1), (0, 1, 2)),
+    "quadric": ("II", "quadric", (1, 1, 1), (0, 1, 2)),
+    "x5": ("II", "quadric", (1, 1, 1), (0, 1, 2)),
+    "x7.1": ("II", "quadric", (2, 2, 1), (0, 1, 2)),
+    "x7.2": ("II", "quadric", (2, 1, 1), (1, 2, 0)),
+    "x8.2": ("II", "quadric", (4, 2, 1), (1, 2, 0)),
+    "x3": ("III", "x3", (1, 1, 1), (0, 1, 2)),
+    "x6.2": ("III", "x3", (2, 1, 1), (1, 0, 2)),
+    "x7.3": ("III", "x3", (3, 1, 1), (1, 2, 0)),
+    "x8.3": ("III", "x3", (3, 2, 1), (2, 1, 0)),
+    "x4": ("IV", "x4", (1, 1, 1), (0, 1, 2)),
+    "x8.4": ("IV", "x4", (5, 1, 1), (1, 2, 0)),
 }
 
 
@@ -681,91 +672,34 @@ def test_split_graph_shape():
     assert [tuple(s) for s in g.minima] == [(5, 1, 2), (5, 2, 1)]
 
 
-def test_group_membership():
-    seen = {}
-    for eq in EQUATIONS:
-        w = equation_group(eq)
-        seen.setdefault(w.group, []).append(eq.label)
-        assert equation_group(equation_by_label(w.representative)) == GroupWitness(
-            w.group, w.representative, (1, 1, 1), (0, 1, 2)
-        )
-    assert seen == GROUPS
+@pytest.mark.parametrize("label", GROUP_WITNESSES)
+def test_group_witnesses_are_certified(label):
+    # With w_i*d_i^2 = g*w'_i for the weights w of the equation and w' of
+    # the representative, both sides of the equation scale by g, so the
+    # transport is a bijection of solutions under which the Vieta flips, and
+    # so the mutation forests rooted at the minima, correspond.
+    group, rep_label, d, perm = GROUP_WITNESSES[label]
+    eq, rep = equation_by_label(label), equation_by_label(rep_label)
+    assert GROUP_WITNESSES[rep_label] == (group, rep_label, (1, 1, 1), (0, 1, 2))
+    g = eq.type_vector[perm[0]] * d[perm[0]] ** 2 // rep.alpha
+    for i, p in enumerate(perm):
+        assert eq.type_vector[p] * d[p] ** 2 == g * rep.type_vector[i]
+    assert eq.coeff * d[0] * d[1] * d[2] == g * rep.coeff
 
+    def to_rep(s):
+        assert all(s[p] % d[p] == 0 for p in perm), s
+        return SolutionTriple(*(s[p] // d[p] for p in perm))
 
-def test_group_witnesses_match_the_shipped_table():
-    assert {eq.label: equation_group(eq) for eq in EQUATIONS} == GROUP_WITNESSES
-
-
-# label -> forged minima, each breaking one clause of the certificate
-FORGED_MINIMA = {
-    # scale (5, 2, 1) gives weights (5, 4, 1), the type of no equation
-    "x8.4": ((5, 2, 1),),
-    # scale (1, 1, 1) makes x8.1 its own representative; 9 does not divide 3
-    "x8.1": ((1, 1, 1),),
-    # scale (2, 2, 2) reaches the quadric's weights, but 8*2^3 != 8*4
-    "x5": ((2, 2, 2),),
-    # the scale and weights hold, but (3, 1, 1) is no minimum of x4
-    "x8.4+": ((5, 2, 1), (5, 1, 2), (5, 3, 1)),
-}
-
-
-@pytest.mark.parametrize("forged", FORGED_MINIMA)
-def test_group_witnesses_are_certified(monkeypatch, forged):
-    label, minima = forged.rstrip("+"), tuple(SolutionTriple(*m) for m in FORGED_MINIMA[forged])
-    real = markov.minimum_solutions
-    monkeypatch.setattr(
-        markov, "minimum_solutions", lambda eq: minima if eq.label == label else real(eq)
-    )
-    markov._groups.cache_clear()
-    try:
-        with pytest.raises(InvariantViolationError, match=f"{label} has no certified"):
-            equation_group(equation_by_label(label))
-    finally:
-        markov._groups.cache_clear()
-
-
-def test_group_witness_fields():
-    assert equation_group(equation_by_label("x8.1")).scale == (3, 3, 1)
-    assert equation_group(equation_by_label("x8.2")) == GroupWitness(
-        "II", "quadric", (4, 2, 1), (1, 2, 0)
-    )
-    assert equation_group(equation_by_label("x8.3")).perm == (2, 1, 0)
-    with pytest.raises(AttributeError):
-        equation_group(equation_by_label("x8.3")).perm = (0, 1, 2)
-
-
-def test_transport_round_trip():
-    for eq in EQUATIONS:
-        rep = equation_by_label(equation_group(eq).representative)
-        for s in enumerate_solutions(eq, 80):
-            t = to_representative(eq, s)
-            assert check_solution(rep, t)
-            assert from_representative(eq, t) == s
-        # and the other way round
-        for t in enumerate_solutions(rep, 40):
-            s = from_representative(eq, t)
-            assert check_solution(eq, s)
-            assert to_representative(eq, s) == t
-
-
-def test_transport_explicit():
-    x81 = equation_by_label("x8.1")
-    assert to_representative(x81, (3, 3, 1)) == SolutionTriple(1, 1, 1)
-    assert from_representative(x81, (1, 1, 1)) == SolutionTriple(3, 3, 1)
-    x84 = equation_by_label("x8.4")
-    assert to_representative(x84, (5, 2, 1)) == SolutionTriple(2, 1, 1)
-
-
-def test_transport_rejects_non_solutions():
-    x81 = equation_by_label("x8.1")
-    with pytest.raises(ValueError, match="does not solve"):
-        to_representative(x81, (1, 1, 1))
-    with pytest.raises(ValueError, match="does not solve"):
-        from_representative(x81, (2, 2, 2))
-    # every genuine solution is divisible by the witness scale, so transport
-    # never fails on real input; the explicit check covers corrupted state
-    for s in enumerate_solutions(x81, 300):
-        assert s.x % 3 == 0 and s.y % 3 == 0
+    assert {to_rep(m) for m in minimum_solutions(eq)} == set(minimum_solutions(rep))
+    for s in build_solution_graph(eq, 10**12).nodes:
+        t = to_rep(s)
+        assert check_solution(rep, t), s
+        back = [0, 0, 0]
+        for i, p in enumerate(perm):
+            back[p] = t[i] * d[p]
+        assert tuple(back) == s
+        for i, p in enumerate(perm):
+            assert to_rep(mutate_solution(eq, s, "xyz"[p])) == mutate_solution(rep, t, "xyz"[i])
 
 
 def test_solution_triple_total():

@@ -24,7 +24,6 @@ from triblock.blockcalc import (
     Block,
     BlockCollection,
     apply_word,
-    equivalent_up_to_twist,
     helix_shift,
     twist_normal_form,
     validate_collection,
@@ -70,7 +69,6 @@ from triblock.weyl import (
     orbit_row,
     recursion_check,
     simple_reflections,
-    simple_roots,
     simple_system,
     verify_c,
 )
@@ -179,6 +177,10 @@ def bfs_orbit_count(c) -> int:
                     new.append(image)
         frontier = new
     return len(seen)
+
+
+def simple_roots(s: Surface) -> tuple:
+    return tuple(g.root for g in simple_reflections(s))
 
 
 def _regular_class(s: Surface) -> DivisorClass:
@@ -329,17 +331,6 @@ def test_normal_form_is_twist_invariant():
     twisted = BlockCollection(tuple(b.twisted(d) for b in c.blocks))
     assert twist_normal_form(twisted)[0] == twist_normal_form(c)[0]
     assert twist_normal_form(helix_shift(c, 1))[0] != twist_normal_form(c)[0]
-
-
-def test_normal_form_agrees_with_pairwise_twist_test():
-    tau = catalog.build("p2")
-    shifted = helix_shift(tau, 1)
-    assert equivalent_up_to_twist(tau, shifted) is not None
-    assert twist_normal_form(tau)[0] == twist_normal_form(shifted)[0]
-    x61 = catalog.build("x6.1")
-    shifted = helix_shift(x61, 1)
-    assert equivalent_up_to_twist(x61, shifted) is None
-    assert twist_normal_form(x61)[0] != twist_normal_form(shifted)[0]
 
 
 def test_orbit_machinery_requires_nonzero_ranks():
