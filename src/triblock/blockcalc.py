@@ -199,13 +199,8 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
     ]
     if not wrapped:
         raise BlockError("a collection must contain at least one block")
-    # The odd block out is the first off the surface most blocks share
-    # (block 1's on a tie): with three or more blocks that is the block a
-    # broken mutation rewrote, wherever it lands.
-    surfaces = [b.surface for b in wrapped]
-    common = max(surfaces, key=surfaces.count)
-    for n, surface in enumerate(surfaces, 1):
-        if surface != common:
+    for n, b in enumerate(wrapped, 1):
+        if b.surface != wrapped[0].surface:
             raise BlockError(f"block {n} lives on a different surface")
     for i in range(len(wrapped)):
         for j in range(i + 1, len(wrapped)):
@@ -336,11 +331,12 @@ def block_mutation(
     pairing of N_j with the other blocks.  The argument reads neither the
     cross pairing nor the formula that produced the N_j.
 
-    If the certificate fails, :func:`validate_collection` on the new
-    blocks names the fault, or else the new block is reported as no
-    translate of the old one; either way the error is an
-    InvariantViolationError.  The untouched blocks keep their order and
-    pairings, so the first fault it finds involves the new block.
+    If the certificate fails, the new block is validated and its surface
+    checked, then :func:`validate_collection` on the new blocks names the
+    fault, or else the new block is reported as no translate of the old
+    one; either way the error is an InvariantViolationError.  The untouched
+    blocks keep their order and pairings, so the first fault found involves
+    the new block.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -365,6 +361,8 @@ def block_mutation(
         )
     if not certified:
         try:
+            if _validate_block_at(new.members, at + 1).surface != c.surface:
+                raise BlockError(f"block {at + 1} lives on a different surface")
             validate_collection(blocks)
             raise BlockError(f"block {at + 1} is not a translate of the block it replaces")
         except BlockError as exc:

@@ -101,7 +101,6 @@ class CatalogEntry(NamedTuple):
     line_twist: int = 0
     alt_words: tuple[tuple[str, ...], ...] = ()
     extra_word: tuple[str, ...] | None = None
-    extra_ranks: tuple[int, int, int] | None = None
 
     @property
     def solution_count(self) -> int:
@@ -182,7 +181,6 @@ ENTRIES: dict[str, CatalogEntry] = {
                 ),
             ),
             extra_word=("R1", "R2", "R2"),
-            extra_ranks=(2, 1, 1),
         ),
         CatalogEntry(
             "x5",
@@ -385,7 +383,6 @@ ENTRIES: dict[str, CatalogEntry] = {
             ),
             base="x3",
             extra_word=("L2", "L1", "L1"),
-            extra_ranks=(5, 1, 2),
         ),
     )
 }
@@ -530,7 +527,8 @@ def verify_entry(label: str) -> list[Check]:
     """Build the entry, run :func:`checks` on it, then compare with the
     stored expected data: the equation, minimality of the rank triple, the
     block classes (which fix the slopes), the alternate words and the
-    second solution.
+    second solution, whose build must pass the checks and whose rank triple
+    must be, with the first build's, the equation's minimal solutions.
     """
     entry = _entry(label)
     c = build(label, 0)
@@ -562,10 +560,6 @@ def verify_entry(label: str) -> list[Check]:
     if entry.extra_word:
         c2 = build(label, 1)
         triple2 = block_rank_triple(c2)
-        ok2 = (
-            triple2 == entry.extra_ranks
-            and triple2 in minima
-            and all(check.ok for check in checks(c2))
-        )
+        ok2 = {triple, triple2} == set(minima) and all(check.ok for check in checks(c2))
         out.append(Check("second solution", ok2, f"ranks {triple2}"))
     return out

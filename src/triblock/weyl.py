@@ -7,9 +7,10 @@ l0 - l1 - l2 - l3, on the quadric the swap of the two rulings.  The group
 is enormous for large r, so nothing here ever enumerates it: its order
 comes from the Dynkin type of the simple roots, and both the orbit of a
 collection up to twist and the sets of disjoint minus-one classes behind
-the blowdown recursion are counted by orbit-stabiliser, with each
-stabiliser read off a dominant-chamber reduction.  Neither enumerates
-minus-one classes.
+the blowdown recursion are counted by orbit-stabiliser, with the
+stabiliser of each tuple of vectors read off one chamber walk of one
+vector, a combination of the tuple generic enough that its stabiliser is
+the tuple's.  Neither enumerates minus-one classes.
 
 What depends only on the surface is computed once per surface and cached,
 like picard.canonical_class: the reflection in each simple root, which
@@ -30,9 +31,9 @@ twist classes blockcalc.twist_normal_form's.
 
 from __future__ import annotations
 
-from functools import cache, partial
-from math import comb, factorial, gcd, lcm, prod
-from operator import itemgetter, mul, sub
+from functools import cache
+from math import comb, factorial, gcd, isqrt, lcm, prod
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from . import catalog
@@ -254,82 +255,79 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     The reflections are those in a simple system J.  Steinberg (Humphreys,
     Reflection Groups and Coxeter Groups, 1.12): the stabiliser in W_J of a
     J-dominant vector, one whose pairing with every root in J is <= 0, is
-    generated by the reflections in J that fix it.  So each vector in turn,
-    after the moves that took the vectors before it, walks into the
-    dominant chamber of the current W_J by reflections of positive
-    pairing, and J shrinks to the roots that pair to 0 with where it lands.
-    The roots left at the end generate the stabiliser of the moved tuple,
-    a conjugate of the tuple's own.
+    generated by the reflections in J that fix it.  The tuple
+    (v_0, ..., v_{n-1}) is read as the one vector u = sum M^(n-1-k) v_k,
+    with M = 2P + 1 for the bound P below.  u walks into the dominant
+    chamber of W_J by reflections of positive pairing, and the roots of J
+    that pair to 0 with where it lands are returned.  They generate the
+    stabiliser of the moved tuple, a conjugate of the tuple's own.
+
+    Why one vector does.  By the Hodge index theorem K-perp is negative
+    definite.  A root a has a^2 = -2 and a.K = 0, and every w in W fixes
+    K and the form, so Cauchy-Schwarz on K-perp gives
+    (a.w v_k)^2 <= 2((v_k.K)^2/K^2 - v_k^2), that is |a.w v_k| <= P.
+    Hence the sign of a.(w u) is the sign of the first nonzero a.(w v_k),
+    and w u is J-dominant for the w that walks each vector in turn into
+    the dominant chamber of the W_J' fixing the ones before it (Steinberg
+    again).  The roots of J orthogonal to that w u are those orthogonal to
+    every w v_k, the stabiliser of the moved tuple.  The J-dominant point
+    of a W_J-orbit is unique, so one walk of u lands there.
 
     The walk may make its moves in any order.  A move x -> x + (x.a) a
     with x.a > 0 lowers x.rho for any rho with a.rho < 0 for all a in J,
     so on the finite W_J-orbit every order of moves stops, and it stops
-    only where no pairing is positive: at the J-dominant point, which is
-    unique in its W_J-orbit.  Two elements of W_J taking v there differ by
-    one fixing it, which lies in W_J' for the shrunken J' (Steinberg), so
-    the later vectors reach the same J'-dominant points whichever took v,
-    and the same roots are returned.
+    only where no pairing is positive.  Hence a run of swaps (see _swap_at)
+    at i = lo, ..., hi - 2 in J acts at once, by a descending sort of the
+    coordinates lo..hi-1: a bubble sort whose every exchange is a swap of
+    positive pairing, so a move of the walk.  Every other reflection, in
+    practice the Cremona root l0 - l1 - l2 - l3, moves by _reflect.
 
-    Hence a run of swaps (see _swap_at) at i = lo, ..., hi - 2 in J acts
-    at once, by a stable descending sort of the coordinates lo..hi-1
-    recorded as one permutation.  That sort is a bubble sort whose every
-    exchange is a swap of positive pairing, so a move of the walk.  Every
-    other reflection, in practice the Cremona root l0 - l1 - l2 - l3,
-    moves by _reflect.
-
-    The walk of one vector is bounded.  For a simple root a, the reflection
-    in a permutes the positive roots of W_J other than a and negates a, so
-    a move in a, where v.a > 0, lowers by exactly one the number of
-    positive roots b with v.b > 0.  A vector therefore makes at most as
-    many moves as W_J has positive roots, and J only shrinks, so at most
-    N, the number of positive roots of the group of the given reflections,
-    read off its Dynkin types (:func:`_positive_root_count`).  Every pass
-    of the loop but the last makes a move that is no swap, so a vector
-    takes at most N + 1 passes; past that the reflection data do not match
-    their roots, and the walk raises instead of running on.
+    The walk is bounded.  For a simple root a, the reflection in a
+    permutes the positive roots of W_J other than a and negates a, so a
+    move in a, where u.a > 0, lowers by exactly one the number of positive
+    roots b with u.b > 0.  So u makes at most N moves, N the number of
+    positive roots of W_J, read off its Dynkin types
+    (:func:`_positive_root_count`).  Every pass of the loop but the last
+    makes a move that is no swap, so the walk takes at most N + 1 passes;
+    past that the reflection data do not match their roots, and the walk
+    raises instead of running on.
     """
-    passes = _positive_root_count([step.root for step in reflections]) + 1
-    chain = [(_swap_at(step), step) for step in reflections]
-    word = []  # the moves so far, as callables on coordinate tuples
-    size = None  # len(chain) when swaps, runs and others were read off it
+    if not reflections:
+        return ()
+    surface = reflections[0].root.surface
+    k2 = surface.k_squared
+    bound = max(  # P, with surface.degree(v) = -v.K
+        (isqrt(2 * (surface.degree(v) ** 2 - k2 * surface.dot(v, v)) // k2) for v in vectors),
+        default=0,
+    )
+    u = [0] * surface.picard_rank
     for v in vectors:
-        if not chain:
-            break
-        for step in word:
-            v = step(v)
-        if len(chain) != size:
-            size = len(chain)
-            swaps = [i for i, _ in chain if i is not None]
-            others = [step for i, step in chain if i is None]
-            runs = []  # [lo, hi) coordinate ranges
-            for i in sorted(swaps):
-                if runs and runs[-1][1] == i + 1:
-                    runs[-1][1] = i + 2
-                else:
-                    runs.append([i, i + 2])
-        for _ in range(passes):
-            if any(v[i] < v[i + 1] for i in swaps):
-                perm = list(range(len(v)))
-                for lo, hi in runs:
-                    perm[lo:hi] = sorted(range(lo, hi), key=v.__getitem__, reverse=True)
-                sort = itemgetter(*perm)
-                v = sort(v)
-                word.append(sort)
-            moved = False
-            for step in others:
-                if sum(map(mul, v, step.covector)) > 0:
-                    v = _reflect(v, step)
-                    word.append(partial(_reflect, reflection=step))
-                    moved = True
-            if not moved:
-                break
+        u = [(2 * bound + 1) * x + y for x, y in zip(u, v)]
+    passes = _positive_root_count([step.root for step in reflections]) + 1
+    steps = [(_swap_at(step), step) for step in reflections]
+    others = [step for i, step in steps if i is None]
+    runs = []  # [lo, hi) coordinate ranges of the swaps
+    for i in sorted(i for i, _ in steps if i is not None):
+        if runs and runs[-1][1] == i + 1:
+            runs[-1][1] = i + 2
         else:
-            raise InvariantViolationError(
-                f"a chamber walk is not dominant after {passes} passes, though W_J "
-                f"has {passes - 1} positive roots; the reflections do not match the simple roots"
-            )
-        chain = [(i, step) for i, step in chain if not sum(map(mul, v, step.covector))]
-    return tuple(step.root for _, step in chain)
+            runs.append([i, i + 2])
+    for _ in range(passes):
+        for lo, hi in runs:
+            u[lo:hi] = sorted(u[lo:hi], reverse=True)
+        moved = False
+        for step in others:
+            if sum(map(mul, u, step.covector)) > 0:
+                u[:] = _reflect(u, step)
+                moved = True
+        if not moved:
+            break
+    else:
+        raise InvariantViolationError(
+            f"a chamber walk is not dominant after {passes} passes, though W_J "
+            f"has {passes - 1} positive roots; the reflections do not match the simple roots"
+        )
+    return tuple(step.root for step in reflections if not sum(map(mul, u, step.covector)))
 
 
 def _check_transpositions(c: BlockCollection, vectors: list) -> None:
@@ -367,8 +365,9 @@ def orbit_count(c: BlockCollection) -> int:
 
     Members count unordered inside each block.  By orbit-stabiliser this is
     |W| / (|W_J| * prod(s_b!)): W_J is the stabiliser of the ordered
-    collection up to twist, found by a dominant-chamber reduction of
-    twist-invariant vectors, and every in-block permutation is realised by
+    collection up to twist, that of its twist-invariant vectors, read off
+    one chamber walk of their generic combination
+    (:func:`_stabiliser_roots`), and every in-block permutation is realised by
     reflections, which is checked transposition by transposition.  The
     ranks must be nonzero with gcd 1.
     """
@@ -434,8 +433,7 @@ class OrbitRow(NamedTuple):
 @cache
 def orbit_row(label: str) -> OrbitRow:
     """N, C and N/C for one equation label, computed once per process."""
-    if label not in catalog.ENTRIES:
-        raise ValueError(f"unknown equation label {label!r}")
+    equation_by_label(label)
     n = sum(map(orbit_count, catalog.builds(label)))
     c = C_VALUES[label]
     if n % c:
@@ -455,8 +453,7 @@ def verify_c(label: str) -> bool:
     (blockcalc.twist_normal_form), and number C.  Labels without a stored
     witness return True vacuously; an unknown label raises ValueError.
     """
-    if label not in catalog.ENTRIES:
-        raise ValueError(f"unknown equation label {label!r}")
+    equation_by_label(label)
     if label not in C_WITNESSES:
         return True
     c = catalog.build(label, 0)

@@ -192,7 +192,7 @@ def test_failures_name_offending_members():
     assert str(err.value) == "block 3 lives on a different surface"
     with pytest.raises(BlockError) as err:
         validate_collection([[lb(x2, 0, 0, 0)], [lb(x1, 0, 0)], [lb(x1, 1, 0)]])
-    assert str(err.value) == "block 1 lives on a different surface"
+    assert str(err.value) == "block 2 lives on a different surface"
 
 
 def test_chi_block_requires_constant_pairing():
@@ -793,6 +793,23 @@ def test_mutation_recheck_catches_broken_arithmetic(fault, monkeypatch, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal invariant violated: {err.value}\n"
+
+
+def test_mutation_fault_on_two_blocks_names_the_new_block(monkeypatch):
+    # left@1 on (O, O(1)) rewrites block 2 into position 1; two blocks on
+    # two surfaces tie, so only the new block's own check can name it.
+    c = validate_collection([[lb(P2, 0)], [lb(P2, 1)]])
+    real = blockcalc._mutate_members
+
+    def broken(moving, through, chi_val, side):
+        return (lb(Surface.plane(2), 0, 0, 0),), real(moving, through, chi_val, side)[1]
+
+    monkeypatch.setattr(blockcalc, "_mutate_members", broken)
+    with pytest.raises(InvariantViolationError) as err:
+        block_mutation(c, 1, "left")
+    assert str(err.value) == (
+        "mutation left@1 produced an invalid collection: block 1 lives on a different surface"
+    )
 
 
 LARGE_FAULTS = {

@@ -4,8 +4,9 @@ orbit_count and count_disjoint_sets are closed forms; the breadth-first
 closure of the twist normal form under the simple reflections and the
 enumeration of disjoint (-1)-class sets, which used to compute them, live
 here as their oracles.  So do the breadth-first closure of a divisor class
-and the bubble chamber walk, which reflects one simple root at a time, as
-the oracle for the sorting walk of weyl._stabiliser_roots, and the
+and the sequential bubble chamber walk, which walks each vector in turn
+and reflects one simple root at a time, as the oracle for the one-vector
+sorting walk of weyl._stabiliser_roots, and the
 transposition check written out with whole reflections, as the oracle for
 the one-pairing check of weyl._check_transpositions.  The Weyl group
 orders are checked against divisor orbits and (-1)-class counts, never
@@ -14,7 +15,7 @@ against the code under test.
 
 import random
 import time
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from operator import mul
 
 import pytest
@@ -698,13 +699,15 @@ def test_recursion_cases():
 
 
 def bubble_stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
-    """Oracle: the chamber walk of _stabiliser_roots, one reflection at a time.
+    """Oracle: the sequential chamber walk, one vector and one reflection at a time.
 
     Each vector, after every reflection made for the vectors before it, is
     reflected in any chain root it pairs positively with until there is
-    none; the chain then keeps the roots that pair to zero with it.  As in
-    the library's walk, a vector takes at most N + 1 passes over the chain,
-    N the number of positive roots of the given reflections' group.
+    none; the chain then keeps the roots that pair to zero with it
+    (Steinberg's chain, which the library's one walk of one combined vector
+    replaces).  As in the library's walk, a vector takes at most N + 1
+    passes over the chain, N the number of positive roots of the given
+    reflections' group.
     """
     passes = _positive_root_count([step.root for step in reflections]) + 1
     chain = list(reflections)
@@ -756,11 +759,18 @@ def test_stabiliser_walk_matches_bubble_oracle_on_disjoint_representatives():
 
 
 def _random_tuples(rng: random.Random, s: Surface, count: int):
-    """Short tuples of coordinate vectors with few distinct values, zero among them."""
-    for _ in range(count):
+    """Short tuples of coordinate vectors with few distinct values, zero among them.
+
+    Every other tuple scales its k-th vector by 10^(6k): a walk that
+    combined the vectors in a fixed base would let the later ones outweigh
+    the earlier.
+    """
+    for n in range(count):
         values = [0] + rng.sample(range(-3, 4), rng.randint(1, 3))
+        scale = 10**6 if n % 2 else 1
         yield [
-            tuple(rng.choice(values) for _ in range(s.picard_rank)) for _ in range(rng.randint(1, 4))
+            tuple(scale**k * rng.choice(values) for _ in range(s.picard_rank))
+            for k in range(rng.randint(1, 4))
         ]
 
 
@@ -773,6 +783,44 @@ def test_stabiliser_walk_matches_bubble_oracle_on_random_tuples(surface):
         # any subset of a simple system is one, in any order
         k = rng.randint(0, len(reflections))
         _assert_walks_agree(vectors, tuple(rng.sample(reflections, k)))
+
+
+def test_stabiliser_of_no_vectors_is_the_whole_system():
+    for s in ALL_SURFACES:
+        reflections = simple_reflections(s)
+        assert _stabiliser_roots([], reflections) == simple_roots(s)
+        assert _stabiliser_roots([], reflections[::-1]) == simple_roots(s)[::-1]
+
+
+def test_roots_pair_with_each_vector_within_the_walk_bound():
+    # The walk combines the vectors in base 2P + 1, which rests on
+    # |a.v| <= P = isqrt(2((v.K)^2 - K^2 v^2) // K^2) for every root a
+    # (Cauchy-Schwarz on the negative definite K-perp).  Checked here on
+    # every root, against the vectors the library walks.
+    cases = [
+        (c.surface, _twist_invariants(c, c.ranks))
+        for label in catalog.ENTRIES
+        for c in catalog.builds(label)
+    ]
+    cases += [
+        (s, [e.coords for e in representative])
+        for s in ALL_SURFACES
+        for m in range(1, s.blowups + 1)
+        for representative in _disjoint_representatives(s, m)
+    ]
+    tight = 0
+    for s, vectors in cases:
+        k = canonical_class(s)
+        k2 = intersect(k, k)
+        roots = enumerate_classes(s, ROOT)
+        for coords in vectors:
+            v = DivisorClass(s, coords)
+            bound = isqrt(2 * (intersect(v, k) ** 2 - k2 * intersect(v, v)) // k2)
+            largest = max((abs(intersect(a, v)) for a in roots), default=0)
+            assert largest <= bound, (s, coords)
+            tight += largest == bound
+    assert len(cases) == 16 + sum(range(9)) + 7
+    assert tight
 
 
 def test_positive_root_counts_match_root_enumeration():
