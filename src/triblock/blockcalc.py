@@ -6,7 +6,7 @@ backwards Euler pairings zero.  Mutations act on adjacent pairs of blocks
 and come in three arithmetic flavours (division, recoil, extension)
 depending on the sign of chi across the pair and on a rank inequality.
 A mutation takes a validated collection and rewrites one block, and
-certifies the result in work linear in the collection's length instead of
+certifies the result in one pass linear in the collection's length instead of
 rechecking it pairwise (:func:`block_mutation` states the certificate and
 its proof).  Pairings between the untouched blocks are the input's and
 keep their order, so they need no recheck.  A failed certificate means the
@@ -24,7 +24,7 @@ first members.  Serre duality, chi(E, G(K)) = chi(G, E) = 0, gives abc's b
 as _cross(G, E) plus a K^2 term.  :func:`abc` and :func:`dual_basis` read
 these closed forms, and :func:`block_mutation` reads its pair's pairing
 off one member pair with a single :func:`chi`, which the constancy allows.
-No Riemann-Roch is written out here; ``kclass`` is its one home.  The
+Riemann-Roch lives in ``kclass``, but for the certificate's (below).  The
 brute-force :func:`chi_block` checks an arbitrary block pair and is their
 oracle in the tests.  Their precondition is a valid collection, which every
 BlockCollection is: validate_collection and the mutations check theirs, and
@@ -32,11 +32,12 @@ the direct constructions (the twist in :func:`helix_shift` and ``catalog``,
 ``weyl.apply_to_collection``) apply a twist or a lattice isometry, both of
 which preserve the Euler form.
 
-Pairings are computed afresh from the classes with
-:func:`kclass.first_nonzero_chi`, Riemann-Roch with each block's one rank
-and degree hoisted out of the member loops, so a pair costs one
-:meth:`Surface.dot`; :func:`chi` reports a nonzero pairing it finds.
-Brute-force revalidation stays in the tests as the certificate's oracle.
+Pairings are computed afresh from the classes, Riemann-Roch with each
+block's one rank and degree hoisted out of the member loops, so a pair
+costs one :meth:`Surface.dot`: by :func:`kclass.first_nonzero_chi` in
+validation, inline in the certificate; :func:`chi` reports a nonzero
+pairing it finds.  Brute-force revalidation stays in the tests as the
+certificate's oracle.
 
 Twist classes are decided in one place, by the key of
 :func:`twist_normal_form`; every other twist test compares such keys.
@@ -315,7 +316,8 @@ def block_mutation(
     reads it.
 
     Certificate, for the old members O_j, the new N_j and the m members of
-    the other blocks, in O(n + m) work:
+    the other blocks, in one pass: one loop over the pairs (N_j, O_j) checks
+    (a) and (c), then one Surface.dot per other member checks (b).
     (a) each N_j passes the block axioms short of orthogonality;
     (b) chi(N_0, X) = 0 for each X before the new block and chi(X, N_0) = 0
         for each X after it, computed afresh;
@@ -345,23 +347,12 @@ def block_mutation(
     e, f = c.blocks[i - 1], c.blocks[i]
     chi_val = chi(e.members[0], f.members[0])
     old, through, at = (f, e, i - 1) if side == "left" else (e, f, i)
-    new_members, mtype = _mutate_members(old, through, chi_val, side)
-    new = Block(new_members)
-    pair = (new, e) if side == "left" else (f, new)
+    members, mtype = _mutate_members(old, through, chi_val, side)
+    pair = (Block(members), e) if side == "left" else (f, Block(members))
     blocks = c.blocks[: i - 1] + pair + c.blocks[i + 1 :]
-    try:
-        _require_members(new.members)
-    except BlockError:
-        certified = False
-    else:
-        certified = (
-            new.surface == c.surface
-            and _first_member_pairs_vanish(blocks, at)
-            and _is_translate(new.members, old.members, 1 if mtype.kind == DIVISION else -1)
-        )
-    if not certified:
+    if not _certified(blocks, at, old, mtype.kind == DIVISION, c.surface):
         try:
-            if _validate_block_at(new.members, at + 1).surface != c.surface:
+            if _validate_block_at(members, at + 1).surface != c.surface:
                 raise BlockError(f"block {at + 1} lives on a different surface")
             validate_collection(blocks)
             raise BlockError(f"block {at + 1} is not a translate of the block it replaces")
@@ -372,24 +363,35 @@ def block_mutation(
     return BlockCollection(blocks), mtype
 
 
-def _first_member_pairs_vanish(blocks: Sequence[Block], at: int) -> bool:
-    # Certificate (b) of block_mutation: chi(N_0, earlier) and chi(later, N_0).
-    n0 = blocks[at].members[:1]
-    return all(first_nonzero_chi(n0, b.members) is None for b in blocks[:at]) and all(
-        first_nonzero_chi(b.members, n0) is None for b in blocks[at + 1 :]
-    )
-
-
-def _is_translate(new: Sequence[KClass], old: Sequence[KClass], s: int) -> bool:
-    # Certificate (c) of block_mutation: N_j + s*O_j is one (c1, 2*ch2) for all j.
-    if len(new) != len(old):
+def _certified(blocks: tuple, at: int, old: Block, division: bool, surface: Surface) -> bool:
+    # block_mutation's certificate for the new block N = blocks[at].
+    new, olds = blocks[at].members, old.members
+    if len(new) != len(olds) or new[0].c1.surface != surface:
         return False
-    op = add if s > 0 else sub
-    shifted = {
-        (op(n.ch2x2, o.ch2x2), tuple(map(op, n.c1.coords, o.c1.coords)))
-        for n, o in zip(new, old)
-    }
-    return len(shifted) == 1
+    dot, degree_of = surface.dot, surface.degree
+    r, x0, n = new[0].rank, new[0].c1.coords, new[0].ch2x2
+    d = degree_of(x0)
+    op = add if division else sub
+    shift = (op(n, olds[0].ch2x2), [*map(op, x0, olds[0].c1.coords)])
+    for m, o in zip(new, olds):  # (a) and (c)
+        x, ch = m.c1.coords, m.ch2x2
+        if (
+            m.rank != r or m.c1.surface != surface or degree_of(x) != d or (ch - d) % 2
+            or not m.is_exceptional
+            or (op(ch, o.ch2x2), [*map(op, x, o.c1.coords)]) != shift
+        ):
+            return False
+    # (b): Riemann-Roch with N_0 = (r, c1_0, n) of degree d and X's rank q
+    # and degree e hoisted: 2*chi(N_0, X) for X before N and 2*chi(X, N_0)
+    # after are 2rq + qn + r*ch_X -+ (qd - re) - 2*c1_0.c1_X.
+    for sign, others in ((1, blocks[:at]), (-1, blocks[at + 1 :])):
+        for b in others:
+            q = b.members[0].rank
+            base = 2 * r * q + q * n + sign * (r * degree_of(b.members[0].c1.coords) - q * d)
+            for m in b.members:
+                if base + r * m.ch2x2 != 2 * dot(x0, m.c1.coords):
+                    return False
+    return True
 
 
 def apply_word(c: BlockCollection, word: Iterable[str]) -> BlockCollection:

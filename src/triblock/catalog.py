@@ -39,6 +39,7 @@ from .blockcalc import (
     Block,
     BlockCollection,
     BlockError,
+    _validate_block_at,
     apply_word,
     block_rank_triple,
     validate_block,
@@ -396,7 +397,9 @@ def _merge_distinguished(c: BlockCollection) -> BlockCollection:
     # Exactly one adjacent pair must be mutually orthogonal; gluing it is
     # what turns the four braid blocks into the final three.  c is valid, so
     # chi(later, earlier) already vanishes, so chi(earlier, later) is the
-    # constant chi_minus of one member pair; validating the merge certifies it.
+    # constant chi_minus of one member pair.  Validating the glued block
+    # certifies the merge: every other pairing is one of c's valid pairings,
+    # between blocks that keep their order.
     firsts = [b.members[0] for b in c.blocks]
     mergeable = [i for i in range(len(firsts) - 1) if chi_minus(firsts[i], firsts[i + 1]) == 0]
     if len(mergeable) != 1:
@@ -404,15 +407,11 @@ def _merge_distinguished(c: BlockCollection) -> BlockCollection:
             f"expected exactly one mergeable adjacent pair, found {len(mergeable)}"
         )
     i = mergeable[0]
-    blocks = (
-        c.blocks[:i]
-        + (c.blocks[i].members + c.blocks[i + 1].members,)
-        + c.blocks[i + 2 :]
-    )
     try:
-        return validate_collection(blocks)
+        merged = _validate_block_at(c.blocks[i].members + c.blocks[i + 1].members, i + 1)
     except BlockError as exc:
         raise InvariantViolationError(f"merged collection is invalid: {exc}") from exc
+    return BlockCollection(c.blocks[:i] + (merged,) + c.blocks[i + 2 :])
 
 
 def _entry(label: str) -> CatalogEntry:

@@ -17,8 +17,10 @@ module is the one place that writes out Riemann-Roch: :func:`chi` for one
 pair, :func:`first_nonzero_chi` for all pairs of two blocks, with each
 block's rank and degree hoisted, and :func:`chi_minus` for its
 antisymmetric part r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads
-its closed forms.  :func:`torsion_class` takes the (-1)-class condition
-from ``picard.is_kind``.
+its closed forms.  The one other copy is the hoisted form inside
+``blockcalc``'s one-pass mutation certificate, which the tests hold to
+brute-force validation.  :func:`torsion_class` takes the (-1)-class
+condition from ``picard.is_kind``.
 
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on

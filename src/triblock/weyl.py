@@ -257,7 +257,7 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     J-dominant vector, one whose pairing with every root in J is <= 0, is
     generated by the reflections in J that fix it.  The tuple
     (v_0, ..., v_{n-1}) is read as the one vector u = sum M^(n-1-k) v_k,
-    with M = 2P + 1 for the bound P below.  u walks into the dominant
+    with M = P + 1 for the bound P below.  u walks into the dominant
     chamber of W_J by reflections of positive pairing, and the roots of J
     that pair to 0 with where it lands are returned.  They generate the
     stabiliser of the moved tuple, a conjugate of the tuple's own.
@@ -266,6 +266,9 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     definite.  A root a has a^2 = -2 and a.K = 0, and every w in W fixes
     K and the form, so Cauchy-Schwarz on K-perp gives
     (a.w v_k)^2 <= 2((v_k.K)^2/K^2 - v_k^2), that is |a.w v_k| <= P.
+    So a.(w u) is a number in base M whose digits a.(w v_k) lie in
+    [-P, P].  If the first nonzero digit has weight M^t, the later digits
+    sum to at most P(M^(t-1) + ... + 1) = M^t - 1 < M^t in absolute value.
     Hence the sign of a.(w u) is the sign of the first nonzero a.(w v_k),
     and w u is J-dominant for the w that walks each vector in turn into
     the dominant chamber of the W_J' fixing the ones before it (Steinberg
@@ -302,7 +305,7 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     )
     u = [0] * surface.picard_rank
     for v in vectors:
-        u = [(2 * bound + 1) * x + y for x, y in zip(u, v)]
+        u = [(bound + 1) * x + y for x, y in zip(u, v)]
     passes = _positive_root_count([step.root for step in reflections]) + 1
     steps = [(_swap_at(step), step) for step in reflections]
     others = [step for i, step in steps if i is None]

@@ -636,25 +636,19 @@ def test_valid_mutations_pass_the_certificate(monkeypatch):
     assert {str(kind) for *_, kind in steps} == {
         "division", "recoil", "recoil (trivial)", "extension"
     }
-    uppers, dots = [], [0]
-    real_first, real_dot = blockcalc.first_nonzero_chi, Surface.dot
-
-    def first(rows, cols, upper=False):
-        uppers.append(upper)
-        return real_first(rows, cols, upper)
+    dots = [0]
+    real_dot = Surface.dot
 
     def dot(self, x, y):
         dots[0] += 1
         return real_dot(self, x, y)
 
-    monkeypatch.setattr(blockcalc, "first_nonzero_chi", first)
     monkeypatch.setattr(blockcalc, "validate_collection", None)  # never reached
     monkeypatch.setattr(Surface, "dot", dot)
     for node, side, i, child, kind in steps:
         dots[0] = 0
         assert block_mutation(node, i, side) == (child, kind)
         assert dots[0] == 1 + len(node.members)
-    assert uppers and True not in uppers
 
 
 def _abc_by_brute_force(c):
@@ -767,6 +761,23 @@ FAULTS = {
         lambda c, new: new + new[:1],
         r"block 2: chi\(member 1, member 4\) = 1; block members must be mutually orthogonal",
     ),
+    # The new members have rank 1 and degree 2.  O_C for the curve l1 is
+    # exceptional with the parity, but of rank 0.
+    "other-rank": (
+        lambda c, new: new[:1] + (torsion_class(DivisorClass.basis(c.surface, 1), 0),) + new[2:],
+        r"block 2: block members must share a common rank",
+    ),
+    # O is exceptional of rank 1, but of degree 0.
+    "other-degree": (
+        lambda c, new: new[:1] + (lb(c.surface, 0, 0, 0, 0),) + new[2:],
+        r"block 2: block members must share a common degree",
+    ),
+    # Two of the three new members are a valid block, and the collection
+    # stays valid: only the certificate's equal lengths rule it out.
+    "shorter": (
+        lambda c, new: new[:-1],
+        r"block 2 is not a translate of the block it replaces",
+    ),
 }
 
 
@@ -797,19 +808,75 @@ def test_mutation_recheck_catches_broken_arithmetic(fault, monkeypatch, tmp_path
 
 def test_mutation_fault_on_two_blocks_names_the_new_block(monkeypatch):
     # left@1 on (O, O(1)) rewrites block 2 into position 1; two blocks on
-    # two surfaces tie, so only the new block's own check can name it.
-    c = validate_collection([[lb(P2, 0)], [lb(P2, 1)]])
+    # two surfaces tie, so only the new block's own check can name it.  On
+    # the quadric the new class is on P2, whose one coordinate is shorter
+    # than the tuples the quadric's degree reads.
     real = blockcalc._mutate_members
+    for surface, other in ((P2, Surface.plane(2)), (Surface.quadric(), P2)):
+        zero = (0,) * surface.picard_rank
+        c = validate_collection([[lb(surface, *zero)], [lb(surface, 1, *zero[1:])]])
 
-    def broken(moving, through, chi_val, side):
-        return (lb(Surface.plane(2), 0, 0, 0),), real(moving, through, chi_val, side)[1]
+        def broken(moving, through, chi_val, side):
+            return (line_bundle(DivisorClass.zero(other)),), real(moving, through, chi_val, side)[1]
 
-    monkeypatch.setattr(blockcalc, "_mutate_members", broken)
-    with pytest.raises(InvariantViolationError) as err:
-        block_mutation(c, 1, "left")
-    assert str(err.value) == (
-        "mutation left@1 produced an invalid collection: block 1 lives on a different surface"
-    )
+        monkeypatch.setattr(blockcalc, "_mutate_members", broken)
+        with pytest.raises(InvariantViolationError) as err:
+            block_mutation(c, 1, "left")
+        assert str(err.value) == (
+            "mutation left@1 produced an invalid collection: block 1 lives on a different surface"
+        )
+
+
+def _brute_force_accepts(node, side, i, new, kind):
+    # The certificate's oracle: the blocks after the move are a valid
+    # collection, and the new block is the old one, negated for a division
+    # or not, translated by one (c1, 2*ch2).
+    e, f = node.blocks[i - 1], node.blocks[i]
+    old, pair = (f, (new, e)) if side == "left" else (e, (f, new))
+    try:
+        validate_collection(node.blocks[: i - 1] + pair + node.blocks[i + 1 :])
+    except BlockError:
+        return False
+    s = 1 if kind.kind == DIVISION else -1
+    shifts = {
+        (n.ch2x2 + s * o.ch2x2, tuple(a + s * b for a, b in zip(n.c1.coords, o.c1.coords)))
+        for n, o in zip(new, old.members)
+    }
+    return len(new) == len(old.members) and len(shifts) == 1
+
+
+def test_certificate_matches_brute_force_on_tampered_blocks(monkeypatch):
+    # Each seeded step is replayed three times, each time with one
+    # coordinate (rank, a c1 coordinate or 2*ch2) of one new member moved
+    # by -2..2, 0 leaving the block as it is.  The move raises exactly when
+    # brute force rejects its new blocks.
+    rng = random.Random(28)
+    real = blockcalc._mutate_members
+    made = []
+
+    def tampered(moving, through, chi_val, side):
+        new, kind = real(moving, through, chi_val, side)
+        j = rng.randrange(len(new))
+        fields = [new[j].rank, *new[j].c1.coords, new[j].ch2x2]
+        fields[rng.randrange(len(fields))] += rng.choice((-2, -1, 0, 1, 2))
+        member = KClass(fields[0], DivisorClass(new[j].surface, tuple(fields[1:-1])), fields[-1])
+        made[:] = [new[:j] + (member,) + new[j + 1 :], kind]
+        return made[0], kind
+
+    steps = list(chain(_seeded_steps(), _flavour_steps()))
+    monkeypatch.setattr(blockcalc, "_mutate_members", tampered)
+    outcomes = {True: 0, False: 0}
+    for node, side, i, _, _ in steps:
+        for _ in range(3):
+            try:
+                block_mutation(node, i, side)
+            except InvariantViolationError:
+                passed = False
+            else:
+                passed = True
+            assert passed == _brute_force_accepts(node, side, i, *made), (node, side, i, made)
+            outcomes[passed] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 LARGE_FAULTS = {

@@ -8,8 +8,8 @@ exact move that broke.
 import pytest
 
 from triblock import catalog, weyl
-from triblock.blockcalc import BlockCollection, apply_word
-from triblock.kclass import InvariantViolationError
+from triblock.blockcalc import Block, BlockCollection, apply_word
+from triblock.kclass import InvariantViolationError, line_bundle
 from triblock.picard import DivisorClass, Surface, canonical_class
 
 # label -> (surface name, block sizes, block ranks), in collection order
@@ -231,6 +231,28 @@ def test_seed_shape_and_merge_guard():
     assert seed.ranks == (1, 1, 1, 0)
     with pytest.raises(InvariantViolationError, match="exactly one mergeable"):
         catalog._merge_distinguished(seed)
+
+
+def test_merge_validates_only_the_glued_block(monkeypatch):
+    # Blocks 2 and 3, O(1) twice, are the one pair of equal slope on the
+    # plane; a valid collection never offers them, and gluing them breaks
+    # orthogonality, which the glued block's own check names.
+    p2 = Surface.plane(0)
+    forged = BlockCollection(tuple(
+        Block((line_bundle(DivisorClass(p2, (a,))),)) for a in (0, 1, 1, 2)
+    ))
+    with pytest.raises(InvariantViolationError) as err:
+        catalog._merge_distinguished(forged)
+    assert str(err.value) == (
+        "merged collection is invalid: block 2: chi(member 1, member 2) = 1; "
+        "block members must be mutually orthogonal"
+    )
+    # A valid merge is certified without revalidating the whole collection.
+    entry = catalog.ENTRIES["x3"]
+    c, built = apply_word(entry.seed(), entry.word), catalog.build("x3")
+    assert len(c.blocks) == 4
+    monkeypatch.setattr(catalog, "validate_collection", None)
+    assert catalog._merge_distinguished(c) == built
 
 
 def checkpoint(label, prefix_len):

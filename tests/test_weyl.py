@@ -793,7 +793,7 @@ def test_stabiliser_of_no_vectors_is_the_whole_system():
 
 
 def test_roots_pair_with_each_vector_within_the_walk_bound():
-    # The walk combines the vectors in base 2P + 1, which rests on
+    # The walk combines the vectors in base P + 1, which rests on
     # |a.v| <= P = isqrt(2((v.K)^2 - K^2 v^2) // K^2) for every root a
     # (Cauchy-Schwarz on the negative definite K-perp).  Checked here on
     # every root, against the vectors the library walks.
