@@ -22,11 +22,11 @@ recursion checks share rows; every certificate still runs on each count.
 The one Weyl element is a :class:`Reflection`, x -> x + (x.a) a in a
 root a, built by :func:`_reflection` and applied by :func:`_reflect` on
 coordinate tuples; every action here goes through these two, with two
-exceptions: in the chamber walk of :func:`_stabiliser_roots` a run of
-coordinate swaps (l_i - l_{i+1}, or f1 - f2 on the quadric) acts at once,
-by sorting, and :func:`_check_transpositions` tests each transposition
-from one pairing per vector.  Class kinds are picard.is_kind's to decide,
-twist classes blockcalc.twist_normal_form's.
+exceptions: the chamber walk of :func:`_stabiliser_roots` makes all its
+swaps l_i - l_{i+1} (f1 - f2 on the quadric) at once, by sorting, and
+:func:`_check_transpositions` tests each transposition from one pairing
+per vector.  Class kinds are picard.is_kind's to decide, twist classes
+blockcalc.twist_normal_form's.
 """
 
 from __future__ import annotations
@@ -230,37 +230,18 @@ def _twist_invariants(c: BlockCollection, ranks) -> list:
     return [((head.size * lcm_ // r) * m.c1 - base).coords for m, r in zip(c.members, ranks)]
 
 
-def _swap_at(step: Reflection) -> int | None:
-    """i if the reflection is the swap of coordinates i and i + 1, else None.
+def _stabiliser_roots(surface: Surface, vectors: list) -> tuple:
+    """The simple roots of the surface that generate a stabiliser of the vectors.
 
-    The reflection's own data certify a swap, however its root was built:
-    with root coordinates e_i - e_{i+1} and covector e_{i+1} - e_i,
-    x -> x + (x.a) a adds x_{i+1} - x_i to x_i and takes it from x_{i+1},
-    and the pairing x.a = x_{i+1} - x_i is positive exactly when
-    x_i < x_{i+1}.  The reflection in -a is the same map with the opposite
-    pairing, and is no swap here.
-    """
-    a = step.root.coords
-    if 1 in a:
-        i = a.index(1)
-        swap = (0,) * i + (1, -1) + (0,) * (len(a) - i - 2)
-        if a == swap and step.covector == tuple(-x for x in swap):
-            return i
-    return None
-
-
-def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
-    """The simple roots, of the given ones, that generate a stabiliser of the vectors.
-
-    The reflections are those in a simple system J.  Steinberg (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12): the stabiliser in W_J of a
-    J-dominant vector, one whose pairing with every root in J is <= 0, is
-    generated by the reflections in J that fix it.  The tuple
-    (v_0, ..., v_{n-1}) is read as the one vector u = sum M^(n-1-k) v_k,
-    with M = P + 1 for the bound P below.  u walks into the dominant
-    chamber of W_J by reflections of positive pairing, and the roots of J
-    that pair to 0 with where it lands are returned.  They generate the
-    stabiliser of the moved tuple, a conjugate of the tuple's own.
+    Steinberg (Humphreys, Reflection Groups and Coxeter Groups, 1.12): the
+    stabiliser in W of a dominant vector, one whose pairing with every
+    simple root is <= 0, is generated by the simple reflections that fix
+    it.  The tuple (v_0, ..., v_{n-1}) is read as the one vector
+    u = sum M^(n-1-k) v_k, with M = P + 1 for the bound P below.  u walks
+    into the dominant chamber by reflections of positive pairing, and the
+    simple roots that pair to 0 with where it lands are returned.  They
+    generate the stabiliser of the moved tuple, a conjugate of the tuple's
+    own.
 
     Why one vector does.  By the Hodge index theorem K-perp is negative
     definite.  A root a has a^2 = -2 and a.K = 0, and every w in W fixes
@@ -270,34 +251,29 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     [-P, P].  If the first nonzero digit has weight M^t, the later digits
     sum to at most P(M^(t-1) + ... + 1) = M^t - 1 < M^t in absolute value.
     Hence the sign of a.(w u) is the sign of the first nonzero a.(w v_k),
-    and w u is J-dominant for the w that walks each vector in turn into
-    the dominant chamber of the W_J' fixing the ones before it (Steinberg
-    again).  The roots of J orthogonal to that w u are those orthogonal to
-    every w v_k, the stabiliser of the moved tuple.  The J-dominant point
-    of a W_J-orbit is unique, so one walk of u lands there.
+    and w u is dominant for the w that walks each vector in turn into
+    the dominant chamber of the stabiliser of the ones before it (Steinberg
+    again).  The simple roots orthogonal to that w u are those orthogonal
+    to every w v_k, the stabiliser of the moved tuple.  The dominant point
+    of a W-orbit is unique, so one walk of u lands there.
 
-    The walk may make its moves in any order.  A move x -> x + (x.a) a
-    with x.a > 0 lowers x.rho for any rho with a.rho < 0 for all a in J,
-    so on the finite W_J-orbit every order of moves stops, and it stops
-    only where no pairing is positive.  Hence a run of swaps (see _swap_at)
-    at i = lo, ..., hi - 2 in J acts at once, by a descending sort of the
-    coordinates lo..hi-1: a bubble sort whose every exchange is a swap of
-    positive pairing, so a move of the walk.  Every other reflection, in
-    practice the Cremona root l0 - l1 - l2 - l3, moves by _reflect.
+    The walk.  A swap l_i - l_{i+1} (f1 - f2 on the quadric) pairs with x
+    as x_{i+1} - x_i, so a descending sort of the coordinates from l1 on
+    (from f1 on the quadric) leaves no swap of positive pairing, and it
+    makes only moves of the walk: a bubble sort exchanges neighbours only
+    where their swap pairs positively.  The one other simple root, the
+    Cremona root l0 - l1 - l2 - l3 (r >= 3), then moves u by _reflect if
+    it pairs positively, and the next pass sorts again.
 
     The walk is bounded.  For a simple root a, the reflection in a
-    permutes the positive roots of W_J other than a and negates a, so a
-    move in a, where u.a > 0, lowers by exactly one the number of positive
-    roots b with u.b > 0.  So u makes at most N moves, N the number of
-    positive roots of W_J, read off its Dynkin types
-    (:func:`_positive_root_count`).  Every pass of the loop but the last
-    makes a move that is no swap, so the walk takes at most N + 1 passes;
-    past that the reflection data do not match their roots, and the walk
-    raises instead of running on.
+    permutes the positive roots other than a and negates a, so a move in
+    a, where u.a > 0, lowers by exactly one the number of positive roots b
+    with u.b > 0.  So u makes at most N moves, N the number of positive
+    roots, read off the Dynkin types (:func:`_positive_root_count`).  Every
+    pass but the last makes a Cremona move, so the walk takes at most
+    N + 1 passes, and raises instead of running on.  Where it stops is
+    certified, not assumed: every simple root must pair <= 0 with it.
     """
-    if not reflections:
-        return ()
-    surface = reflections[0].root.surface
     k2 = surface.k_squared
     bound = max(  # P, with surface.degree(v) = -v.K
         (isqrt(2 * (surface.degree(v) ** 2 - k2 * surface.dot(v, v)) // k2) for v in vectors),
@@ -306,31 +282,27 @@ def _stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     u = [0] * surface.picard_rank
     for v in vectors:
         u = [(bound + 1) * x + y for x, y in zip(u, v)]
+    reflections = simple_system(surface).reflections
+    start = 0 if surface.kind == "quadric" else 1
+    cremona = reflections[0] if surface.blowups >= 3 else None  # simple_system lists it first
     passes = _positive_root_count([step.root for step in reflections]) + 1
-    steps = [(_swap_at(step), step) for step in reflections]
-    others = [step for i, step in steps if i is None]
-    runs = []  # [lo, hi) coordinate ranges of the swaps
-    for i in sorted(i for i, _ in steps if i is not None):
-        if runs and runs[-1][1] == i + 1:
-            runs[-1][1] = i + 2
-        else:
-            runs.append([i, i + 2])
     for _ in range(passes):
-        for lo, hi in runs:
-            u[lo:hi] = sorted(u[lo:hi], reverse=True)
-        moved = False
-        for step in others:
-            if sum(map(mul, u, step.covector)) > 0:
-                u[:] = _reflect(u, step)
-                moved = True
-        if not moved:
+        u[start:] = sorted(u[start:], reverse=True)
+        if cremona is None or sum(map(mul, u, cremona.covector)) <= 0:
             break
+        u = list(_reflect(u, cremona))
     else:
         raise InvariantViolationError(
-            f"a chamber walk is not dominant after {passes} passes, though W_J "
-            f"has {passes - 1} positive roots; the reflections do not match the simple roots"
+            f"a chamber walk on {surface} is not dominant after {passes} passes, "
+            f"though W has {passes - 1} positive roots"
         )
-    return tuple(step.root for step in reflections if not sum(map(mul, u, step.covector)))
+    pairings = [(step.root, sum(map(mul, u, step.covector))) for step in reflections]
+    for root, p in pairings:
+        if p > 0:
+            raise InvariantViolationError(
+                f"a chamber walk on {surface} ends where simple root {root} pairs to {p} > 0"
+            )
+    return tuple(root for root, p in pairings if not p)
 
 
 def _check_transpositions(c: BlockCollection, vectors: list) -> None:
@@ -378,11 +350,10 @@ def orbit_count(c: BlockCollection) -> int:
     if 0 in ranks:  # the twist invariants divide by every member's rank
         raise ValueError("orbit counting requires blocks of nonzero rank")
     vectors = _twist_invariants(c, ranks)
-    system = simple_system(c.surface)
-    stabiliser = _stabiliser_roots(vectors, system.reflections)
+    stabiliser = _stabiliser_roots(c.surface, vectors)
     _check_transpositions(c, vectors)
     denominator = coxeter_order(stabiliser) * prod(factorial(s) for s in c.type_vector)
-    return _index(system.order, denominator)
+    return _index(simple_system(c.surface).order, denominator)
 
 
 def _index(order: int, stabiliser: int) -> int:
@@ -530,11 +501,11 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
         return 1
     if surface.kind == "quadric" or m > surface.blowups:
         return 0
-    reflections, order = simple_system(surface)
+    order = simple_system(surface).order
     ordered = 0
     for representative in _disjoint_representatives(surface, m):
         _check_disjoint_minus_ones(representative)
-        stabiliser = _stabiliser_roots([e.coords for e in representative], reflections)
+        stabiliser = _stabiliser_roots(surface, [e.coords for e in representative])
         ordered += _index(order, coxeter_order(stabiliser))
     if ordered % factorial(m):
         raise InvariantViolationError(

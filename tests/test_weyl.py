@@ -5,17 +5,18 @@ closure of the twist normal form under the simple reflections and the
 enumeration of disjoint (-1)-class sets, which used to compute them, live
 here as their oracles.  So do the breadth-first closure of a divisor class
 and the sequential bubble chamber walk, which walks each vector in turn
-and reflects one simple root at a time, as the oracle for the one-vector
-sorting walk of weyl._stabiliser_roots, and the
-transposition check written out with whole reflections, as the oracle for
-the one-pairing check of weyl._check_transpositions.  The Weyl group
-orders are checked against divisor orbits and (-1)-class counts, never
-against the code under test.
+and reflects in any given simple roots one at a time, as the oracle for
+weyl._stabiliser_roots, the one-vector walk of each surface's own simple
+system that sorts its swaps and reflects only in the Cremona root, and
+the transposition check written out with whole reflections, as the
+oracle for the one-pairing check of weyl._check_transpositions.  The
+Weyl group orders are checked against divisor orbits and (-1)-class
+counts, never against the code under test.
 """
 
 import random
 import time
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 from operator import mul
 
 import pytest
@@ -62,7 +63,6 @@ from triblock.weyl import (
     _reflect,
     _reflection,
     _stabiliser_roots,
-    _swap_at,
     _twist_invariants,
     count_disjoint_sets,
     coxeter_order,
@@ -419,11 +419,10 @@ def test_stabiliser_chain_matches_orbit_closures():
         classes = enumerate_classes(s, MINUS_ONE)
         cases += [(s, (classes[0], d)) for d in classes[:4]]
     for s, classes in cases:
-        reflections, order = simple_system(s)
-        stabiliser = _stabiliser_roots([d.coords for d in classes], reflections)
-        assert order // coxeter_order(stabiliser) == _tuple_orbit_size(s, classes)
+        stabiliser = _stabiliser_roots(s, [d.coords for d in classes])
+        assert simple_system(s).order // coxeter_order(stabiliser) == _tuple_orbit_size(s, classes)
     x6 = Surface.plane(6)
-    assert _stabiliser_roots([DivisorClass.zero(x6).coords], simple_reflections(x6)) == simple_roots(x6)
+    assert _stabiliser_roots(x6, [DivisorClass.zero(x6).coords]) == simple_roots(x6)
 
 
 ORACLE_LABELS = tuple(eq.label for eq in EQUATIONS if eq.surface.blowups <= 7)
@@ -661,9 +660,7 @@ def test_count_disjoint_sets_certifies_representatives(monkeypatch):
     with pytest.raises(InvariantViolationError, match="not divisible by the stabiliser order 7"):
         count_disjoint_sets(x3, 3)
     monkeypatch.undo()
-    monkeypatch.setattr(
-        weyl, "_stabiliser_roots", lambda vectors, reflections: tuple(g.root for g in reflections)
-    )
+    monkeypatch.setattr(weyl, "_stabiliser_roots", lambda surface, vectors: simple_roots(surface))
     with pytest.raises(InvariantViolationError, match=r"not divisible by 3!"):
         count_disjoint_sets(x3, 3)
 
@@ -732,20 +729,20 @@ def bubble_stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     return tuple(step.root for step in chain)
 
 
-def _assert_walks_agree(vectors: list, reflections: tuple) -> None:
-    assert _stabiliser_roots(vectors, reflections) == bubble_stabiliser_roots(vectors, reflections)
+def _assert_walks_agree(surface: Surface, vectors: list) -> None:
+    reflections = simple_reflections(surface)
+    assert _stabiliser_roots(surface, vectors) == bubble_stabiliser_roots(vectors, reflections)
 
 
 @pytest.mark.parametrize("label", tuple(catalog.ENTRIES))
 def test_stabiliser_walk_matches_bubble_oracle_on_builds(label):
     for c in catalog.builds(label):
-        reflections = simple_reflections(c.surface)
         images = [c] + [apply_word(c, w) for w in (("R1",), ("L2", "R1"), ("R2", "R2", "L1"))]
         d = DivisorClass(c.surface, tuple(range(1, c.surface.picard_rank + 1)))
         images.append(BlockCollection(tuple(b.twisted(d) for b in c.blocks)))
-        images += [apply_to_collection(g, c) for g in reflections]
+        images += [apply_to_collection(g, c) for g in simple_reflections(c.surface)]
         for image in images:
-            _assert_walks_agree(_twist_invariants(image, image.ranks), reflections)
+            _assert_walks_agree(c.surface, _twist_invariants(image, image.ranks))
 
 
 def test_stabiliser_walk_matches_bubble_oracle_on_disjoint_representatives():
@@ -753,7 +750,7 @@ def test_stabiliser_walk_matches_bubble_oracle_on_disjoint_representatives():
     for s in ALL_SURFACES:
         for m in range(1, s.blowups + 1):
             for representative in _disjoint_representatives(s, m):
-                _assert_walks_agree([e.coords for e in representative], simple_reflections(s))
+                _assert_walks_agree(s, [e.coords for e in representative])
                 cases += 1
     assert cases == sum(range(9)) + 7  # r - m = 1 has two orbits for r >= 2
 
@@ -777,19 +774,13 @@ def _random_tuples(rng: random.Random, s: Surface, count: int):
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
 def test_stabiliser_walk_matches_bubble_oracle_on_random_tuples(surface):
     rng = random.Random(20261019 + surface.picard_rank)
-    reflections = simple_reflections(surface)
     for vectors in _random_tuples(rng, surface, 100):
-        _assert_walks_agree(vectors, reflections)
-        # any subset of a simple system is one, in any order
-        k = rng.randint(0, len(reflections))
-        _assert_walks_agree(vectors, tuple(rng.sample(reflections, k)))
+        _assert_walks_agree(surface, vectors)
 
 
 def test_stabiliser_of_no_vectors_is_the_whole_system():
     for s in ALL_SURFACES:
-        reflections = simple_reflections(s)
-        assert _stabiliser_roots([], reflections) == simple_roots(s)
-        assert _stabiliser_roots([], reflections[::-1]) == simple_roots(s)[::-1]
+        assert _stabiliser_roots(s, []) == simple_roots(s)
 
 
 def test_roots_pair_with_each_vector_within_the_walk_bound():
@@ -834,62 +825,43 @@ def test_positive_root_counts_match_root_enumeration():
     assert _positive_root_count(()) == 0
 
 
-def test_chamber_walk_is_bounded_on_forged_reflections():
-    # Plane covectors left unnegated: no swap is recognised and no
-    # reflection is an involution, so the walk of the x5 build's twist
-    # invariants would never reach a dominant point.  X5's simple roots
-    # are of type D_5, with 20 positive roots, so the walk stops at 21
-    # passes.
+def test_chamber_walk_certifies_where_it_stops(monkeypatch):
+    # Each covector forged as its root's coordinates: a swap then pairs as
+    # x_i - x_{i+1}, which is positive after the descending sort wherever
+    # two coordinates differ, so the walk must reject its own end point.
+    # On the x5 build's twist invariants the forged Cremona root does not
+    # pair positively, so the walk stops after one pass.
     c = catalog.build("x5", 0)
-    forged = tuple(Reflection(g.root, g.root.coords) for g in simple_reflections(c.surface))
+    cases = [(Surface.quadric(), [(0, 1)]), (Surface.plane(2), [(0, 0, 1)])]
+    cases.append((c.surface, _twist_invariants(c, c.ranks)))
+    real = weyl.simple_system
+    monkeypatch.setattr(
+        weyl,
+        "simple_system",
+        lambda s: real(s)._replace(
+            reflections=tuple(Reflection(g.root, g.root.coords) for g in real(s).reflections)
+        ),
+    )
     start = time.perf_counter()
-    with pytest.raises(
-        InvariantViolationError,
-        match="not dominant after 21 passes, though W_J has 20 positive roots",
-    ):
-        _stabiliser_roots(_twist_invariants(c, c.ranks), forged)
+    for s, vectors in cases:
+        with pytest.raises(
+            InvariantViolationError,
+            match=rf"a chamber walk on {s} ends where simple root .* pairs to \d+ > 0",
+        ):
+            _stabiliser_roots(s, vectors)
     assert time.perf_counter() - start < 1
 
 
-def _expected_swaps(s: Surface) -> list:
-    if s.kind == "quadric":
-        return [0]  # f1 - f2
-    return [None] * (s.blowups >= 3) + list(range(1, s.blowups))  # Cremona, then l_i - l_{i+1}
-
-
-@pytest.mark.parametrize("surface", ALL_SURFACES, ids=str)
-def test_swap_recognition(surface):
-    # exactly the swaps are recognised, the Cremona root is not, and neither
-    # is the reflection in -(l1 - l2): the same map, with the opposite
-    # pairing and so the opposite chamber
-    reflections = simple_reflections(surface)
-    assert [_swap_at(g) for g in reflections] == _expected_swaps(surface)
-    opposite = tuple(_reflection(-1 * g.root) for g in reflections)
-    assert [_swap_at(g) for g in opposite] == [None] * len(opposite)
-    systems = [opposite]
-    r = surface.blowups
-    if surface.kind == "plane" and r >= 1:
-        # both halves of the certificate: l0 - l1 has a swap's coordinates
-        # but x.(l0 - l1) = x0 + x1, and a forged reflection has a swap's
-        # covector on other coordinates
-        l0, l1 = DivisorClass.basis(surface, 0), DivisorClass.basis(surface, 1)
-        assert _swap_at(_reflection(l0 - l1)) is None
-        if r >= 3:
-            padding = (0,) * (r - 3)
-            root = DivisorClass(surface, (0, 1, 0, -1) + padding)
-            assert _swap_at(Reflection(root, (0, -1, 1, 0) + padding)) is None
-    if surface.kind == "plane" and r >= 2:
-        l1, l2 = DivisorClass.basis(surface, 1), DivisorClass.basis(surface, 2)
-        flipped = _reflection(-1 * (l1 - l2))
-        assert _swap_at(flipped) is None
-        probe = tuple(range(surface.picard_rank))
-        assert _reflect(probe, flipped) == (0, 2, 1) + probe[3:]
-        # -(l1 - l2), the Cremona root and the swaps l_i - l_{i+1} for
-        # i >= 3: a simple system of type A_1 x A_{r-2}
-        mixed = (flipped,) + tuple(g for g in reflections if _swap_at(g) not in (1, 2))
-        assert coxeter_order([g.root for g in mixed]) == 2 * factorial(r - 1)
-        systems.append(mixed)
-    rng = random.Random(20261020 + surface.picard_rank)
-    for vectors in _random_tuples(rng, surface, 100):
-        for system in systems:
-            _assert_walks_agree(vectors, system)
+def test_chamber_walk_is_bounded(monkeypatch):
+    # The x5 build's twist invariants need a Cremona move.  With the number
+    # of positive roots forced to 0 the walk is allowed one pass, which ends
+    # with that move, so the walk must raise instead of sorting again.
+    c = catalog.build("x5", 0)
+    monkeypatch.setattr(weyl, "_positive_root_count", lambda roots: 0)
+    start = time.perf_counter()
+    with pytest.raises(
+        InvariantViolationError,
+        match="a chamber walk on X5 is not dominant after 1 passes, though W has 0 positive roots",
+    ):
+        _stabiliser_roots(c.surface, _twist_invariants(c, c.ranks))
+    assert time.perf_counter() - start < 1
