@@ -28,9 +28,9 @@ Riemann-Roch lives in ``kclass``, but for the certificate's (below).  The
 brute-force :func:`chi_block` checks an arbitrary block pair and is their
 oracle in the tests.  Their precondition is a valid collection, which every
 BlockCollection is: validate_collection and the mutations check theirs, and
-the direct constructions (the twist in :func:`helix_shift` and ``catalog``,
-``weyl.apply_to_collection``) apply a twist or a lattice isometry, both of
-which preserve the Euler form.
+the direct constructions apply a twist (:func:`helix_shift` and ``catalog``)
+or the reflection in a root (``weyl.apply_to_collection``, which checks
+that its root is one), both of which preserve the Euler form.
 
 Pairings are computed afresh from the classes, Riemann-Roch with each
 block's one rank and degree hoisted out of the member loops, so a pair

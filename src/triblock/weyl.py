@@ -13,27 +13,25 @@ vector, a combination of the tuple generic enough that its stabiliser is
 the tuple's.  Neither enumerates minus-one classes.
 
 What depends only on the surface is computed once per surface and cached,
-like picard.canonical_class: the reflection in each simple root, which
-holds its root, and |W|, read off the roots' Dynkin types, which also
-bound each chamber walk.
+like picard.canonical_class: its simple roots, whose Dynkin types give |W|
+and bound each chamber walk.
 Each orbit row is computed once per process, so the orbit table and the
 recursion checks share rows; every certificate still runs on each count.
 
-The one Weyl element is a :class:`Reflection`, x -> x + (x.a) a in a
-root a, built by :func:`_reflection` and applied by :func:`_reflect` on
-coordinate tuples; every action here goes through these two, with two
-exceptions: the chamber walk of :func:`_stabiliser_roots` makes all its
-swaps l_i - l_{i+1} (f1 - f2 on the quadric) at once, by sorting, and
-:func:`_check_transpositions` tests each transposition from one pairing
-per vector.  Class kinds are picard.is_kind's to decide, twist classes
-blockcalc.twist_normal_form's.
+A Weyl generator is its root.  The reflection x -> x + (x.a) a in a root a
+is written once, by :func:`_reflect` on coordinate tuples, and
+:func:`apply_to_collection` is its one checked entry point.  Every action
+here goes through _reflect but one: the chamber walk of
+:func:`_stabiliser_roots` makes all its swaps l_i - l_{i+1} (f1 - f2 on the
+quadric) at once, by sorting.  Class kinds are picard.is_kind's to decide,
+twist classes blockcalc.twist_normal_form's.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import comb, factorial, gcd, isqrt, lcm, prod
-from operator import mul, sub
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from . import catalog
@@ -50,75 +48,42 @@ from .picard import (
     MINUS_ONE,
     ROOT,
     DivisorClass,
-    LatticeMismatchError,
     Surface,
     intersect,
     is_kind,
+    same_surface,
 )
 
 
-class Reflection(NamedTuple):
-    """x -> x + (x.a) a for a root a.
-
-    On coordinates it is x + (covector . x) a, where the covector holds the
-    coefficients of x -> x.a.  The root fixes it; it is stored, computed
-    once by :func:`_reflection`, because every application reads it.
-    """
-
-    root: DivisorClass
-    covector: tuple[int, ...]
-
-    @classmethod
-    def from_root(cls, root: DivisorClass) -> "Reflection":
-        """The reflection in a root, which must have square -2 and degree 0.
-
-        Its kind is the whole certificate: a^2 = -2 makes the map an
-        isometry, as (x + (x.a)a).(y + (y.a)a) = x.y + (x.a)(y.a)(2 + a^2),
-        and an involution; a.K = 0 makes it fix K.
-        """
-        if not is_kind(root, ROOT):
-            raise ValueError("reflections require a root class")
-        return _reflection(root)
-
-    def apply(self, d: DivisorClass) -> DivisorClass:
-        if d.surface != self.root.surface:
-            raise LatticeMismatchError("class lives on a different surface")
-        return DivisorClass(d.surface, _reflect(d.coords, self))
-
-
-class SimpleSystem(NamedTuple):
-    """The reflections in a surface's simple roots, and |W|."""
-
-    reflections: tuple[Reflection, ...]
-    order: int
-
-
 @cache
-def simple_system(surface: Surface) -> SimpleSystem:
-    """The simple system of the surface's Weyl group, built once per surface."""
+def simple_reflections(surface: Surface) -> tuple[DivisorClass, ...]:
+    """The simple roots of the surface's Weyl group, built once per surface:
+    the Cremona root l0 - l1 - l2 - l3 first (r >= 3), then the swaps
+    l_i - l_{i+1}; f1 - f2 on the quadric."""
     if surface.kind == "quadric":
-        roots = (DivisorClass(surface, (1, -1)),)
-    else:
-        r = surface.blowups
-        cremona = [(1, -1, -1, -1) + (0,) * (r - 3)] if r >= 3 else []
-        swaps = [(0,) * i + (1, -1) + (0,) * (r - 1 - i) for i in range(1, r)]
-        roots = tuple(DivisorClass(surface, coords) for coords in cremona + swaps)
-    return SimpleSystem(tuple(map(_reflection, roots)), coxeter_order(roots))
+        return (DivisorClass(surface, (1, -1)),)
+    r = surface.blowups
+    cremona = [(1, -1, -1, -1) + (0,) * (r - 3)] if r >= 3 else []
+    swaps = [(0,) * i + (1, -1) + (0,) * (r - 1 - i) for i in range(1, r)]
+    return tuple(DivisorClass(surface, coords) for coords in cremona + swaps)
 
 
-def simple_reflections(surface: Surface) -> tuple[Reflection, ...]:
-    return simple_system(surface).reflections
+def apply_to_collection(a: DivisorClass, c: BlockCollection) -> BlockCollection:
+    """The collection moved by the reflection x -> x + (x.a) a in a root a.
 
+    The root's kind is the whole certificate: a^2 = -2 makes the map an
+    isometry, as (x + (x.a)a).(y + (y.a)a) = x.y + (x.a)(y.a)(2 + a^2), and
+    an involution; a.K = 0 makes it fix K.  So the Euler form is kept:
+    rank and 2*ch2 are invariants, and only c1 moves.
+    """
+    surface, root = same_surface(a, c), a.coords
+    if not is_kind(a, ROOT):
+        raise ValueError("reflections require a root class")
 
-def apply_to_class(g: Reflection, e: KClass) -> KClass:
-    """Rank and 2*ch2 are invariants; only c1 moves."""
-    return KClass(e.rank, g.apply(e.c1), e.ch2x2)
+    def move(m: KClass) -> KClass:
+        return KClass(m.rank, DivisorClass(surface, _reflect(surface, m.c1.coords, root)), m.ch2x2)
 
-
-def apply_to_collection(g: Reflection, c: BlockCollection) -> BlockCollection:
-    return BlockCollection(
-        tuple(Block(tuple(apply_to_class(g, m) for m in b.members)) for b in c.blocks)
-    )
+    return BlockCollection(tuple(Block(tuple(map(move, b.members))) for b in c.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +169,10 @@ def _arm_length(hub: int, start: int, links: list) -> int:
     return length
 
 
-def _reflection(a: DivisorClass) -> Reflection:
-    """The reflection in a, unchecked: a and the coefficients of x -> x.a."""
-    return Reflection(a, a.surface.covector(a.coords))
-
-
-def _reflect(x: tuple, reflection: Reflection) -> tuple:
-    """The reflection x -> x + (x.a) a on coordinate tuples."""
-    root, covector = reflection
-    p = sum(map(mul, x, covector))
-    return tuple([xi + p * ai for xi, ai in zip(x, root.coords)]) if p else x
+def _reflect(surface: Surface, x: tuple, a: tuple) -> tuple:
+    """The reflection x -> x + (x.a) a on coordinate tuples, unchecked."""
+    p = surface.dot(x, a)
+    return tuple([xi + p * ai for xi, ai in zip(x, a)]) if p else x
 
 
 def _twist_invariants(c: BlockCollection, ranks) -> list:
@@ -282,21 +241,21 @@ def _stabiliser_roots(surface: Surface, vectors: list) -> tuple:
     u = [0] * surface.picard_rank
     for v in vectors:
         u = [(bound + 1) * x + y for x, y in zip(u, v)]
-    reflections = simple_system(surface).reflections
+    roots = simple_reflections(surface)
     start = 0 if surface.kind == "quadric" else 1
-    cremona = reflections[0] if surface.blowups >= 3 else None  # simple_system lists it first
-    passes = _positive_root_count([step.root for step in reflections]) + 1
+    cremona = roots[0].coords if surface.blowups >= 3 else None  # listed first
+    passes = _positive_root_count(roots) + 1
     for _ in range(passes):
         u[start:] = sorted(u[start:], reverse=True)
-        if cremona is None or sum(map(mul, u, cremona.covector)) <= 0:
+        if cremona is None or surface.dot(u, cremona) <= 0:
             break
-        u = list(_reflect(u, cremona))
+        u = list(_reflect(surface, u, cremona))
     else:
         raise InvariantViolationError(
             f"a chamber walk on {surface} is not dominant after {passes} passes, "
             f"though W has {passes - 1} positive roots"
         )
-    pairings = [(step.root, sum(map(mul, u, step.covector))) for step in reflections]
+    pairings = [(root, surface.dot(u, root.coords)) for root in roots]
     for root, p in pairings:
         if p > 0:
             raise InvariantViolationError(
@@ -314,19 +273,16 @@ def _check_transpositions(c: BlockCollection, vectors: list) -> None:
     # swapped list exactly when v_i and v_{i+1} go to each other and
     # v_k.a = 0 for every other k (a = 0 makes every pairing 0), so one
     # pairing per vector decides it.
-    members, covector = c.members, c.surface.covector
+    surface, members = c.surface, c.members
     start = 0
     for b in c.blocks:
         for i in range(start, start + b.size - 1):
             a = tuple(map(sub, members[i].c1.coords, members[i + 1].c1.coords))
-            row = covector(a)
-            p = [sum(map(mul, v, row)) for v in vectors]
             u, w = vectors[i], vectors[i + 1]
             if (
-                any(p[:i])
-                or any(p[i + 2 :])
-                or any(x + p[i] * y != z for x, y, z in zip(u, a, w))
-                or any(x + p[i + 1] * y != z for x, y, z in zip(w, a, u))
+                any(surface.dot(v, a) for v in vectors[:i] + vectors[i + 2 :])
+                or _reflect(surface, u, a) != w
+                or _reflect(surface, w, a) != u
             ):
                 raise InvariantViolationError(
                     f"the reflection in c1 of member {i} minus c1 of member {i + 1} "
@@ -353,7 +309,7 @@ def orbit_count(c: BlockCollection) -> int:
     stabiliser = _stabiliser_roots(c.surface, vectors)
     _check_transpositions(c, vectors)
     denominator = coxeter_order(stabiliser) * prod(factorial(s) for s in c.type_vector)
-    return _index(simple_system(c.surface).order, denominator)
+    return _index(coxeter_order(simple_reflections(c.surface)), denominator)
 
 
 def _index(order: int, stabiliser: int) -> int:
@@ -501,7 +457,7 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
         return 1
     if surface.kind == "quadric" or m > surface.blowups:
         return 0
-    order = simple_system(surface).order
+    order = coxeter_order(simple_reflections(surface))
     ordered = 0
     for representative in _disjoint_representatives(surface, m):
         _check_disjoint_minus_ones(representative)
@@ -545,8 +501,16 @@ class RecursionReport(NamedTuple):
 def recursion_check(label: str) -> RecursionReport:
     """Check N * C(n, m) == N' * #sets for a pinned blowdown case.
 
-    The sets are those of r - r' disjoint minus-one classes on the label's
-    surface X_r, where X_r' is the smaller label's surface.
+    Each case checks one identity.  N and N' are the solution classes of
+    the label and of the smaller label (:func:`orbit_row`), n the case's
+    block_length and m its contracted count.  #sets counts the sets of
+    r - r' pairwise disjoint minus-one classes on the label's surface X_r
+    (:func:`count_disjoint_sets`), X_r' being the smaller label's surface.
+
+    RECURSION_CASES is pinned data with no derivation yet: nothing here
+    says why the identity holds, or why for these five labels.  For x7.1,
+    x8.1 and x8.2 the contracted count m is the blowup difference r - r'.
+    For x3 and x6.2 it is 1, while the surfaces differ by 3 and 6 blowups.
     """
     if label not in RECURSION_CASES:
         raise ValueError(

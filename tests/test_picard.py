@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from operator import mul
 
 import pytest
 
@@ -107,18 +106,6 @@ def test_divisor_algebra():
         a.coords = (0, 0, 0)
     with pytest.raises(AttributeError):
         a.weight = 1
-
-
-@pytest.mark.parametrize("s", [Surface.quadric()] + [Surface.plane(r) for r in range(9)], ids=str)
-def test_covector_pairs_as_dot(s):
-    # covector(x) holds the coefficients of y -> x.y
-    rng = random.Random(20261019)
-    n = s.picard_rank
-    for _ in range(50):
-        x = tuple(rng.randint(-9, 9) for _ in range(n))
-        y = tuple(rng.randint(-9, 9) for _ in range(n))
-        assert len(s.covector(x)) == n
-        assert sum(map(mul, s.covector(x), y)) == s.dot(x, y)
 
 
 def test_bilinearity_and_symmetry():

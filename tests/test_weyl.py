@@ -8,8 +8,8 @@ and the sequential bubble chamber walk, which walks each vector in turn
 and reflects in any given simple roots one at a time, as the oracle for
 weyl._stabiliser_roots, the one-vector walk of each surface's own simple
 system that sorts its swaps and reflects only in the Cremona root, and
-the transposition check written out with whole reflections, as the
-oracle for the one-pairing check of weyl._check_transpositions.  The
+the transposition check written out with DivisorClass arithmetic, as
+the oracle for the one-pairing check of weyl._check_transpositions.  The
 Weyl group orders are checked against divisor orbits and (-1)-class
 counts, never against the code under test.
 """
@@ -17,7 +17,6 @@ counts, never against the code under test.
 import random
 import time
 from math import comb, isqrt
-from operator import mul
 
 import pytest
 
@@ -54,14 +53,11 @@ from triblock.weyl import (
     C_WITNESSES,
     RECURSION_CASES,
     OrbitRow,
-    Reflection,
-    apply_to_class,
     apply_to_collection,
     _check_transpositions,
     _disjoint_representatives,
     _positive_root_count,
     _reflect,
-    _reflection,
     _stabiliser_roots,
     _twist_invariants,
     count_disjoint_sets,
@@ -70,7 +66,6 @@ from triblock.weyl import (
     orbit_row,
     recursion_check,
     simple_reflections,
-    simple_system,
     verify_c,
 )
 
@@ -180,8 +175,9 @@ def bfs_orbit_count(c) -> int:
     return len(seen)
 
 
-def simple_roots(s: Surface) -> tuple:
-    return tuple(g.root for g in simple_reflections(s))
+def _member_invariants(c: BlockCollection) -> list:
+    """The twist invariants orbit_count walks: one vector per member."""
+    return _twist_invariants(c, tuple(m.rank for m in c.members))
 
 
 def _regular_class(s: Surface) -> DivisorClass:
@@ -195,49 +191,40 @@ def _regular_class(s: Surface) -> DivisorClass:
 
 
 def test_simple_root_counts():
-    assert len(simple_roots(Surface.quadric())) == 1
+    assert len(simple_reflections(Surface.quadric())) == 1
     expected = {0: 0, 1: 0, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8}
     for r, count in expected.items():
-        assert len(simple_roots(Surface.plane(r))) == count
+        assert len(simple_reflections(Surface.plane(r))) == count
 
 
 def test_simple_roots_are_roots():
     for s in (Surface.plane(5), Surface.quadric()):
         k = canonical_class(s)
-        for root in simple_roots(s):
+        for root in simple_reflections(s):
             assert intersect(root, root) == -2
             assert intersect(root, k) == 0
 
 
 def test_reflection_covector_matches_intersection_formula():
-    # the covector of x -> x.a against intersect on basis classes, and
-    # Reflection.apply against x + (x.a) a written out with DivisorClass
-    # arithmetic
+    # _reflect on coordinates against x + (x.a) a written out with
+    # DivisorClass arithmetic, for every root a
     rng = random.Random(20261018)
     for s in ALL_SURFACES:
         n = s.picard_rank
-        basis = [DivisorClass.basis(s, j) for j in range(n)]
-        probes = basis + [canonical_class(s)]
+        probes = [DivisorClass.basis(s, j) for j in range(n)] + [canonical_class(s)]
         probes += [DivisorClass(s, tuple(rng.randint(-5, 5) for _ in range(n))) for _ in range(3)]
         for a in enumerate_classes(s, ROOT):
-            g = Reflection.from_root(a)
-            assert g == _reflection(a) == (a, tuple(intersect(e, a) for e in basis))
             for x in probes:
-                assert g.apply(x) == x + intersect(x, a) * a
-                assert _reflect(x.coords, g) == g.apply(x).coords
+                assert _reflect(s, x.coords, a.coords) == (x + intersect(x, a) * a).coords
 
 
 def test_simple_system_is_built_once_per_surface():
-    simple_system.cache_clear()
+    simple_reflections.cache_clear()
     for s in ALL_SURFACES:
-        reflections, order = simple_system(s)
-        roots = simple_roots(s)
-        assert order == coxeter_order(roots)
-        assert reflections == tuple(map(_reflection, roots))
-        assert simple_reflections(s) is reflections
+        assert simple_reflections(s) is simple_reflections(s)
         for m in range(s.blowups + 1):
             count_disjoint_sets(s, m)
-    info = simple_system.cache_info()
+    info = simple_reflections.cache_info()
     assert (info.misses, info.currsize) == (len(ALL_SURFACES), len(ALL_SURFACES))
 
 
@@ -247,27 +234,28 @@ def test_reflections_are_involutive_isometries():
     roots = enumerate_classes(s, ROOT)
     k = canonical_class(s)
     for root in rng.sample(list(roots), 8):
-        g = Reflection.from_root(root)
-        assert g.apply(k) == k
-        assert g.apply(root) == -1 * root
+        a = root.coords
+        assert _reflect(s, k.coords, a) == k.coords
+        assert _reflect(s, a, a) == (-root).coords
         for _ in range(5):
-            d = DivisorClass(s, tuple(rng.randint(-4, 4) for _ in range(5)))
-            e = DivisorClass(s, tuple(rng.randint(-4, 4) for _ in range(5)))
-            assert g.apply(g.apply(d)) == d
-            assert intersect(g.apply(d), g.apply(e)) == intersect(d, e)
+            d = tuple(rng.randint(-4, 4) for _ in range(5))
+            e = tuple(rng.randint(-4, 4) for _ in range(5))
+            assert _reflect(s, _reflect(s, d, a), a) == d
+            assert s.dot(_reflect(s, d, a), _reflect(s, e, a)) == s.dot(d, e)
 
 
 def test_automorphism_validation():
-    s = Surface.plane(2)
-    with pytest.raises(ValueError, match="root class"):
-        Reflection.from_root(DivisorClass.basis(s, 1))
-    with pytest.raises(ValueError, match="root class"):
-        Reflection.from_root(DivisorClass(s, (1, -1, -1)))  # a (-1)-class
-    with pytest.raises(ValueError, match="root class"):
-        Reflection.from_root(DivisorClass(s, (0, 2, -2)))  # square -8
-    g = Reflection.from_root(simple_roots(s)[0])
+    c = catalog.build("x3")
+    s = c.surface
+    for forged in (
+        DivisorClass.basis(s, 1),
+        DivisorClass(s, (1, -1, -1, 0)),  # a (-1)-class
+        DivisorClass(s, (0, 2, -2, 0)),  # square -8
+    ):
+        with pytest.raises(ValueError, match="reflections require a root class"):
+            apply_to_collection(forged, c)
     with pytest.raises(LatticeMismatchError):
-        g.apply(DivisorClass.basis(Surface.plane(3), 1))
+        apply_to_collection(simple_reflections(Surface.plane(4))[0], c)
 
 
 def test_minus_one_transitivity():
@@ -295,23 +283,17 @@ def test_root_orbits():
     assert full == {d.coords for d in enumerate_classes(x8, ROOT)}
 
 
-def test_apply_to_class_keeps_invariants():
-    s = Surface.plane(3)
-    g = Reflection.from_root(DivisorClass(s, (1, -1, -1, -1)))
-    t = torsion_class(DivisorClass.basis(s, 2), 1)
-    moved = apply_to_class(g, t)
-    assert (moved.rank, moved.ch2x2) == (t.rank, t.ch2x2)
-    assert moved.c1 == g.apply(t.c1)
-
-
 def test_apply_to_collection_preserves_chi():
+    # rank and 2*ch2 stay, c1 moves by x -> x + (x.a) a, and chi is kept
     c = catalog.build("x5")
-    g = Reflection.from_root(simple_roots(c.surface)[0])
-    moved = apply_to_collection(g, c)
+    a = simple_reflections(c.surface)[0]
+    moved = apply_to_collection(a, c)
     assert moved.type_vector == c.type_vector
-    assert moved.ranks == c.ranks
     before = c.members
     after = moved.members
+    for e, f in zip(before, after):
+        assert (f.rank, f.ch2x2) == (e.rank, e.ch2x2)
+        assert f.c1 == e.c1 + intersect(e.c1, a) * a
     for i in range(len(before)):
         for j in range(len(before)):
             assert chi(before[i], before[j]) == chi(after[i], after[j])
@@ -319,10 +301,10 @@ def test_apply_to_collection_preserves_chi():
 
 def test_equivariance_with_mutation():
     c = catalog.build("x6.2")
-    g = Reflection.from_root(simple_roots(c.surface)[2])
+    a = simple_reflections(c.surface)[2]
     for word in (("R1",), ("L2", "R1")):
-        assert apply_to_collection(g, apply_word(c, word)) == apply_word(
-            apply_to_collection(g, c), word
+        assert apply_to_collection(a, apply_word(c, word)) == apply_word(
+            apply_to_collection(a, c), word
         )
 
 
@@ -351,7 +333,7 @@ def test_weyl_group_orders_from_regular_orbits():
     expected = {}
     for s in surfaces:
         expected[s] = len(divisor_orbit(s, _regular_class(s)))
-        assert coxeter_order(simple_roots(s)) == expected[s]
+        assert coxeter_order(simple_reflections(s)) == expected[s]
     assert [expected[Surface.plane(r)] for r in range(6)] == [1, 1, 2, 12, 120, 1920]
     assert expected[Surface.quadric()] == 2
 
@@ -363,13 +345,13 @@ def test_weyl_group_orders_by_blowdown_recursion():
     for r in (6, 7, 8):
         s = Surface.plane(r)
         order *= len(enumerate_classes(s, MINUS_ONE))
-        assert coxeter_order(simple_roots(s)) == order
+        assert coxeter_order(simple_reflections(s)) == order
     assert order == 696729600
 
 
 def test_coxeter_order_rejects_non_simple_systems():
     x5 = Surface.plane(5)
-    a0, a1, a2, a3, a4 = simple_roots(x5)
+    a0, a1, a2, a3, a4 = simple_reflections(x5)
     assert coxeter_order((a0, a2, a3, a4)) == 192  # D_4
     assert coxeter_order((a1, a4)) == 4
     assert coxeter_order(()) == 1
@@ -392,17 +374,17 @@ def _tuple_orbit_size(s: Surface, classes) -> int:
     An orbit has at most |W| points, so the closure stops there: past it
     the reflections do not generate W.
     """
-    gens, order = simple_system(s)
+    roots = [a.coords for a in simple_reflections(s)]
+    order = coxeter_order(simple_reflections(s))
     seen = {tuple(d.coords for d in classes)}
-    frontier = [tuple(classes)]
+    frontier = list(seen)
     while frontier:
         new = []
         for t in frontier:
-            for g in gens:
-                image = tuple(g.apply(d) for d in t)
-                key = tuple(d.coords for d in image)
-                if key not in seen:
-                    seen.add(key)
+            for a in roots:
+                image = tuple(_reflect(s, x, a) for x in t)
+                if image not in seen:
+                    seen.add(image)
                     new.append(image)
                     assert len(seen) <= order, f"orbit closure on {s} passed |W| = {order} states"
         frontier = new
@@ -420,9 +402,10 @@ def test_stabiliser_chain_matches_orbit_closures():
         cases += [(s, (classes[0], d)) for d in classes[:4]]
     for s, classes in cases:
         stabiliser = _stabiliser_roots(s, [d.coords for d in classes])
-        assert simple_system(s).order // coxeter_order(stabiliser) == _tuple_orbit_size(s, classes)
+        order = coxeter_order(simple_reflections(s))
+        assert order // coxeter_order(stabiliser) == _tuple_orbit_size(s, classes)
     x6 = Surface.plane(6)
-    assert _stabiliser_roots(x6, [DivisorClass.zero(x6).coords]) == simple_roots(x6)
+    assert _stabiliser_roots(x6, [DivisorClass.zero(x6).coords]) == simple_reflections(x6)
 
 
 ORACLE_LABELS = tuple(eq.label for eq in EQUATIONS if eq.surface.blowups <= 7)
@@ -437,6 +420,29 @@ def test_orbit_count_matches_bfs_oracle(label):
         images += [apply_to_collection(g, c) for g in simple_reflections(c.surface)[-1:]]
         for image in images:
             assert orbit_count(image) == bfs_orbit_count(image)
+
+
+def test_x8_orbit_counts_are_weyl_and_braid_invariant():
+    # The X8 rows have no BFS oracle.  The number of twist classes in a
+    # Weyl closure is a Weyl and a braid invariant, so it must not move
+    # under the reflection in any root, simple or not, nor under a braid
+    # word.
+    rng = random.Random(20261020)
+    x8 = Surface.plane(8)
+    roots = enumerate_classes(x8, ROOT)
+    assert len(roots) == 240
+    checks = 0
+    for label in (eq.label for eq in EQUATIONS if eq.surface == x8):
+        for c in catalog.builds(label):
+            images = [apply_to_collection(a, c) for a in rng.sample(roots, 8)]
+            for _ in range(3):
+                word = tuple(rng.choice(("L1", "L2", "R1", "R2")) for _ in range(rng.randint(1, 4)))
+                images.append(apply_word(c, word))
+            n = orbit_count(c)
+            for image in images:
+                assert orbit_count(image) == n
+                checks += 1
+    assert checks == 5 * 11
 
 
 def test_orbit_count_requires_coprime_ranks():
@@ -464,13 +470,13 @@ def test_orbit_count_checks_realised_transpositions():
 def reflection_swaps(c: BlockCollection, vectors: list) -> bool:
     """The transposition check written out: reflect every vector in
     c1_i - c1_{i+1} and compare with the list with v_i and v_{i+1} swapped."""
-    members = c.members
+    members, classes = c.members, [DivisorClass(c.surface, v) for v in vectors]
     start = 0
     for b in c.blocks:
         for i in range(start, start + b.size - 1):
-            step = _reflection(members[i].c1 - members[i + 1].c1)
+            a = members[i].c1 - members[i + 1].c1
             swapped = vectors[:i] + [vectors[i + 1], vectors[i]] + vectors[i + 2 :]
-            if [_reflect(v, step) for v in vectors] != swapped:
+            if [(x + intersect(x, a) * a).coords for x in classes] != swapped:
                 return False
         start += b.size
     return True
@@ -485,7 +491,7 @@ def test_transposition_check_matches_reflection_oracle():
     broken = 0
     for label in catalog.labels():
         for c in catalog.builds(label):
-            vectors = _twist_invariants(c, tuple(m.rank for m in c.members))
+            vectors = _member_invariants(c)
             _check_transpositions(c, vectors)
             assert reflection_swaps(c, vectors)
             n = c.surface.picard_rank
@@ -547,7 +553,7 @@ def test_orbit_table_counts_each_collection_once(monkeypatch, capsys):
 
     catalog.build.cache_clear()
     weyl.orbit_row.cache_clear()
-    simple_system.cache_clear()
+    simple_reflections.cache_clear()
     monkeypatch.setattr(weyl, "orbit_count", counting)
     assert cli.main(["orbits", "--check-c", "--check-recursion"]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -660,7 +666,7 @@ def test_count_disjoint_sets_certifies_representatives(monkeypatch):
     with pytest.raises(InvariantViolationError, match="not divisible by the stabiliser order 7"):
         count_disjoint_sets(x3, 3)
     monkeypatch.undo()
-    monkeypatch.setattr(weyl, "_stabiliser_roots", lambda surface, vectors: simple_roots(surface))
+    monkeypatch.setattr(weyl, "_stabiliser_roots", lambda surface, vectors: simple_reflections(surface))
     with pytest.raises(InvariantViolationError, match=r"not divisible by 3!"):
         count_disjoint_sets(x3, 3)
 
@@ -695,7 +701,7 @@ def test_recursion_cases():
 # The chamber walk against the bubble walk.
 
 
-def bubble_stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
+def bubble_stabiliser_roots(surface: Surface, vectors: list, roots: tuple) -> tuple:
     """Oracle: the sequential chamber walk, one vector and one reflection at a time.
 
     Each vector, after every reflection made for the vectors before it, is
@@ -704,34 +710,34 @@ def bubble_stabiliser_roots(vectors: list, reflections: tuple) -> tuple:
     (Steinberg's chain, which the library's one walk of one combined vector
     replaces).  As in the library's walk, a vector takes at most N + 1
     passes over the chain, N the number of positive roots of the given
-    reflections' group.
+    roots' group.
     """
-    passes = _positive_root_count([step.root for step in reflections]) + 1
-    chain = list(reflections)
+    passes = _positive_root_count(roots) + 1
+    chain = list(roots)
     word = []
     for v in vectors:
         if not chain:
             break
-        for step in word:
-            v = _reflect(v, step)
+        for a in word:
+            v = _reflect(surface, v, a.coords)
         for _ in range(passes):
             moved = False
-            for step in chain:
-                if sum(map(mul, v, step.covector)) > 0:
-                    v = _reflect(v, step)
-                    word.append(step)
+            for a in chain:
+                if surface.dot(v, a.coords) > 0:
+                    v = _reflect(surface, v, a.coords)
+                    word.append(a)
                     moved = True
             if not moved:
                 break
         else:
             raise AssertionError(f"bubble walk not dominant after {passes} passes")
-        chain = [step for step in chain if not sum(map(mul, v, step.covector))]
-    return tuple(step.root for step in chain)
+        chain = [a for a in chain if not surface.dot(v, a.coords)]
+    return tuple(chain)
 
 
 def _assert_walks_agree(surface: Surface, vectors: list) -> None:
-    reflections = simple_reflections(surface)
-    assert _stabiliser_roots(surface, vectors) == bubble_stabiliser_roots(vectors, reflections)
+    roots = simple_reflections(surface)
+    assert _stabiliser_roots(surface, vectors) == bubble_stabiliser_roots(surface, vectors, roots)
 
 
 @pytest.mark.parametrize("label", tuple(catalog.ENTRIES))
@@ -742,7 +748,7 @@ def test_stabiliser_walk_matches_bubble_oracle_on_builds(label):
         images.append(BlockCollection(tuple(b.twisted(d) for b in c.blocks)))
         images += [apply_to_collection(g, c) for g in simple_reflections(c.surface)]
         for image in images:
-            _assert_walks_agree(c.surface, _twist_invariants(image, image.ranks))
+            _assert_walks_agree(c.surface, _member_invariants(image))
 
 
 def test_stabiliser_walk_matches_bubble_oracle_on_disjoint_representatives():
@@ -780,7 +786,7 @@ def test_stabiliser_walk_matches_bubble_oracle_on_random_tuples(surface):
 
 def test_stabiliser_of_no_vectors_is_the_whole_system():
     for s in ALL_SURFACES:
-        assert _stabiliser_roots(s, []) == simple_roots(s)
+        assert _stabiliser_roots(s, []) == simple_reflections(s)
 
 
 def test_roots_pair_with_each_vector_within_the_walk_bound():
@@ -789,7 +795,7 @@ def test_roots_pair_with_each_vector_within_the_walk_bound():
     # (Cauchy-Schwarz on the negative definite K-perp).  Checked here on
     # every root, against the vectors the library walks.
     cases = [
-        (c.surface, _twist_invariants(c, c.ranks))
+        (c.surface, _member_invariants(c))
         for label in catalog.ENTRIES
         for c in catalog.builds(label)
     ]
@@ -818,30 +824,25 @@ def test_positive_root_counts_match_root_enumeration():
     # The walk's cap reads the number of positive roots off the Dynkin
     # types; the roots of each surface, enumerated, are twice that many.
     for s in ALL_SURFACES:
-        assert 2 * _positive_root_count(simple_roots(s)) == len(enumerate_classes(s, ROOT)), s
-    a0, a1, a2, a3, a4 = simple_roots(Surface.plane(5))
+        assert 2 * _positive_root_count(simple_reflections(s)) == len(enumerate_classes(s, ROOT)), s
+    a0, a1, a2, a3, a4 = simple_reflections(Surface.plane(5))
     assert _positive_root_count((a0, a2, a3, a4)) == 12  # D_4
     assert _positive_root_count((a1, a2, a4)) == 4  # A_2 x A_1
     assert _positive_root_count(()) == 0
 
 
 def test_chamber_walk_certifies_where_it_stops(monkeypatch):
-    # Each covector forged as its root's coordinates: a swap then pairs as
-    # x_i - x_{i+1}, which is positive after the descending sort wherever
-    # two coordinates differ, so the walk must reject its own end point.
+    # Every simple root forged as its negative, which leaves the Dynkin
+    # types valid: a swap then pairs as x_i - x_{i+1}, which is positive
+    # after the descending sort wherever two coordinates differ, so the
+    # walk must reject its own end point.
     # On the x5 build's twist invariants the forged Cremona root does not
     # pair positively, so the walk stops after one pass.
     c = catalog.build("x5", 0)
     cases = [(Surface.quadric(), [(0, 1)]), (Surface.plane(2), [(0, 0, 1)])]
-    cases.append((c.surface, _twist_invariants(c, c.ranks)))
-    real = weyl.simple_system
-    monkeypatch.setattr(
-        weyl,
-        "simple_system",
-        lambda s: real(s)._replace(
-            reflections=tuple(Reflection(g.root, g.root.coords) for g in real(s).reflections)
-        ),
-    )
+    cases.append((c.surface, _member_invariants(c)))
+    real = weyl.simple_reflections
+    monkeypatch.setattr(weyl, "simple_reflections", lambda s: tuple(-a for a in real(s)))
     start = time.perf_counter()
     for s, vectors in cases:
         with pytest.raises(
@@ -863,5 +864,5 @@ def test_chamber_walk_is_bounded(monkeypatch):
         InvariantViolationError,
         match="a chamber walk on X5 is not dominant after 1 passes, though W has 0 positive roots",
     ):
-        _stabiliser_roots(c.surface, _twist_invariants(c, c.ranks))
+        _stabiliser_roots(c.surface, _member_invariants(c))
     assert time.perf_counter() - start < 1
