@@ -283,12 +283,25 @@ def test_root_orbits():
     assert full == {d.coords for d in enumerate_classes(x8, ROOT)}
 
 
+def test_apply_to_class_keeps_invariants():
+    # a torsion class reflected in a non-simple root of X3 keeps rank and
+    # 2*ch2, and its c1 moves by x -> x + (x.a) a
+    s = Surface.plane(3)
+    a = DivisorClass(s, (1, -1, -1, -1))
+    t = torsion_class(DivisorClass.basis(s, 2), 1)
+    (moved,) = apply_to_collection(a, BlockCollection((Block((t,)),))).members
+    assert (moved.rank, moved.ch2x2) == (t.rank, t.ch2x2)
+    assert moved.c1 == t.c1 + intersect(t.c1, a) * a
+    assert moved.c1.coords == _reflect(s, t.c1.coords, a.coords)
+
+
 def test_apply_to_collection_preserves_chi():
     # rank and 2*ch2 stay, c1 moves by x -> x + (x.a) a, and chi is kept
     c = catalog.build("x5")
     a = simple_reflections(c.surface)[0]
     moved = apply_to_collection(a, c)
     assert moved.type_vector == c.type_vector
+    assert moved.ranks == c.ranks
     before = c.members
     after = moved.members
     for e, f in zip(before, after):
