@@ -33,11 +33,15 @@ or the reflection in a root (``weyl.apply_to_collection``, which checks
 that its root is one), both of which preserve the Euler form.
 
 Pairings are computed afresh from the classes, Riemann-Roch with each
-block's one rank and degree hoisted out of the member loops, so a pair
-costs one :meth:`Surface.dot`: by :func:`kclass.first_nonzero_chi` in
-validation, inline in the certificate; :func:`chi` reports a nonzero
-pairing it finds.  Brute-force revalidation stays in the tests as the
-certificate's oracle.
+block's one rank and degree hoisted out of the member loops.  Validation
+reads each member once, into its block's rows (:func:`kclass.euler_rows`:
+rank, degree, 2*ch2, c1 and the covector of c1); the rows decide the block
+axioms and, through :func:`kclass.first_nonzero_chi`, the orthogonality
+inside the block and every pairing with the other blocks, at one
+``sum(map(mul, ...))`` a pair.  The certificate pays one
+:meth:`Surface.dot` a pair, inline.  :func:`chi` reports a nonzero pairing
+either finds.  Brute-force revalidation stays in the tests as the oracle of
+both.
 
 Twist classes are decided in one place, by the key of
 :func:`twist_normal_form`; every other twist test compares such keys.
@@ -60,8 +64,10 @@ from .kclass import (
     chi_minus,
     degree,
     describe,
+    euler_rows,
     first_nonzero_chi,
     render_int,
+    row_is_exceptional,
     twist,
 )
 from .picard import DivisorClass, Surface, canonical_class
@@ -124,45 +130,44 @@ def validate_block(members: Sequence[KClass]) -> Block:
     sheaf parity 2*ch2 == c1.K (mod 2), equal ranks, equal degrees, and
     mutual orthogonality.
     """
+    return _checked_block(members)[0]
+
+
+def _checked_block(members: Sequence[KClass]) -> tuple[Block, list[tuple]]:
+    # validate_block's checks in its order and with its messages, on the
+    # members read once into kclass.euler_rows; returns the block and its
+    # rows, which validate_collection pairs with the other blocks' rows.
     members = tuple(members)
-    _require_members(members)
+    if not members:
+        raise BlockError("a block must contain at least one class")
+    surface = members[0].c1.surface
+    if any(m.c1.surface != surface for m in members[1:]):
+        raise BlockError("block members live on different surfaces")
+    rows = euler_rows(members)
+    for n, row in enumerate(rows, 1):
+        if not row_is_exceptional(row):
+            problem = "is not exceptional"
+        elif (row[2] - row[1]) % 2:
+            problem = "breaks the sheaf parity 2*ch2 == c1.K (mod 2)"
+        else:
+            continue
+        raise BlockError(f"member {n} {describe(members[n - 1])} {problem}")
+    if len({row[0] for row in rows}) > 1:
+        raise BlockError("block members must share a common rank")
+    if len({row[1] for row in rows}) > 1:
+        raise BlockError("block members must share a common degree")
     # For exceptional a, b of equal rank r and degree, chi(a,b) - chi(b,a) =
     # r*(d_b - d_a) = 0 and 2*chi(a,b) = 2 + (c1_a - c1_b)^2 (rank 0 too), so
     # chi(a,b) = 0 makes chi(b,a) vanish and c1_a - c1_b a root: its square
     # is -2, and the equal degrees make it orthogonal to K.
-    bad = first_nonzero_chi(members, members, upper=True)
+    bad = first_nonzero_chi(rows, rows, upper=True)
     if bad is not None:
         i, j = bad
         raise BlockError(
             f"chi(member {i + 1}, member {j + 1}) = {render_int(chi(members[i], members[j]))}; "
             "block members must be mutually orthogonal"
         )
-    return Block(members)
-
-
-def _require_members(members: tuple[KClass, ...]) -> None:
-    # The block axioms short of orthogonality, in validate_block's order and
-    # with its messages: nonempty, one surface, each member exceptional with
-    # the sheaf parity, one rank and one degree.
-    if not members:
-        raise BlockError("a block must contain at least one class")
-    surface = members[0].c1.surface
-    if any(m.c1.surface != surface for m in members[1:]):
-        raise BlockError("block members live on different surfaces")
-    degree_of = surface.degree
-    degrees = [degree_of(m.c1.coords) for m in members]
-    for n, (m, d) in enumerate(zip(members, degrees), 1):
-        if not m.is_exceptional:
-            problem = "is not exceptional"
-        elif (m.ch2x2 - d) % 2:
-            problem = "breaks the sheaf parity 2*ch2 == c1.K (mod 2)"
-        else:
-            continue
-        raise BlockError(f"member {n} {describe(m)} {problem}")
-    if len({m.rank for m in members}) > 1:
-        raise BlockError("block members must share a common rank")
-    if len(set(degrees)) > 1:
-        raise BlockError("block members must share a common degree")
+    return Block(members), rows
 
 
 class BlockCollection(NamedTuple):
@@ -193,42 +198,42 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
     Accepts Block instances or plain sequences of classes.  Every Euler
     pairing from a later block into an earlier one must vanish.  A failure
     names the offending block, or the offending pair of members (1-based).
+    Each block is read once into its rows (:func:`kclass.euler_rows`),
+    which decide its axioms and then every pairing with the other blocks.
     """
-    wrapped = [
+    checked = [
         _validate_block_at(b.members if isinstance(b, Block) else b, n)
         for n, b in enumerate(blocks, 1)
     ]
-    if not wrapped:
+    if not checked:
         raise BlockError("a collection must contain at least one block")
-    for n, b in enumerate(wrapped, 1):
-        if b.surface != wrapped[0].surface:
+    surface = checked[0][0].surface
+    for n, (b, _) in enumerate(checked, 1):
+        if b.surface != surface:
             raise BlockError(f"block {n} lives on a different surface")
-    for i in range(len(wrapped)):
-        for j in range(i + 1, len(wrapped)):
-            _require_semiorthogonal(wrapped, i, j)
-    return BlockCollection(tuple(wrapped))
+    # chi(later, earlier) == 0 from block j into block i, i < j; a failure
+    # names both members by their 1-based positions.
+    for i, (earlier, cols) in enumerate(checked):
+        for j in range(i + 1, len(checked)):
+            later, rows = checked[j]
+            bad = first_nonzero_chi(rows, cols)
+            if bad is not None:
+                a, b = bad
+                value = chi(later.members[a], earlier.members[b])
+                raise BlockError(
+                    f"chi(block {j + 1} member {a + 1}, block {i + 1} member {b + 1}) "
+                    f"= {render_int(value)}; the collection is not semiorthogonal"
+                )
+    return BlockCollection(tuple(b for b, _ in checked))
 
 
-def _validate_block_at(members: Sequence[KClass], n: int) -> Block:
-    # validate_block, naming the block by its 1-based position n on failure.
+def _validate_block_at(members: Sequence[KClass], n: int) -> tuple[Block, list[tuple]]:
+    # The checked block and its rows, naming the block by its 1-based
+    # position n on failure.
     try:
-        return validate_block(members)
+        return _checked_block(members)
     except BlockError as exc:
         raise BlockError(f"block {n}: {exc}") from None
-
-
-def _require_semiorthogonal(blocks: Sequence[Block], i: int, j: int) -> None:
-    # chi(later, earlier) == 0 from block j into block i (0-based, i < j) for
-    # validated blocks on one surface; a failure names both members by their
-    # 1-based positions in `blocks`.
-    later, earlier = blocks[j].members, blocks[i].members
-    bad = first_nonzero_chi(later, earlier)
-    if bad is not None:
-        a, b = bad
-        raise BlockError(
-            f"chi(block {j + 1} member {a + 1}, block {i + 1} member {b + 1}) "
-            f"= {render_int(chi(later[a], earlier[b]))}; the collection is not semiorthogonal"
-        )
 
 
 def _cross(e: Block, f: Block) -> int:
@@ -352,7 +357,7 @@ def block_mutation(
     blocks = c.blocks[: i - 1] + pair + c.blocks[i + 1 :]
     if not _certified(blocks, at, old, mtype.kind == DIVISION, c.surface):
         try:
-            if _validate_block_at(members, at + 1).surface != c.surface:
+            if _validate_block_at(members, at + 1)[0].surface != c.surface:
                 raise BlockError(f"block {at + 1} lives on a different surface")
             validate_collection(blocks)
             raise BlockError(f"block {at + 1} is not a translate of the block it replaces")
@@ -364,7 +369,18 @@ def block_mutation(
 
 
 def _certified(blocks: tuple, at: int, old: Block, division: bool, surface: Surface) -> bool:
-    # block_mutation's certificate for the new block N = blocks[at].
+    """block_mutation's certificate for the new block N = blocks[at].
+
+    Clause (a)'s degree and sheaf-parity checks are implied by the others
+    on a valid input; they stay, so that the certificate checks every block
+    axiom itself.  By (c), c1(N_j) = C - s*c1(O_j) and 2*ch2(N_j) = n -
+    s*2*ch2(O_j) for one (C, n), so the N_j share one degree as the O_j do,
+    and each N_j breaks the parity exactly when (C, n) does, since the O_j
+    keep it.  If N has odd rank, exceptionality implies the parity, as
+    c1^2 == c1.K (mod 2).  Otherwise a member X of odd rank in another
+    block, which every complete collection has, makes 2*chi(N_0, X) or
+    2*chi(X, N_0) odd for a broken N_0, and (b) rejects it.
+    """
     new, olds = blocks[at].members, old.members
     if len(new) != len(olds) or new[0].c1.surface != surface:
         return False

@@ -33,6 +33,7 @@ comparisons only the catalog can make against its stored data.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .blockcalc import (
@@ -45,7 +46,7 @@ from .blockcalc import (
     validate_block,
     validate_collection,
 )
-from .kclass import InvariantViolationError, KClass, chi_minus, line_bundle, slope, torsion_class
+from .kclass import InvariantViolationError, KClass, chi_minus, line_bundle, torsion_class
 from .markov import check_solution, equation_by_label, equation_for, minimum_solutions
 from .picard import QUADRIC, DivisorClass, Surface, embed
 
@@ -408,7 +409,7 @@ def _merge_distinguished(c: BlockCollection) -> BlockCollection:
         )
     i = mergeable[0]
     try:
-        merged = _validate_block_at(c.blocks[i].members + c.blocks[i + 1].members, i + 1)
+        merged, _ = _validate_block_at(c.blocks[i].members + c.blocks[i + 1].members, i + 1)
     except BlockError as exc:
         raise InvariantViolationError(f"merged collection is invalid: {exc}") from exc
     return BlockCollection(c.blocks[:i] + (merged,) + c.blocks[i + 2 :])
@@ -474,6 +475,28 @@ class Check(NamedTuple):
     detail: str = ""
 
 
+def _slope(e: KClass, s: Surface) -> tuple[int, int]:
+    # kclass.slope(e), d/r, as the pair (d, r) with r >= 0; r == 0 reads as
+    # +inf.
+    r, d = e.rank, s.degree(e.c1.coords)
+    return (-d, -r) if r < 0 else (d, r)
+
+
+def _slope_below(s: tuple[int, int], t: tuple[int, int]) -> bool:
+    # s < t for _slope pairs, by integer cross-multiplication.
+    (a, p), (b, q) = s, t
+    return p != 0 and (q == 0 or a * q < b * p)
+
+
+def _slope_text(s: tuple[int, int]) -> str:
+    # str of kclass.slope's value: p/q in lowest terms, an integer, or inf.
+    d, r = s
+    if r == 0:
+        return "inf"
+    g = gcd(d, r)
+    return str(d // g) if r == g else f"{d // g}/{r // g}"
+
+
 def checks(c: BlockCollection) -> list[Check]:
     """The paper's claims about a valid block collection, one record each.
 
@@ -483,21 +506,26 @@ def checks(c: BlockCollection) -> list[Check]:
     equation of its type; and, once complete, the (a, b, c) relations.  For
     positive ranks the slope inequalities are c = chi(E, F) > 0,
     a = chi(F, G) > 0 and b = chi(G(K), E) > 0, as chi(F, E), chi(G, F) and
-    chi(E, G(K)) = chi(G, E) vanish.  The records are the same whoever asks.
+    chi(E, G(K)) = chi(G, E) vanish.  The slopes d/r are compared as
+    integers, d*r' < d'*r over positive ranks, with rank 0 as +inf, and
+    printed as :func:`kclass.slope` would print them.  The records are the
+    same whoever asks.
     """
+    s, types = c.surface, c.type_vector
     complete = blockcalc.is_complete(c)
     out = [
-        Check("blocks and semiorthogonality", True, f"type {c.type_vector}"),
-        Check("complete", complete, f"{len(c.members)} classes, K0 rank {c.surface.k0_rank}"),
+        Check("blocks and semiorthogonality", True, f"type {types}"),
+        Check("complete", complete, f"{sum(types)} classes, K0 rank {s.k0_rank}"),
     ]
-    if len(c.blocks) != 3:
+    if len(types) != 3:
         return out
     if complete:
-        mu = [slope(b.members[0]) for b in c.blocks]
-        ok = mu[0] < mu[1] < mu[2] < mu[0] + c.surface.k_squared
-        out.append(Check("block slopes", ok, " < ".join(map(str, mu))))
+        mu = [_slope(b.members[0], s) for b in c.blocks]
+        top = (mu[0][0] + s.k_squared * mu[0][1], mu[0][1])  # mu(E) + K^2
+        ok = all(map(_slope_below, mu, mu[1:] + [top]))
+        out.append(Check("block slopes", ok, " < ".join(map(_slope_text, mu))))
     try:
-        eq = equation_for(c.surface, c.type_vector)
+        eq = equation_for(s, types)
     except ValueError:
         out.append(Check("ranks solve equation", False, "no matching equation"))
     else:

@@ -51,7 +51,7 @@ def collection_to_doc(c: BlockCollection, provenance: dict | None = None) -> dic
 
 def _is_int(x) -> bool:
     # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 def collection_from_doc(doc) -> BlockCollection:
@@ -79,7 +79,7 @@ def collection_from_doc(doc) -> BlockCollection:
                 raise ValueError(f"class lacks field {missing}") from None
             if not _is_int(rank) or not _is_int(ch2x2):
                 raise ValueError("rank and ch2x2 must be integers")
-            if not isinstance(c1, list) or not all(_is_int(x) for x in c1):
+            if not isinstance(c1, list) or not all(map(_is_int, c1)):
                 raise ValueError("c1 must be a list of integers")
             members.append(KClass(rank, DivisorClass(surface, tuple(c1)), ch2x2))
         blocks.append(members)
@@ -207,10 +207,11 @@ def cmd_graph(args) -> int:
 
 
 def _print_checks(checks: list[catalog.Check]) -> int:
-    for check in checks:
-        suffix = f"  ({check.detail})" if check.detail else ""
-        print(f"{'ok' if check.ok else 'FAIL'}: {check.name}{suffix}")
-    return 0 if all(check.ok for check in checks) else 2
+    print("\n".join(
+        f"{'ok' if c.ok else 'FAIL'}: {c.name}" + (f"  ({c.detail})" if c.detail else "")
+        for c in checks
+    ))
+    return 0 if all(c.ok for c in checks) else 2
 
 
 def cmd_verify(args) -> int:

@@ -8,19 +8,20 @@ that parity as bad input; :func:`chi` keeps its own parity check as an
 internal invariant, whose failure means a bug rather than bad input.
 
 The lattice form and the degree functional come from the surface
-(:meth:`Surface.dot`, :meth:`Surface.degree`), so :func:`degree`,
-:func:`chi`, :func:`twist` and ``is_exceptional`` are integer dot products
-on coordinate tuples.  A KClass stores no surface of its own: it lives on
-its c1's, so each function that takes two arguments checks those two
-surfaces once and raises LatticeMismatchError when they differ.  This
-module is the one place that writes out Riemann-Roch: :func:`chi` for one
-pair, :func:`first_nonzero_chi` for all pairs of two blocks, with each
-block's rank and degree hoisted, and :func:`chi_minus` for its
-antisymmetric part r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads
-its closed forms.  The one other copy is the hoisted form inside
-``blockcalc``'s one-pass mutation certificate, which the tests hold to
-brute-force validation.  :func:`torsion_class` takes the (-1)-class
-condition from ``picard.is_kind``.
+(:meth:`Surface.dot`, :meth:`Surface.degree`, :meth:`Surface.covector`),
+so :func:`degree`, :func:`chi`, :func:`twist` and ``is_exceptional`` are
+integer dot products on coordinate tuples.  A KClass stores no surface of
+its own: it lives on its c1's, so each function that takes two arguments
+checks those two surfaces once and raises LatticeMismatchError when they
+differ.  This module is the one place that writes out Riemann-Roch:
+:func:`chi` for one pair; :func:`euler_rows`, which reads each class of a
+block once into its integers, with :func:`row_is_exceptional` and
+:func:`first_nonzero_chi` on those rows for a whole block or block pair;
+and :func:`chi_minus` for its antisymmetric part r(E)d(F) - r(F)d(E),
+through which ``blockcalc`` reads its closed forms.  The one other copy is
+the hoisted form inside ``blockcalc``'s one-pass mutation certificate,
+which the tests hold to brute-force validation.  :func:`torsion_class`
+takes the (-1)-class condition from ``picard.is_kind``.
 
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on
@@ -39,6 +40,7 @@ module does not load it.
 from __future__ import annotations
 
 from math import inf
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .picard import (
@@ -119,13 +121,12 @@ class KClass(NamedTuple):
 
     @property
     def is_exceptional(self) -> bool:
-        """Whether rank*ch2x2 == 1 + c1^2 - rank^2 (rank 0: c1^2 == -1)."""
-        c1 = self.c1
-        x = c1.coords
-        c1sq = c1.surface.dot(x, x)
-        if self.rank == 0:
-            return c1sq == -1
-        return self.rank * self.ch2x2 == 1 + c1sq - self.rank * self.rank
+        """Whether chi(E, E) == 1, that is r*(r + ch2x2) - c1^2 == 1.
+
+        For rank 0 this reads c1^2 == -1.
+        """
+        r, x = self.rank, self.c1.coords
+        return r * (r + self.ch2x2) - self.c1.surface.dot(x, x) == 1
 
 
 def degree(e: KClass) -> int:
@@ -162,27 +163,45 @@ def chi(e: KClass, f: KClass) -> int:
     return twice // 2
 
 
-def first_nonzero_chi(
-    rows: Sequence[KClass], cols: Sequence[KClass], upper: bool = False
-) -> tuple[int, int] | None:
-    """The first (a, b), row by row, with chi(rows[a], cols[b]) != 0, or None.
+def euler_rows(members: Sequence[KClass]) -> list[tuple]:
+    """Each class as its row (rank, degree, 2*ch2, c1 coordinates, covector of c1).
 
-    The rows share one rank and degree, and so do the columns, as the
-    members of a block do.  Riemann-Roch as in :func:`chi` with those
-    hoisted: 2*chi(l, e) = (2rq + r*d_e - q*d_l + q*ch_l) + r*ch_e
-    - 2*c1_l.c1_e for l of rank r among the rows and e of rank q among the
-    columns, so a pair costs one Surface.dot.  With upper, rows and cols
-    are one sequence and only the pairs b > a are checked.
+    The surface is the first class's, unchecked: the classes share it.  A
+    row holds every integer that :func:`row_is_exceptional` and
+    :func:`first_nonzero_chi` read, so a block read once into rows serves
+    its own axioms and its pairings with every other block.
     """
-    s = same_surface(rows[0].c1, cols[0].c1)
-    r, q, dot = rows[0].rank, cols[0].rank, s.dot
-    base = 2 * r * q + r * s.degree(cols[0].c1.coords) - q * s.degree(rows[0].c1.coords)
-    us = [(base + q * m.ch2x2, m.c1.coords) for m in rows]
-    vs = [(r * m.ch2x2, m.c1.coords) for m in cols]
-    for a, (u, x) in enumerate(us):
-        for b in range(a + 1 if upper else 0, len(vs)):
-            v, y = vs[b]
-            if u + v != 2 * dot(x, y):
+    s = members[0].c1.surface
+    deg, cov = s.degree, s.covector
+    return [(m.rank, deg(x), m.ch2x2, x, cov(x)) for m in members for x in (m.c1.coords,)]
+
+
+def row_is_exceptional(row: tuple) -> bool:
+    """``KClass.is_exceptional`` on a row: r*(r + ch2x2) - c1^2 == 1."""
+    r, _, ch, x, cov = row
+    return r * (r + ch) - sum(map(mul, cov, x)) == 1
+
+
+def first_nonzero_chi(rows: list, cols: list, upper: bool = False) -> tuple[int, int] | None:
+    """The first (a, b), row by row, with chi(l_a, e_b) != 0, or None.
+
+    rows and cols are :func:`euler_rows` of classes l_a and e_b on one
+    surface (unchecked), the rows sharing one rank and degree, and so the
+    columns, as the members of a block do.  Riemann-Roch as in :func:`chi`
+    with those hoisted: 2*chi(l, e) = 2rq + r*d_e - q*d_l + q*ch_l + r*ch_e
+    - 2*c1_l.c1_e for l of rank r and degree d_l among the rows and e of
+    rank q and degree d_e among the columns, and c1_l.c1_e is l's covector
+    applied to c1_e, so a pair costs one ``sum(map(mul, ...))``.  With
+    upper, rows and cols are one sequence and only the pairs b > a are
+    checked.
+    """
+    r, d_l, q, d_e = rows[0][0], rows[0][1], cols[0][0], cols[0][1]
+    base = 2 * r * q + r * d_e - q * d_l
+    for a, (_, _, ch, _, cov) in enumerate(rows):
+        u = base + q * ch
+        for b in range(a + 1 if upper else 0, len(cols)):
+            _, _, ch_e, y, _ = cols[b]
+            if u + r * ch_e != 2 * sum(map(mul, cov, y)):
                 return a, b
     return None
 

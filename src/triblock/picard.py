@@ -9,7 +9,10 @@ f1^2 = f2^2 = 0 and f1.f2 = 1.  Everything is exact integer arithmetic.
 This module is the only one that knows the intersection form and the
 canonical class K.  :meth:`Surface.dot` and :meth:`Surface.degree` (the
 functional d -> d.(-K)) evaluate them on bare coordinate tuples as plain
-integer dot products, with no surface check.  The checked entry points,
+integer dot products, with no surface check.  :meth:`Surface.covector`
+turns x into the functional y -> x.y as a coordinate tuple, so that a loop
+pairing one x with many y computes it once and pays one
+``sum(map(mul, ...))`` a pair and no method call.  The checked entry points,
 :func:`intersect` and the ``kclass`` functions, check surfaces once per call
 and then use these.
 
@@ -101,6 +104,11 @@ class Surface(NamedTuple):
             return x[0] * y[1] + x[1] * y[0]
         # l0^2 = 1 and li^2 = -1: x0*y0 - sum over i >= 1 of xi*yi.
         return 2 * x[0] * y[0] - sum(map(mul, x, y))
+
+    def covector(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        """The functional y -> x.y as a coordinate tuple c: x.y == sum(c_i*y_i)."""
+        # (x1, x0) on the quadric, (x0, -x1, ..., -xr) on the plane
+        return (x[1], x[0]) if self.kind == QUADRIC else (x[0], *map(neg, x[1:]))
 
     def degree(self, x: tuple[int, ...]) -> int:
         """The degree x.(-K) of a coordinate tuple of this lattice."""

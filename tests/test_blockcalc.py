@@ -39,6 +39,8 @@ from triblock.kclass import (
     InvariantViolationError,
     KClass,
     chi,
+    degree,
+    describe,
     line_bundle,
     torsion_class,
     twist,
@@ -194,6 +196,110 @@ def test_failures_name_offending_members():
         validate_collection([[lb(x2, 0, 0, 0)], [lb(x1, 0, 0)], [lb(x1, 1, 0)]])
     assert str(err.value) == "block 2 lives on a different surface"
 
+
+
+def _validate_by_brute_force(blocks):
+    # validate_collection's oracle: every axiom and every pair with chi, in
+    # the documented order, raising the same message or returning the same
+    # collection.  Exceptional reads chi(m, m) == 1 and the parity reads
+    # 2*ch2 + c1.K, so neither uses the rows.
+    wrapped = []
+    for n, members in enumerate(blocks, 1):
+        members = tuple(members)
+
+        def fail(message):
+            raise BlockError(f"block {n}: {message}")
+
+        if not members:
+            fail("a block must contain at least one class")
+        s = members[0].surface
+        if any(m.surface != s for m in members):
+            fail("block members live on different surfaces")
+        for k, m in enumerate(members, 1):
+            if chi(m, m) != 1:
+                fail(f"member {k} {describe(m)} is not exceptional")
+            if (m.ch2x2 + intersect(m.c1, canonical_class(s))) % 2:
+                fail(f"member {k} {describe(m)} breaks the sheaf parity 2*ch2 == c1.K (mod 2)")
+        if len({m.rank for m in members}) > 1:
+            fail("block members must share a common rank")
+        if len({degree(m) for m in members}) > 1:
+            fail("block members must share a common degree")
+        for a, b in ((a, b) for a in range(len(members)) for b in range(a + 1, len(members))):
+            if chi(members[a], members[b]):
+                fail(
+                    f"chi(member {a + 1}, member {b + 1}) = {chi(members[a], members[b])}; "
+                    "block members must be mutually orthogonal"
+                )
+        wrapped.append(Block(members))
+    if not wrapped:
+        raise BlockError("a collection must contain at least one block")
+    for n, b in enumerate(wrapped, 1):
+        if b.surface != wrapped[0].surface:
+            raise BlockError(f"block {n} lives on a different surface")
+    for i, j in ((i, j) for i in range(len(wrapped)) for j in range(i + 1, len(wrapped))):
+        for a, later in enumerate(wrapped[j].members):
+            for b, earlier in enumerate(wrapped[i].members):
+                if chi(later, earlier):
+                    raise BlockError(
+                        f"chi(block {j + 1} member {a + 1}, block {i + 1} member {b + 1}) "
+                        f"= {chi(later, earlier)}; the collection is not semiorthogonal"
+                    )
+    return BlockCollection(tuple(wrapped))
+
+
+def _outcome(validate, blocks):
+    try:
+        return validate(blocks)
+    except BlockError as exc:
+        return str(exc)
+
+
+def test_validate_collection_matches_brute_force_oracle():
+    # Seeded documents: the sixteen builds under the fuzz test's
+    # shape-keeping perturbations, then read back as unvalidated blocks;
+    # plus the cases they rarely or never reach: no block, a block or a
+    # member from another surface, a member breaking the sheaf parity, and
+    # from each build a member negated, which changes its rank and degree,
+    # and the last block repeated backwards, which the first nonzero pair
+    # read row by row and column by column tell apart.
+    from test_fuzz import KEEP_SHAPE, _perturb
+
+    rng = random.Random(31)
+    builds = [cli.collection_to_doc(c) for c in _all_builds()]
+    x1, quadric = Surface.plane(1), Surface.quadric()
+    cases = [[], [[lb(x1, 0, 0)], [lb(quadric, 0, 0)]], [[lb(x1, 0, 0), lb(quadric, 1, 1)]]]
+    cases.append([[lb(x1, 0, 0)], [KClass(2, DivisorClass(x1, (2, 1)), 0)]])
+    for c in _all_builds():
+        blocks = [list(b.members) for b in c.blocks]
+        cases.append(blocks + [blocks[-1][::-1]])
+        big = max(blocks, key=len)
+        cases.append([b[:-1] + [-b[-1]] if b is big else b for b in blocks])
+    for _ in range(800):
+        doc = json.loads(json.dumps(rng.choice(builds)))
+        for _ in range(rng.randint(0, 3)):
+            if doc["blocks"] and all(doc["blocks"]):
+                doc = _perturb(rng, doc, rng.choice(KEEP_SHAPE))
+        s = Surface.from_name(doc["surface"])
+        cases.append([
+            [KClass(m["rank"], DivisorClass(s, tuple(m["c1"])), m["ch2x2"]) for m in block]
+            for block in doc["blocks"]
+        ])
+    faults = (
+        "at least one block", "lives on a different surface", "live on different surfaces",
+        "at least one class", "is not exceptional", "breaks the sheaf parity", "common rank",
+        "common degree", "mutually orthogonal", "not semiorthogonal",
+    )
+    seen = {fault: 0 for fault in faults}
+    valid = 0
+    for blocks in cases:
+        expected = _outcome(_validate_by_brute_force, blocks)
+        assert _outcome(validate_collection, blocks) == expected
+        if isinstance(expected, BlockCollection):
+            assert validate_collection(expected.blocks) == expected
+            valid += 1
+        else:
+            seen[next(fault for fault in faults if fault in expected)] += 1
+    assert valid > 100 and all(seen.values()), (valid, seen)
 
 def test_chi_block_requires_constant_pairing():
     x2 = Surface.plane(2)

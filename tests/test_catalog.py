@@ -5,11 +5,13 @@ longer constructions, so a regression in the mutation engine points at the
 exact move that broke.
 """
 
+import random
+
 import pytest
 
 from triblock import catalog, weyl
 from triblock.blockcalc import Block, BlockCollection, apply_word
-from triblock.kclass import InvariantViolationError, line_bundle
+from triblock.kclass import InvariantViolationError, KClass, line_bundle, slope
 from triblock.picard import DivisorClass, Surface, canonical_class
 
 # label -> (surface name, block sizes, block ranks), in collection order
@@ -188,6 +190,56 @@ def test_block_slopes_fail_out_of_order():
         )
         assert not record.ok, record
 
+
+
+def _fraction_slopes(c):
+    # The "block slopes" record as kclass.slope's Fractions give it.
+    mu = [slope(b.members[0]) for b in c.blocks]
+    ok = mu[0] < mu[1] < mu[2] < mu[0] + c.surface.k_squared
+    return catalog.Check("block slopes", ok, " < ".join(map(str, mu)))
+
+
+def test_block_slopes_record_matches_fraction_slopes():
+    # Every build and seeded braid images of it, also with one block
+    # negated (negative rank) or swapped for torsion sheaves on the
+    # exceptional curves (rank 0), and with the blocks permuted: the
+    # integer comparison gives the record the Fractions give.
+    rng = random.Random(31)
+    moves = ("L1", "L2", "R1", "R2")
+    seen = set()
+    for label in catalog.labels():
+        for c in catalog.builds(label):
+            s = c.surface
+            for _ in range(6):
+                word = [rng.choice(moves) for _ in range(rng.randint(0, 5))]
+                blocks = list(apply_word(c, word).blocks)
+                j = rng.randrange(3)
+                if rng.random() < 0.3:
+                    blocks[j] = Block(tuple(-m for m in blocks[j].members))
+                elif rng.random() < 0.3 and s.blowups >= blocks[j].size:
+                    blocks[j] = catalog.torsion_block(s, 1, blocks[j].size, rng.randint(-2, 2))
+                if rng.random() < 0.3:
+                    rng.shuffle(blocks)
+                image = BlockCollection(tuple(blocks))
+                (record,) = [r for r in catalog.checks(image) if r.name == "block slopes"]
+                assert record == _fraction_slopes(image), (label, image)
+                seen.add((record.ok, min(b.rank for b in blocks) < 0, "inf" in record.detail))
+    assert seen >= {(True, False, False), (False, True, False), (False, False, True)}, seen
+
+
+def test_slopes_compare_as_integers():
+    # (d, r) pairs with r > 0, r = 0 and r < 0; on X1 the class of c1
+    # (0, -d) has degree d.
+    x1 = Surface.plane(1)
+    classes = [
+        KClass(r, DivisorClass(x1, (0, -d)), 0) for r in range(-4, 5) for d in range(-6, 7)
+    ]
+    for e in classes:
+        mu = catalog._slope(e, x1)
+        assert mu[1] >= 0
+        assert catalog._slope_text(mu) == str(slope(e))
+        for f in classes:
+            assert catalog._slope_below(mu, catalog._slope(f, x1)) == (slope(e) < slope(f))
 
 def test_standard_plane_and_quadric():
     t = catalog.tau0()

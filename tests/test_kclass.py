@@ -17,9 +17,11 @@ from triblock.kclass import (
     chi,
     chi_minus,
     degree,
+    euler_rows,
     first_nonzero_chi,
     line_bundle,
     render_int,
+    row_is_exceptional,
     slope,
     torsion_class,
     twist,
@@ -249,6 +251,11 @@ def _intersect_ref(a, b):
     return a.coords[0] * b.coords[0] - sum(x * y for x, y in zip(a.coords[1:], b.coords[1:]))
 
 
+
+def _covector_ref(d):
+    # the functional y -> d.y, by its values on the basis
+    n = d.surface.picard_rank
+    return tuple(_intersect_ref(d, DivisorClass.basis(d.surface, i)) for i in range(n))
 def _degree_ref(e):
     return -_intersect_ref(e.c1, canonical_class(e.surface))
 
@@ -308,6 +315,9 @@ def test_euler_form_core_matches_reference():
             assert degree(e) == _degree_ref(e)
             assert surface.degree(e.c1.coords) == _degree_ref(e)
             assert e.is_exceptional is _is_exceptional_ref(e)
+            row = (e.rank, degree(e), e.ch2x2, e.c1.coords, _covector_ref(e.c1))
+            assert euler_rows([e]) == [row]
+            assert row_is_exceptional(euler_rows([e])[0]) is e.is_exceptional
             exceptional += e.is_exceptional
             d = DivisorClass(surface, tuple(rng.randint(-4, 4) for _ in range(surface.picard_rank)))
             assert twist(e, d) == _twist_ref(e, d)
@@ -337,20 +347,20 @@ def test_first_nonzero_chi_matches_pairwise_reference():
             for cols in groups.values():
                 pairs = [(a, b) for a in range(len(rows)) for b in range(len(cols))]
                 expected = next((p for p in pairs if _twice_chi_ref(rows[p[0]], cols[p[1]])), None)
-                assert first_nonzero_chi(rows, cols) == expected
+                assert first_nonzero_chi(euler_rows(rows), euler_rows(cols)) == expected
                 found += expected is not None
             upper = next(
                 ((a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
                  if _twice_chi_ref(rows[a], rows[b])),
                 None,
             )
-            assert first_nonzero_chi(rows, rows, upper=True) == upper
+            assert first_nonzero_chi(euler_rows(rows), euler_rows(rows), upper=True) == upper
     assert found > 100
     # The exceptional curves O(E_1), ..., O(E_8) are mutually orthogonal.
     x8 = Surface.plane(8)
     curves = [line_bundle(pl(x8, 0, *(int(i == j) for i in range(8)))) for j in range(8)]
-    assert first_nonzero_chi(curves, curves, upper=True) is None
-    assert first_nonzero_chi(curves, curves) == (0, 0)
+    assert first_nonzero_chi(euler_rows(curves), euler_rows(curves), upper=True) is None
+    assert first_nonzero_chi(euler_rows(curves), euler_rows(curves)) == (0, 0)
 
 
 def test_render_int_past_the_int_to_str_limit():

@@ -805,23 +805,36 @@ def test_import_loads_only_the_layers_below():
         assert set(out.split()) == expected, layer
 
 
-def test_import_loads_neither_dataclasses_nor_fractions():
-    # The value types are NamedTuples and kclass.slope imports fractions on
-    # its first call, so importing the CLI, which imports every layer,
-    # leaves out dataclasses, fractions and what they would load.
+def test_import_loads_neither_dataclasses_nor_fractions(tmp_path):
+    # The value types are NamedTuples, kclass.slope imports fractions on its
+    # first call and verify compares slopes as integers, so importing the
+    # CLI, which imports every layer, and verifying a complete collection
+    # leave out dataclasses, fractions and what they would load.  What the
+    # interpreter loads at start-up, read from a bare child with the same
+    # flags, is not triblock's and does not count.
     root = os.path.dirname(os.path.dirname(os.path.abspath(triblock.__file__)))
     env = dict(os.environ, PYTHONPATH=root)
+    flags = subprocess._args_from_interpreter_flags()
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    show = f"print(*(m for m in {heavy!r} if m in sys.modules), sep=',')\n"
+
+    def run(code):
+        argv = [sys.executable, *flags, "-c", code]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+
+    (bare,) = run("import sys\n" + show)
+    doc = str(tmp_path / "x8.3.json")
     code = (
-        "import sys, triblock.cli\n"
+        "import json, sys, triblock.cli\n" + show + "from triblock import catalog\n"
+        f"with open({doc!r}, 'w') as f:\n"
+        "    json.dump(triblock.cli.collection_to_doc(catalog.build('x8.3', 0)), f)\n"
+        f"print(triblock.cli.main(['verify', {doc!r}]))\n" + show +
         "from triblock.kclass import KClass, slope\n"
         "from triblock.picard import DivisorClass, Surface\n"
-        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
-        "print(*(m for m in heavy if m in sys.modules), sep=',')\n"
-        "p2 = Surface.plane(0)\n"
-        "value = slope(KClass(2, DivisorClass(p2, (1,)), -1))\n"
+        "value = slope(KClass(2, DivisorClass(Surface.plane(0), (1,)), -1))\n"
         "print('fractions' in sys.modules, type(value).__module__, type(value).__name__, value)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.splitlines() == ["", "True fractions Fraction 3/2"]
+    out = run(code)
+    assert out[0] == bare and out[-3:-1] == ["0", bare], out
+    assert "ok: block slopes  (4/3 < 3/2 < 2)" in out
+    assert out[-1] == "True fractions Fraction 3/2"

@@ -122,6 +122,20 @@ def test_bilinearity_and_symmetry():
             assert intersect(m * a, b) == m * intersect(a, b)
 
 
+
+def test_covector_is_the_pairing_functional():
+    # (x0, -x1, ..., -xr) on the plane and (x1, x0) on the quadric
+    assert Surface.plane(2).covector((3, -1, 2)) == (3, 1, -2)
+    assert Surface.plane(0).covector((4,)) == (4,)
+    assert Surface.quadric().covector((2, 5)) == (5, 2)
+    rng = random.Random(1997)
+    for s in [Surface.plane(r) for r in range(9)] + [Surface.quadric()]:
+        n = s.picard_rank
+        for _ in range(20):
+            x = tuple(rng.randint(-9, 9) for _ in range(n))
+            y = tuple(rng.randint(-9, 9) for _ in range(n))
+            assert sum(a * b for a, b in zip(s.covector(x), y)) == s.dot(x, y)
+
 def test_coordinate_length_checked():
     with pytest.raises(ValueError, match=r"^expected 3 coordinates on X2, got 2$"):
         DivisorClass(Surface.plane(2), (1, 0))
