@@ -38,9 +38,11 @@ reads each member once, into its block's rows (:func:`kclass.euler_rows`:
 rank, degree, 2*ch2, c1 and the covector of c1); the rows decide the block
 axioms and, through :func:`kclass.first_nonzero_chi`, the orthogonality
 inside the block and every pairing with the other blocks, at one
-``sum(map(mul, ...))`` a pair.  The certificate pays one
-:meth:`Surface.dot` a pair, inline.  :func:`chi` reports a nonzero pairing
-either finds.  Brute-force revalidation stays in the tests as the oracle of
+``sum(map(mul, ...))`` a pair.  The certificate takes the covector of
+the first new member once and pays the same one ``sum(map(mul, ...))`` a
+pair, inline; its only :meth:`Surface.dot` calls are the new members'
+exceptionality checks.  :func:`chi` reports a nonzero pairing either
+finds.  Brute-force revalidation stays in the tests as the oracle of
 both.
 
 Twist classes are decided in one place, by the key of
@@ -54,7 +56,7 @@ fields and iterates over them; nothing in the library relies on either.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .kclass import (
@@ -90,6 +92,13 @@ class MutationType(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.kind} (trivial)" if self.trivial else self.kind
+
+
+# The four move records block_mutation returns, one shared instance each.
+_DIVISION = MutationType(DIVISION)
+_RECOIL = MutationType(RECOIL)
+_EXTENSION = MutationType(EXTENSION)
+_TRIVIAL = MutationType(RECOIL, trivial=True)
 
 
 class Block(NamedTuple):
@@ -271,9 +280,10 @@ def is_complete(c: BlockCollection) -> bool:
     unitriangular, and the Euler form is unimodular on the lattice of
     (rank, c1, 2*ch2) vectors obeying the sheaf parity (Kuleshov-Orlov), so
     k0_rank valid members have determinant +-1 in a basis of that lattice:
-    the length alone decides.  The tests keep the determinant as the oracle.
+    the length alone decides, counted from the block sizes.  The tests keep
+    the determinant as the oracle.
     """
-    return len(c.members) == c.surface.k0_rank
+    return sum(c.type_vector) == c.surface.k0_rank
 
 
 def _mutate_members(
@@ -283,27 +293,32 @@ def _mutate_members(
     # each new member is sign*(chi_val*sum(through) - m), built once from the
     # integer coordinates (rank, c1, 2*ch2) as sign*chi_val*sum(through) -+ m.
     if chi_val == 0:
-        return moving.members, MutationType(RECOIL, trivial=True)
+        return moving.members, _TRIVIAL
+    olds, parts = moving.members, through.members
+    r, n, q = olds[0].rank, len(parts), parts[0].rank
     if side == "left":
-        division = chi_val > 0 and through.size * chi_val * through.rank > moving.rank
+        division = chi_val > 0 and n * chi_val * q > r
     else:
-        division = chi_val > 0 and moving.rank <= through.size * chi_val * through.rank
+        division = chi_val > 0 and r <= n * chi_val * q
     scale, op = (chi_val, sub) if division else (-chi_val, add)
-    s, parts = moving.surface, through.members
-    t_rank = scale * through.size * through.rank
-    t_c1 = [scale * sum(col) for col in zip(*(m.c1.coords for m in parts))]
-    t_ch = scale * sum(m.ch2x2 for m in parts)
+    s = olds[0].c1.surface
+    t_rank = scale * n * q
+    t_c1 = [scale * sum(col) for col in zip(*[m.c1.coords for m in parts])]
+    t_ch = scale * sum([m.ch2x2 for m in parts])
     # A list first: tuple(map(...)) over-allocates, and every stored class
-    # would keep the slack.
-    new = tuple(
-        KClass(
+    # would keep the slack.  tuple.__new__ builds the records without
+    # DivisorClass's coordinate-count check: the coordinates are maps over
+    # s's own tuples, and the certificate checks the count.
+    make = tuple.__new__
+    new = tuple([
+        make(KClass, (
             op(t_rank, m.rank),
-            DivisorClass(s, tuple([*map(op, t_c1, m.c1.coords)])),
+            make(DivisorClass, (s, tuple([*map(op, t_c1, m.c1.coords)]))),
             op(t_ch, m.ch2x2),
-        )
-        for m in moving.members
-    )
-    return new, MutationType(DIVISION if division else RECOIL if chi_val > 0 else EXTENSION)
+        ))
+        for m in olds
+    ])
+    return new, _DIVISION if division else _RECOIL if chi_val > 0 else _EXTENSION
 
 
 def block_mutation(
@@ -322,8 +337,10 @@ def block_mutation(
 
     Certificate, for the old members O_j, the new N_j and the m members of
     the other blocks, in one pass: one loop over the pairs (N_j, O_j) checks
-    (a) and (c), then one Surface.dot per other member checks (b).
-    (a) each N_j passes the block axioms short of orthogonality;
+    (a) and (c), then N_0's covector, taken once, pairs with each other
+    member to check (b).
+    (a) each N_j has its surface's coordinate count and passes the block
+        axioms short of orthogonality;
     (b) chi(N_0, X) = 0 for each X before the new block and chi(X, N_0) = 0
         for each X after it, computed afresh;
     (c) N_j + s*O_j == N_0 + s*O_0 on (c1, 2*ch2) for each j, where s = +1
@@ -384,7 +401,7 @@ def _certified(blocks: tuple, at: int, old: Block, division: bool, surface: Surf
     new, olds = blocks[at].members, old.members
     if len(new) != len(olds) or new[0].c1.surface != surface:
         return False
-    dot, degree_of = surface.dot, surface.degree
+    degree_of, k = surface.degree, surface.picard_rank
     r, x0, n = new[0].rank, new[0].c1.coords, new[0].ch2x2
     d = degree_of(x0)
     op = add if division else sub
@@ -392,7 +409,8 @@ def _certified(blocks: tuple, at: int, old: Block, division: bool, surface: Surf
     for m, o in zip(new, olds):  # (a) and (c)
         x, ch = m.c1.coords, m.ch2x2
         if (
-            m.rank != r or m.c1.surface != surface or degree_of(x) != d or (ch - d) % 2
+            m.rank != r or m.c1.surface != surface or len(x) != k
+            or degree_of(x) != d or (ch - d) % 2
             or not m.is_exceptional
             or (op(ch, o.ch2x2), [*map(op, x, o.c1.coords)]) != shift
         ):
@@ -400,12 +418,16 @@ def _certified(blocks: tuple, at: int, old: Block, division: bool, surface: Surf
     # (b): Riemann-Roch with N_0 = (r, c1_0, n) of degree d and X's rank q
     # and degree e hoisted: 2*chi(N_0, X) for X before N and 2*chi(X, N_0)
     # after are 2rq + qn + r*ch_X -+ (qd - re) - 2*c1_0.c1_X.
+    # c1_0.c1_X is the covector of c1_0 applied to c1_X, as in
+    # kclass.first_nonzero_chi.
+    cov = surface.covector(x0)
     for sign, others in ((1, blocks[:at]), (-1, blocks[at + 1 :])):
         for b in others:
-            q = b.members[0].rank
-            base = 2 * r * q + q * n + sign * (r * degree_of(b.members[0].c1.coords) - q * d)
-            for m in b.members:
-                if base + r * m.ch2x2 != 2 * dot(x0, m.c1.coords):
+            members = b.members
+            q = members[0].rank
+            base = 2 * r * q + q * n + sign * (r * degree_of(members[0].c1.coords) - q * d)
+            for m in members:
+                if base + r * m.ch2x2 != 2 * sum(map(mul, cov, m.c1.coords)):
                     return False
     return True
 
@@ -478,16 +500,16 @@ def abc(c: BlockCollection) -> tuple[int, int, int]:
         raise BlockError("abc requires a three-block collection")
     e, f, g = c.blocks
     ksq = c.surface.k_squared
+    x, y, z = c.ranks
     a_val = _cross(f, g)
     c_val = _cross(e, f)
-    b_val = _cross(g, e) + e.rank * g.rank * ksq
+    b_val = _cross(g, e) + x * z * ksq
     shown = ",".join(map(render_int, (a_val, b_val, c_val)))
     if a_val <= 0 or b_val <= 0 or c_val <= 0:
         raise InvariantViolationError(
             f"cross pairings (a,b,c)=({shown}) are not all positive"
         )
     alpha, beta, gamma = c.type_vector
-    x, y, z = c.ranks
     ok = (
         a_val * a_val * beta * gamma == ksq * alpha * x * x
         and b_val * b_val * alpha * gamma == ksq * beta * y * y
@@ -535,9 +557,7 @@ def block_rank_triple(c: BlockCollection) -> tuple[int, int, int]:
     """Block ranks read off in order of increasing block length (stable)."""
     if len(c.blocks) != 3:
         raise BlockError("rank triple requires a three-block collection")
-    order = sorted(range(3), key=lambda i: c.blocks[i].size)
-    ranks = c.ranks
-    return (ranks[order[0]], ranks[order[1]], ranks[order[2]])
+    return tuple([b.rank for b in sorted(c.blocks, key=lambda b: b.size)])
 
 
 def twist_normal_form(c: BlockCollection) -> tuple[tuple, DivisorClass]:

@@ -20,8 +20,10 @@ block once into its integers, with :func:`row_is_exceptional` and
 and :func:`chi_minus` for its antisymmetric part r(E)d(F) - r(F)d(E),
 through which ``blockcalc`` reads its closed forms.  The one other copy is
 the hoisted form inside ``blockcalc``'s one-pass mutation certificate,
-which the tests hold to brute-force validation.  :func:`torsion_class`
-takes the (-1)-class condition from ``picard.is_kind``.
+which pairs the first new member's covector with the other members as
+:func:`first_nonzero_chi` does, and which the tests hold to brute-force
+validation.  :func:`torsion_class` takes the (-1)-class condition from
+``picard.is_kind``.
 
 Error messages render their integers through :func:`render_int`, which
 never meets CPython's limit on int-to-str conversion, so a failed check on

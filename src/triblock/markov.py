@@ -120,6 +120,8 @@ EQUATIONS: tuple[MarkovEquation, ...] = (
 )
 
 _BY_LABEL = {eq.label: eq for eq in EQUATIONS}
+# Keyed by (surface, sorted type); no two equations share a key.
+_BY_SHAPE = {(eq.surface, eq.type_vector): eq for eq in EQUATIONS}
 
 
 def enumerate_equations() -> tuple[MarkovEquation, ...]:
@@ -139,10 +141,10 @@ def equation_by_label(label: str) -> MarkovEquation:
 def equation_for(surface: Surface, type_vector: Iterable[int]) -> MarkovEquation:
     """Look an equation up by surface and (sorted) block type."""
     wanted = tuple(sorted(type_vector))
-    for eq in EQUATIONS:
-        if eq.surface == surface and eq.type_vector == wanted:
-            return eq
-    raise ValueError(f"no equation of type {wanted} on {surface}")
+    try:
+        return _BY_SHAPE[surface, wanted]
+    except KeyError:
+        raise ValueError(f"no equation of type {wanted} on {surface}") from None
 
 
 def check_solution(eq: MarkovEquation, s: SolutionTriple) -> bool:

@@ -734,9 +734,10 @@ def test_seeded_words_match_full_revalidation_oracle():
 
 def test_valid_mutations_pass_the_certificate(monkeypatch):
     # On the valid path no move falls back to validate_collection, and a
-    # move costs one Surface.dot per member of the collection, plus one for
-    # the chi that reads the cross pairing: n exceptionality checks on the
-    # new members and m pairings of the first of them with the others.
+    # move costs one Surface.dot for the chi that reads the cross pairing
+    # and one per new member, its exceptionality check; the pairings of the
+    # first new member with the others go through its covector.  The closed
+    # form that abc and dual_basis read equals that chi at every step.
     steps = list(chain(_braid_closure(), _seeded_steps(), _flavour_steps()))
     assert len(steps) == 16 * (4 + 16 + 64) + 16 * 24 + 5
     assert {str(kind) for *_, kind in steps} == {
@@ -752,9 +753,11 @@ def test_valid_mutations_pass_the_certificate(monkeypatch):
     monkeypatch.setattr(blockcalc, "validate_collection", None)  # never reached
     monkeypatch.setattr(Surface, "dot", dot)
     for node, side, i, child, kind in steps:
+        e, f = node.blocks[i - 1], node.blocks[i]
+        assert blockcalc._cross(e, f) == chi(e.members[0], f.members[0])
         dots[0] = 0
         assert block_mutation(node, i, side) == (child, kind)
-        assert dots[0] == 1 + len(node.members)
+        assert dots[0] == 1 + len(child.blocks[i - 1 if side == "left" else i].members)
 
 
 def _abc_by_brute_force(c):
@@ -931,6 +934,25 @@ def test_mutation_fault_on_two_blocks_names_the_new_block(monkeypatch):
         assert str(err.value) == (
             "mutation left@1 produced an invalid collection: block 1 lives on a different surface"
         )
+
+
+def test_certificate_checks_the_coordinate_count(monkeypatch):
+    # _mutate_members builds its classes without DivisorClass's count
+    # check, so the certificate checks it: a new member with one more
+    # coordinate (a zero) or one fewer is rejected.
+    c = catalog.build("x3")
+    real = blockcalc._mutate_members
+    for change in (lambda x: x + (0,), lambda x: x[:-1]):
+
+        def broken(moving, through, chi_val, side):
+            new, kind = real(moving, through, chi_val, side)
+            m = new[-1]
+            c1 = tuple.__new__(DivisorClass, (m.c1.surface, change(m.c1.coords)))
+            return new[:-1] + (tuple.__new__(KClass, (m.rank, c1, m.ch2x2)),), kind
+
+        monkeypatch.setattr(blockcalc, "_mutate_members", broken)
+        with pytest.raises(InvariantViolationError, match="^mutation left@2 produced an invalid"):
+            block_mutation(c, 2, "left")
 
 
 def _brute_force_accepts(node, side, i, new, kind):

@@ -318,6 +318,8 @@ def test_lookups():
     assert equation_for(Surface.plane(6), (6, 2, 1)).label == "x6.2"
     assert equation_for(Surface.plane(6), (1, 2, 6)).label == "x6.2"
     assert equation_for(Surface.quadric(), (1, 2, 1)).label == "quadric"
+    for eq in EQUATIONS:
+        assert equation_for(eq.surface, eq.type_vector[::-1]) is eq
     with pytest.raises(ValueError, match="no equation of type"):
         equation_for(Surface.plane(6), (1, 1, 1))
     with pytest.raises(ValueError, match="unknown equation label"):
