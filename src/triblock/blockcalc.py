@@ -12,7 +12,9 @@ its proof).  Pairings between the untouched blocks are the input's and
 keep their order, so they need no recheck.  A failed certificate means the
 arithmetic itself is broken: :func:`validate_collection` on the new blocks
 names the fault, which is reported as :class:`InvariantViolationError`,
-never as bad input.
+never as bad input.  :func:`validate_collection` and :func:`validate_block`
+are the only code that names a block fault; ``catalog``'s merge of two
+blocks calls the latter too.
 
 Closed forms.  For blocks E before F of one valid collection,
 semiorthogonality gives chi(f, e) = 0 for members e of E and f of F, so
@@ -36,14 +38,15 @@ Pairings are computed afresh from the classes, Riemann-Roch with each
 block's one rank and degree hoisted out of the member loops.  Validation
 reads each member once, into its block's rows (:func:`kclass.euler_rows`:
 rank, degree, 2*ch2, c1 and the covector of c1); the rows decide the block
-axioms and, through :func:`kclass.first_nonzero_chi`, the orthogonality
-inside the block and every pairing with the other blocks, at one
-``sum(map(mul, ...))`` a pair.  The certificate takes the covector of
-the first new member once and pays the same one ``sum(map(mul, ...))`` a
-pair, inline; its only :meth:`Surface.dot` calls are the new members'
-exceptionality checks.  :func:`chi` reports a nonzero pairing either
-finds.  Brute-force revalidation stays in the tests as the oracle of
-both.
+axioms other than exceptionality and, through
+:func:`kclass.first_nonzero_chi`, the orthogonality inside the block and
+every pairing with the other blocks, at one ``sum(map(mul, ...))`` a pair.
+The certificate takes the covector of the first new member once and pays
+the same one ``sum(map(mul, ...))`` a pair, inline.  Validation and the
+certificate test exceptionality with one formula,
+``KClass.is_exceptional``, whose :meth:`Surface.dot` is the certificate's
+only one.  :func:`chi` reports a nonzero pairing either finds.
+Brute-force revalidation stays in the tests as the oracle of both.
 
 Twist classes are decided in one place, by the key of
 :func:`twist_normal_form`; every other twist test compares such keys.
@@ -69,7 +72,6 @@ from .kclass import (
     euler_rows,
     first_nonzero_chi,
     render_int,
-    row_is_exceptional,
     twist,
 )
 from .picard import DivisorClass, Surface, canonical_class
@@ -153,14 +155,14 @@ def _checked_block(members: Sequence[KClass]) -> tuple[Block, list[tuple]]:
     if any(m.c1.surface != surface for m in members[1:]):
         raise BlockError("block members live on different surfaces")
     rows = euler_rows(members)
-    for n, row in enumerate(rows, 1):
-        if not row_is_exceptional(row):
+    for n, (m, row) in enumerate(zip(members, rows), 1):
+        if not m.is_exceptional:
             problem = "is not exceptional"
         elif (row[2] - row[1]) % 2:
             problem = "breaks the sheaf parity 2*ch2 == c1.K (mod 2)"
         else:
             continue
-        raise BlockError(f"member {n} {describe(members[n - 1])} {problem}")
+        raise BlockError(f"member {n} {describe(m)} {problem}")
     if len({row[0] for row in rows}) > 1:
         raise BlockError("block members must share a common rank")
     if len({row[1] for row in rows}) > 1:
@@ -206,14 +208,18 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
 
     Accepts Block instances or plain sequences of classes.  Every Euler
     pairing from a later block into an earlier one must vanish.  A failure
-    names the offending block, or the offending pair of members (1-based).
-    Each block is read once into its rows (:func:`kclass.euler_rows`),
-    which decide its axioms and then every pairing with the other blocks.
+    names the offending block, prefixing :func:`validate_block`'s message
+    with ``block n: ``, or the offending pair of members (1-based).  Each
+    block is read once into its rows (:func:`kclass.euler_rows`), which
+    decide its axioms other than exceptionality and then every pairing
+    with the other blocks.
     """
-    checked = [
-        _validate_block_at(b.members if isinstance(b, Block) else b, n)
-        for n, b in enumerate(blocks, 1)
-    ]
+    checked = []
+    for n, b in enumerate(blocks, 1):
+        try:
+            checked.append(_checked_block(b.members if isinstance(b, Block) else b))
+        except BlockError as exc:
+            raise BlockError(f"block {n}: {exc}") from None
     if not checked:
         raise BlockError("a collection must contain at least one block")
     surface = checked[0][0].surface
@@ -234,15 +240,6 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
                     f"= {render_int(value)}; the collection is not semiorthogonal"
                 )
     return BlockCollection(tuple(b for b, _ in checked))
-
-
-def _validate_block_at(members: Sequence[KClass], n: int) -> tuple[Block, list[tuple]]:
-    # The checked block and its rows, naming the block by its 1-based
-    # position n on failure.
-    try:
-        return _checked_block(members)
-    except BlockError as exc:
-        raise BlockError(f"block {n}: {exc}") from None
 
 
 def _cross(e: Block, f: Block) -> int:
@@ -355,12 +352,12 @@ def block_mutation(
     pairing of N_j with the other blocks.  The argument reads neither the
     cross pairing nor the formula that produced the N_j.
 
-    If the certificate fails, the new block is validated and its surface
+    If the certificate fails, the surface of the new block's first member is
     checked, then :func:`validate_collection` on the new blocks names the
     fault, or else the new block is reported as no translate of the old
     one; either way the error is an InvariantViolationError.  The untouched
-    blocks keep their order and pairings, so the first fault found involves
-    the new block.
+    blocks are valid, keep their order and pairings, and are checked in
+    order, so the first fault found involves the new block.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -374,7 +371,7 @@ def block_mutation(
     blocks = c.blocks[: i - 1] + pair + c.blocks[i + 1 :]
     if not _certified(blocks, at, old, mtype.kind == DIVISION, c.surface):
         try:
-            if _validate_block_at(members, at + 1)[0].surface != c.surface:
+            if members[0].c1.surface != c.surface:
                 raise BlockError(f"block {at + 1} lives on a different surface")
             validate_collection(blocks)
             raise BlockError(f"block {at + 1} is not a translate of the block it replaces")
@@ -450,6 +447,13 @@ def parse_move(token: str) -> tuple[str, int]:
     raise ValueError(f"invalid mutation token {token!r}; expected like 'L2' or 'R1'")
 
 
+def _three_blocks(c: BlockCollection, what: str) -> tuple[Block, ...]:
+    # c's blocks; what needs exactly three of them names itself on failure.
+    if len(c.blocks) != 3:
+        raise BlockError(f"{what} requires a three-block collection")
+    return c.blocks
+
+
 def dual_basis(c: BlockCollection) -> tuple[KClass, ...]:
     """Right dual classes of a complete three-block collection, in order.
 
@@ -458,11 +462,9 @@ def dual_basis(c: BlockCollection) -> tuple[KClass, ...]:
     The recoil uses the closed-form cross pairing (:func:`_cross`) of the
     first two blocks, so c must be valid (module docstring).
     """
-    if len(c.blocks) != 3:
-        raise BlockError("dual basis requires a three-block collection")
+    e, f, g = _three_blocks(c, "dual basis")
     if not is_complete(c):
         raise BlockError("dual basis requires a complete collection")
-    e, f, g = c.blocks
     c_ef = _cross(e, f)
     e_total = e.class_sum()
     k = canonical_class(c.surface)
@@ -496,9 +498,7 @@ def abc(c: BlockCollection) -> tuple[int, int, int]:
     (a, b, c) to the type (alpha, beta, gamma), the ranks (x, y, z) and K^2,
     and the trace identity a^2/alpha + b^2/beta + c^2/gamma == abc.
     """
-    if len(c.blocks) != 3:
-        raise BlockError("abc requires a three-block collection")
-    e, f, g = c.blocks
+    e, f, g = _three_blocks(c, "abc")
     ksq = c.surface.k_squared
     x, y, z = c.ranks
     a_val = _cross(f, g)
@@ -531,8 +531,7 @@ def helix_shift(c: BlockCollection, k: int) -> BlockCollection:
     collections this agrees with the two right mutations across the first
     and then the second pair, and that agreement is verified.
     """
-    if len(c.blocks) != 3:
-        raise BlockError("helix shift requires a three-block collection")
+    _three_blocks(c, "helix shift")
     mk = -canonical_class(c.surface)
     check = is_complete(c)
     for _ in range(abs(k)):
@@ -555,9 +554,8 @@ def helix_shift(c: BlockCollection, k: int) -> BlockCollection:
 
 def block_rank_triple(c: BlockCollection) -> tuple[int, int, int]:
     """Block ranks read off in order of increasing block length (stable)."""
-    if len(c.blocks) != 3:
-        raise BlockError("rank triple requires a three-block collection")
-    return tuple([b.rank for b in sorted(c.blocks, key=lambda b: b.size)])
+    blocks = _three_blocks(c, "rank triple")
+    return tuple([b.rank for b in sorted(blocks, key=lambda b: b.size)])
 
 
 def twist_normal_form(c: BlockCollection) -> tuple[tuple, DivisorClass]:

@@ -40,7 +40,6 @@ from .blockcalc import (
     Block,
     BlockCollection,
     BlockError,
-    _validate_block_at,
     apply_word,
     block_rank_triple,
     validate_block,
@@ -398,9 +397,10 @@ def _merge_distinguished(c: BlockCollection) -> BlockCollection:
     # Exactly one adjacent pair must be mutually orthogonal; gluing it is
     # what turns the four braid blocks into the final three.  c is valid, so
     # chi(later, earlier) already vanishes, so chi(earlier, later) is the
-    # constant chi_minus of one member pair.  Validating the glued block
-    # certifies the merge: every other pairing is one of c's valid pairings,
-    # between blocks that keep their order.
+    # constant chi_minus of one member pair.  validate_block on the glued
+    # members certifies the merge: every other pairing is one of c's valid
+    # pairings, between blocks that keep their order.  Its message names the
+    # block by position, as validate_collection would.
     firsts = [b.members[0] for b in c.blocks]
     mergeable = [i for i in range(len(firsts) - 1) if chi_minus(firsts[i], firsts[i + 1]) == 0]
     if len(mergeable) != 1:
@@ -409,9 +409,9 @@ def _merge_distinguished(c: BlockCollection) -> BlockCollection:
         )
     i = mergeable[0]
     try:
-        merged, _ = _validate_block_at(c.blocks[i].members + c.blocks[i + 1].members, i + 1)
+        merged = validate_block(c.blocks[i].members + c.blocks[i + 1].members)
     except BlockError as exc:
-        raise InvariantViolationError(f"merged collection is invalid: {exc}") from exc
+        raise InvariantViolationError(f"merged collection is invalid: block {i + 1}: {exc}") from exc
     return BlockCollection(c.blocks[:i] + (merged,) + c.blocks[i + 2 :])
 
 

@@ -14,15 +14,17 @@ integer dot products on coordinate tuples.  A KClass stores no surface of
 its own: it lives on its c1's, so each function that takes two arguments
 checks those two surfaces once and raises LatticeMismatchError when they
 differ.  This module is the one place that writes out Riemann-Roch:
-:func:`chi` for one pair; :func:`euler_rows`, which reads each class of a
-block once into its integers, with :func:`row_is_exceptional` and
-:func:`first_nonzero_chi` on those rows for a whole block or block pair;
-and :func:`chi_minus` for its antisymmetric part r(E)d(F) - r(F)d(E),
-through which ``blockcalc`` reads its closed forms.  The one other copy is
-the hoisted form inside ``blockcalc``'s one-pass mutation certificate,
-which pairs the first new member's covector with the other members as
-:func:`first_nonzero_chi` does, and which the tests hold to brute-force
-validation.  :func:`torsion_class` takes the (-1)-class condition from
+:func:`chi` for one pair; ``KClass.is_exceptional`` for chi(E, E) == 1,
+the one exceptionality test that block validation and ``blockcalc``'s
+mutation certificate share; :func:`euler_rows`, which reads each class of
+a block once into its integers, with :func:`first_nonzero_chi` on those
+rows for a whole block or block pair; and :func:`chi_minus` for its
+antisymmetric part r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads
+its closed forms.  The one other copy is the hoisted form inside
+``blockcalc``'s one-pass mutation certificate, which pairs the first new
+member's covector with the other members as :func:`first_nonzero_chi`
+does, and which the tests hold to brute-force validation.
+:func:`torsion_class` takes the (-1)-class condition from
 ``picard.is_kind``.
 
 Error messages render their integers through :func:`render_int`, which
@@ -169,19 +171,13 @@ def euler_rows(members: Sequence[KClass]) -> list[tuple]:
     """Each class as its row (rank, degree, 2*ch2, c1 coordinates, covector of c1).
 
     The surface is the first class's, unchecked: the classes share it.  A
-    row holds every integer that :func:`row_is_exceptional` and
-    :func:`first_nonzero_chi` read, so a block read once into rows serves
-    its own axioms and its pairings with every other block.
+    row holds every integer that :func:`first_nonzero_chi` reads, and the
+    degree that the sheaf parity needs, so a block read once into rows
+    serves its pairings inside itself and with every other block.
     """
     s = members[0].c1.surface
     deg, cov = s.degree, s.covector
     return [(m.rank, deg(x), m.ch2x2, x, cov(x)) for m in members for x in (m.c1.coords,)]
-
-
-def row_is_exceptional(row: tuple) -> bool:
-    """``KClass.is_exceptional`` on a row: r*(r + ch2x2) - c1^2 == 1."""
-    r, _, ch, x, cov = row
-    return r * (r + ch) - sum(map(mul, cov, x)) == 1
 
 
 def first_nonzero_chi(rows: list, cols: list, upper: bool = False) -> tuple[int, int] | None:

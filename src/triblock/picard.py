@@ -223,8 +223,9 @@ def _bounded_vectors(count: int, total: int, square_total: int) -> Iterator[tupl
     # Integer vectors b of given length with sum(b) == total and
     # sum(b*b) == square_total.  Prunes with Cauchy-Schwarz at every node:
     # any completion satisfies total^2 <= count * square_total.
-    if square_total < 0:
-        return
+    # square_total is never negative: enumerate_classes starts it at
+    # a^2 - square >= 1 (square is -1 or -2), and each recursive call
+    # subtracts b^2 with |b| <= isqrt(square_total).
     if count == 0:
         if total == 0 and square_total == 0:
             yield ()

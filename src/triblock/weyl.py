@@ -46,6 +46,7 @@ from .kclass import InvariantViolationError, KClass
 from .markov import EQUATIONS, equation_by_label
 from .picard import (
     MINUS_ONE,
+    QUADRIC,
     ROOT,
     DivisorClass,
     Surface,
@@ -60,7 +61,7 @@ def simple_reflections(surface: Surface) -> tuple[DivisorClass, ...]:
     """The simple roots of the surface's Weyl group, built once per surface:
     the Cremona root l0 - l1 - l2 - l3 first (r >= 3), then the swaps
     l_i - l_{i+1}; f1 - f2 on the quadric."""
-    if surface.kind == "quadric":
+    if surface.kind == QUADRIC:
         return (DivisorClass(surface, (1, -1)),)
     r = surface.blowups
     cremona = [(1, -1, -1, -1) + (0,) * (r - 3)] if r >= 3 else []
@@ -242,7 +243,7 @@ def _stabiliser_roots(surface: Surface, vectors: list) -> tuple:
     for v in vectors:
         u = [(bound + 1) * x + y for x, y in zip(u, v)]
     roots = simple_reflections(surface)
-    start = 0 if surface.kind == "quadric" else 1
+    start = 0 if surface.kind == QUADRIC else 1
     cremona = roots[0].coords if surface.blowups >= 3 else None  # listed first
     passes = _positive_root_count(roots) + 1
     for _ in range(passes):
@@ -455,7 +456,7 @@ def count_disjoint_sets(surface: Surface, m: int) -> int:
         raise ValueError("set size must be nonnegative")
     if m == 0:
         return 1
-    if surface.kind == "quadric" or m > surface.blowups:
+    if surface.kind == QUADRIC or m > surface.blowups:
         return 0
     order = coxeter_order(simple_reflections(surface))
     ordered = 0

@@ -495,6 +495,30 @@ def test_dual_basis_requires_three_complete_blocks():
         dual_basis(two)
 
 
+def test_dual_basis_requires_a_complete_collection():
+    # [O_E(-1)], [O], [O(H)] on X1: three valid blocks, 3 classes of K0 rank 4.
+    x1 = Surface.plane(1)
+    c = validate_collection(
+        [[torsion_class(DivisorClass.basis(x1, 1), -1)], [lb(x1, 0, 0)], [lb(x1, 1, 0)]]
+    )
+    assert not is_complete(c)
+    with pytest.raises(BlockError, match="^dual basis requires a complete collection$"):
+        dual_basis(c)
+
+
+def test_three_block_guards_name_their_caller():
+    x1 = Surface.plane(1)
+    two = validate_collection([[lb(x1, 0, 0)], [lb(x1, 0, 1)]])
+    for call, what in (
+        (dual_basis, "dual basis"),
+        (abc, "abc"),
+        (lambda c: helix_shift(c, 1), "helix shift"),
+        (block_rank_triple, "rank triple"),
+    ):
+        with pytest.raises(BlockError, match=f"^{what} requires a three-block collection$"):
+            call(two)
+
+
 def test_pairing_vanishing_and_plane_value():
     for label in catalog.labels():
         c = catalog.build(label)
@@ -934,6 +958,33 @@ def test_mutation_fault_on_two_blocks_names_the_new_block(monkeypatch):
         assert str(err.value) == (
             "mutation left@1 produced an invalid collection: block 1 lives on a different surface"
         )
+
+
+def test_mutation_fault_names_a_foreign_first_member_by_its_surface(monkeypatch):
+    # After a failed certificate the surface of the new block's first member
+    # is checked before validate_collection, so a forged block whose first
+    # member lies on another surface is named by that, whatever else is
+    # wrong with it; a foreign member after the first is the block's own
+    # fault.
+    c = catalog.build("x3")
+    x2 = Surface.plane(2)
+    foreign = line_bundle(DivisorClass.zero(x2))
+    real = blockcalc._mutate_members
+    for tamper, message in (
+        (lambda new: (KClass(1, DivisorClass.zero(x2), 2),), "block 2 lives on a different surface"),
+        (lambda new: (foreign, foreign), "block 2 lives on a different surface"),
+        (lambda new: (foreign,) + new[1:], "block 2 lives on a different surface"),
+        (lambda new: new[:1] + (foreign,), "block 2: block members live on different surfaces"),
+    ):
+
+        def broken(moving, through, chi_val, side, tamper=tamper):
+            new, kind = real(moving, through, chi_val, side)
+            return tamper(new), kind
+
+        monkeypatch.setattr(blockcalc, "_mutate_members", broken)
+        with pytest.raises(InvariantViolationError) as err:
+            block_mutation(c, 2, "left")
+        assert str(err.value) == "mutation left@2 produced an invalid collection: " + message
 
 
 def test_certificate_checks_the_coordinate_count(monkeypatch):

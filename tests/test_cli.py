@@ -311,6 +311,33 @@ def test_verify_rejects_malformed_documents(capsys, tmp_path):
     assert out.startswith("FAIL: surface must be a string")
 
 
+# Documents of the wrong shape, each with the message collection_from_doc
+# gives before it builds any class.
+SHAPE_FAULTS = {
+    "array": ([], "document must be a JSON object"),
+    "no-blocks": ({"surface": "X1", "blocks": []}, "document needs a nonempty 'blocks' list"),
+    "object-block": (
+        {"surface": "X1", "blocks": [{"rank": 1, "c1": [0, 0], "ch2x2": 0}]},
+        "each block must be a list of classes",
+    ),
+    "list-member": (
+        {"surface": "X1", "blocks": [[[1, [0, 0], 0]]]}, "each class must be an object"
+    ),
+    "no-ch2x2": (
+        {"surface": "X1", "blocks": [[{"rank": 1, "c1": [0, 0]}]]}, "class lacks field 'ch2x2'"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+def test_malformed_document_shapes_exit_two(capsys, tmp_path, fault):
+    doc, message = SHAPE_FAULTS[fault]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "verify", str(path)) == (2, f"FAIL: {message}\n", "")
+    assert run(capsys, "mutate", str(path), "L1") == (2, "", f"error: {message}\n")
+
+
 def test_parity_violation_is_bad_input(capsys, tmp_path):
     # A rank-0 member with 2*ch2 even on a curve with c1.K odd is exceptional
     # but breaks the sheaf parity; it is bad input, never an internal error.
@@ -555,6 +582,12 @@ def test_orbits_text_with_c_witnesses(capsys):
     assert rc == 0
     assert "C witness x5: ok" in out
     assert "C witness x6.1: ok" in out
+
+
+def test_orbits_json_with_c_witnesses(capsys):
+    doc = run_json(capsys, "orbits", "--label", "p2", "--check-c", "--json")
+    assert list(doc) == ["rows", "c_witnesses"]
+    assert doc["c_witnesses"] == {"x5": True, "x6.1": True}
 
 
 def test_orbits_recursion_checks(capsys):

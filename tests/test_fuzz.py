@@ -2,9 +2,11 @@
 
 Documents start from the sixteen cataloged builds and are perturbed at
 random (numbers, signs, field types, dropped, duplicated or reordered
-members and blocks, the surface), then go through ``verify`` and through
-``mutate`` with a random braid word.  Exit 3 is reserved for broken internal
-invariants, so any input the fuzzer can produce must give 0 or 2.
+members and blocks, the surface, a dropped field, and the document, its
+blocks list, a block or a member replaced by junk), then go through
+``verify`` and through ``mutate`` with a random braid word.  Exit 3 is
+reserved for broken internal invariants, so any input the fuzzer can
+produce must give 0 or 2.
 """
 
 import copy
@@ -33,7 +35,10 @@ KEEP_SHAPE = (
     "rank", "ch2x2", "c1", "sign", "rank0", "drop-member", "duplicate-member",
     "reorder-members", "drop-block", "duplicate-block", "reorder-blocks",
 )
-BREAK_SHAPE = ("junk", "c1-length", "surface")
+BREAK_SHAPE = (
+    "junk", "c1-length", "surface", "junk-document", "junk-blocks", "junk-block",
+    "junk-member", "drop-field",
+)
 
 
 def _perturb(rng, doc, kind):
@@ -73,6 +78,16 @@ def _perturb(rng, doc, kind):
         blocks.insert(rng.randrange(len(blocks) + 1), copy.deepcopy(block))
     elif kind == "reorder-blocks":
         rng.shuffle(blocks)
+    elif kind == "junk-document":
+        return rng.choice(JUNK)
+    elif kind == "junk-blocks":
+        doc["blocks"] = rng.choice(JUNK)
+    elif kind == "junk-block":
+        blocks[rng.randrange(len(blocks))] = rng.choice(JUNK)
+    elif kind == "junk-member":
+        block[i] = rng.choice(JUNK)
+    elif kind == "drop-field":
+        del m[rng.choice(("rank", "c1", "ch2x2"))]
     else:
         doc["surface"] = rng.choice(SURFACES)
     return doc

@@ -21,7 +21,6 @@ from triblock.kclass import (
     first_nonzero_chi,
     line_bundle,
     render_int,
-    row_is_exceptional,
     slope,
     torsion_class,
     twist,
@@ -317,7 +316,6 @@ def test_euler_form_core_matches_reference():
             assert e.is_exceptional is _is_exceptional_ref(e)
             row = (e.rank, degree(e), e.ch2x2, e.c1.coords, _covector_ref(e.c1))
             assert euler_rows([e]) == [row]
-            assert row_is_exceptional(euler_rows([e])[0]) is e.is_exceptional
             exceptional += e.is_exceptional
             d = DivisorClass(surface, tuple(rng.randint(-4, 4) for _ in range(surface.picard_rank)))
             assert twist(e, d) == _twist_ref(e, d)

@@ -144,6 +144,14 @@ def test_coordinate_length_checked():
     assert DivisorClass.zero(Surface.quadric()).coords == (0, 0)
 
 
+def test_basis_index_checked():
+    x2 = Surface.plane(2)
+    assert DivisorClass.basis(x2, 2).coords == (0, 0, 1)
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^basis index {i} out of range for X2$"):
+            DivisorClass.basis(x2, i)
+
+
 def test_lattice_mismatch():
     a = DivisorClass.zero(Surface.plane(2))
     b = DivisorClass.zero(Surface.plane(3))
@@ -256,6 +264,12 @@ def test_enumeration_is_sorted_and_deterministic():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         enumerate_classes(Surface.plane(2), "conic")
+
+
+def test_bound_multiplier_must_be_positive():
+    for multiplier in (0, -1):
+        with pytest.raises(ValueError, match="^bound_multiplier must be a positive integer$"):
+            enumerate_classes(Surface.plane(2), MINUS_ONE, bound_multiplier=multiplier)
 
 
 def test_is_kind_agrees_with_enumeration():

@@ -606,6 +606,20 @@ def test_verify_c_rejects_a_broken_witness(monkeypatch):
     assert verify_c("x5")
 
 
+def test_orbit_row_checks_that_c_divides_the_count(monkeypatch):
+    # p2 has one solution class, which a stored C of 2 cannot divide.  The
+    # cache is cleared first, or a row computed earlier would skip the check.
+    orbit_row.cache_clear()
+    monkeypatch.setitem(C_VALUES, "p2", 2)
+    try:
+        with pytest.raises(
+            InvariantViolationError, match="^orbit count 1 of p2 is not divisible by 2$"
+        ):
+            orbit_row("p2")
+    finally:
+        orbit_row.cache_clear()
+
+
 def test_count_disjoint_sets_small():
     x2, x3 = Surface.plane(2), Surface.plane(3)
     assert count_disjoint_sets(x2, 2) == 1
