@@ -26,27 +26,26 @@ first members.  Serre duality, chi(E, G(K)) = chi(G, E) = 0, gives abc's b
 as _cross(G, E) plus a K^2 term.  :func:`abc` and :func:`dual_basis` read
 these closed forms, and :func:`block_mutation` reads its pair's pairing
 off one member pair with a single :func:`chi`, which the constancy allows.
-Riemann-Roch lives in ``kclass``, but for the certificate's (below).  The
-brute-force :func:`chi_block` checks an arbitrary block pair and is their
-oracle in the tests.  Their precondition is a valid collection, which every
-BlockCollection is: validate_collection and the mutations check theirs, and
+Riemann-Roch lives in ``kclass`` alone.  The brute-force :func:`chi_block`
+checks an arbitrary block pair and is their oracle in the tests.  Their
+precondition is a valid collection, which every BlockCollection is:
+validate_collection and the mutations check theirs, and
 the direct constructions apply a twist (:func:`helix_shift` and ``catalog``)
 or the reflection in a root (``weyl.apply_to_collection``, which checks
 that its root is one), both of which preserve the Euler form.
 
-Pairings are computed afresh from the classes, Riemann-Roch with each
-block's one rank and degree hoisted out of the member loops.  Validation
-reads each member once, into its block's rows (:func:`kclass.euler_rows`:
-rank, degree, 2*ch2, c1 and the covector of c1); the rows decide the block
-axioms other than exceptionality and, through
-:func:`kclass.first_nonzero_chi`, the orthogonality inside the block and
-every pairing with the other blocks, at one ``sum(map(mul, ...))`` a pair.
-The certificate takes the covector of the first new member once and pays
-the same one ``sum(map(mul, ...))`` a pair, inline.  Validation and the
-certificate test exceptionality with one formula,
-``KClass.is_exceptional``, whose :meth:`Surface.dot` is the certificate's
-only one.  :func:`chi` reports a nonzero pairing either finds.
-Brute-force revalidation stays in the tests as the oracle of both.
+Pairings are computed afresh from the classes by one kernel,
+:func:`kclass.first_nonzero_chi`, which pairs one class's row (rank,
+degree, 2*ch2 and the covector of c1, :func:`kclass.euler_row`) with the
+members of a block, in either order, at one lattice product a member.
+Validation reads each member once into its row; the rows decide the block
+axioms other than exceptionality, and the kernel decides the orthogonality
+inside each block and the pairings of each member with the earlier blocks.
+The certificate reads the first new member's row and pairs it with every
+other block.  Validation and the certificate test exceptionality with one
+formula, ``KClass.is_exceptional``, whose :meth:`Surface.dot` is the
+certificate's only one.  :func:`chi` reports a nonzero pairing either
+finds.  Brute-force revalidation stays in the tests as the oracle of both.
 
 Twist classes are decided in one place, by the key of
 :func:`twist_normal_form`; every other twist test compares such keys.
@@ -59,7 +58,7 @@ fields and iterates over them; nothing in the library relies on either.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .kclass import (
@@ -69,7 +68,7 @@ from .kclass import (
     chi_minus,
     degree,
     describe,
-    euler_rows,
+    euler_row,
     first_nonzero_chi,
     render_int,
     twist,
@@ -146,15 +145,15 @@ def validate_block(members: Sequence[KClass]) -> Block:
 
 def _checked_block(members: Sequence[KClass]) -> tuple[Block, list[tuple]]:
     # validate_block's checks in its order and with its messages, on the
-    # members read once into kclass.euler_rows; returns the block and its
-    # rows, which validate_collection pairs with the other blocks' rows.
+    # members read once into their kclass.euler_row; returns the block and
+    # its rows, which validate_collection pairs with the earlier blocks.
     members = tuple(members)
     if not members:
         raise BlockError("a block must contain at least one class")
     surface = members[0].c1.surface
     if any(m.c1.surface != surface for m in members[1:]):
         raise BlockError("block members live on different surfaces")
-    rows = euler_rows(members)
+    rows = [euler_row(m) for m in members]
     for n, (m, row) in enumerate(zip(members, rows), 1):
         if not m.is_exceptional:
             problem = "is not exceptional"
@@ -171,13 +170,14 @@ def _checked_block(members: Sequence[KClass]) -> tuple[Block, list[tuple]]:
     # r*(d_b - d_a) = 0 and 2*chi(a,b) = 2 + (c1_a - c1_b)^2 (rank 0 too), so
     # chi(a,b) = 0 makes chi(b,a) vanish and c1_a - c1_b a root: its square
     # is -2, and the equal degrees make it orthogonal to K.
-    bad = first_nonzero_chi(rows, rows, upper=True)
-    if bad is not None:
-        i, j = bad
-        raise BlockError(
-            f"chi(member {i + 1}, member {j + 1}) = {render_int(chi(members[i], members[j]))}; "
-            "block members must be mutually orthogonal"
-        )
+    for i, row in enumerate(rows[:-1]):
+        j = first_nonzero_chi(row, members[i + 1 :])
+        if j is not None:
+            j += i + 1
+            raise BlockError(
+                f"chi(member {i + 1}, member {j + 1}) = {render_int(chi(members[i], members[j]))}; "
+                "block members must be mutually orthogonal"
+            )
     return Block(members), rows
 
 
@@ -210,9 +210,9 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
     pairing from a later block into an earlier one must vanish.  A failure
     names the offending block, prefixing :func:`validate_block`'s message
     with ``block n: ``, or the offending pair of members (1-based).  Each
-    block is read once into its rows (:func:`kclass.euler_rows`), which
-    decide its axioms other than exceptionality and then every pairing
-    with the other blocks.
+    member is read once into its row (:func:`kclass.euler_row`), which
+    decides its block axioms other than exceptionality and then, through
+    :func:`kclass.first_nonzero_chi`, its pairings with the earlier blocks.
     """
     checked = []
     for n, b in enumerate(blocks, 1):
@@ -226,19 +226,18 @@ def validate_collection(blocks: Iterable) -> BlockCollection:
     for n, (b, _) in enumerate(checked, 1):
         if b.surface != surface:
             raise BlockError(f"block {n} lives on a different surface")
-    # chi(later, earlier) == 0 from block j into block i, i < j; a failure
-    # names both members by their 1-based positions.
-    for i, (earlier, cols) in enumerate(checked):
-        for j in range(i + 1, len(checked)):
-            later, rows = checked[j]
-            bad = first_nonzero_chi(rows, cols)
-            if bad is not None:
-                a, b = bad
-                value = chi(later.members[a], earlier.members[b])
-                raise BlockError(
-                    f"chi(block {j + 1} member {a + 1}, block {i + 1} member {b + 1}) "
-                    f"= {render_int(value)}; the collection is not semiorthogonal"
-                )
+    # chi(later, earlier) == 0 from block j into block i, i < j, both
+    # 1-based; a failure names both members by their 1-based positions.
+    for i, (earlier, _) in enumerate(checked, 1):
+        for j, (later, rows) in enumerate(checked[i:], i + 1):
+            for a, row in enumerate(rows):
+                b = first_nonzero_chi(row, earlier.members)
+                if b is not None:
+                    value = chi(later.members[a], earlier.members[b])
+                    raise BlockError(
+                        f"chi(block {j} member {a + 1}, block {i} member {b + 1}) "
+                        f"= {render_int(value)}; the collection is not semiorthogonal"
+                    )
     return BlockCollection(tuple(b for b, _ in checked))
 
 
@@ -334,8 +333,8 @@ def block_mutation(
 
     Certificate, for the old members O_j, the new N_j and the m members of
     the other blocks, in one pass: one loop over the pairs (N_j, O_j) checks
-    (a) and (c), then N_0's covector, taken once, pairs with each other
-    member to check (b).
+    (a) and (c), then N_0's row, read once, meets each other block in
+    :func:`kclass.first_nonzero_chi` to check (b).
     (a) each N_j has its surface's coordinate count and passes the block
         axioms short of orthogonality;
     (b) chi(N_0, X) = 0 for each X before the new block and chi(X, N_0) = 0
@@ -399,10 +398,9 @@ def _certified(blocks: tuple, at: int, old: Block, division: bool, surface: Surf
     if len(new) != len(olds) or new[0].c1.surface != surface:
         return False
     degree_of, k = surface.degree, surface.picard_rank
-    r, x0, n = new[0].rank, new[0].c1.coords, new[0].ch2x2
-    d = degree_of(x0)
+    r, d, n, _ = row = euler_row(new[0])
     op = add if division else sub
-    shift = (op(n, olds[0].ch2x2), [*map(op, x0, olds[0].c1.coords)])
+    shift = (op(n, olds[0].ch2x2), [*map(op, new[0].c1.coords, olds[0].c1.coords)])
     for m, o in zip(new, olds):  # (a) and (c)
         x, ch = m.c1.coords, m.ch2x2
         if (
@@ -412,20 +410,12 @@ def _certified(blocks: tuple, at: int, old: Block, division: bool, surface: Surf
             or (op(ch, o.ch2x2), [*map(op, x, o.c1.coords)]) != shift
         ):
             return False
-    # (b): Riemann-Roch with N_0 = (r, c1_0, n) of degree d and X's rank q
-    # and degree e hoisted: 2*chi(N_0, X) for X before N and 2*chi(X, N_0)
-    # after are 2rq + qn + r*ch_X -+ (qd - re) - 2*c1_0.c1_X.
-    # c1_0.c1_X is the covector of c1_0 applied to c1_X, as in
-    # kclass.first_nonzero_chi.
-    cov = surface.covector(x0)
-    for sign, others in ((1, blocks[:at]), (-1, blocks[at + 1 :])):
+    # (b): N_0's row against each other block, chi(N_0, X) for the blocks
+    # before N and, reversed, chi(X, N_0) for those after it.
+    for reverse, others in ((False, blocks[:at]), (True, blocks[at + 1 :])):
         for b in others:
-            members = b.members
-            q = members[0].rank
-            base = 2 * r * q + q * n + sign * (r * degree_of(members[0].c1.coords) - q * d)
-            for m in members:
-                if base + r * m.ch2x2 != 2 * sum(map(mul, cov, m.c1.coords)):
-                    return False
+            if first_nonzero_chi(row, b.members, reverse) is not None:
+                return False
     return True
 
 

@@ -6,7 +6,8 @@ what one call returns, such as the fields of a :class:`weyl.OrbitRow` in
 their own order.  ``verify`` and ``catalog --verify`` only render the
 records of :func:`catalog.checks` and :func:`catalog.verify_entry`.
 
-Exit codes: 0 success, 2 bad input or failed verification, 3 broken internal
+Exit codes: 0 success, 1 stdout closed by its reader (CPython's own status
+on EPIPE), 2 bad input or failed verification, 3 broken internal
 invariant.  All numeric output is exact; rationals print as p/q and JSON
 carries integers only.
 """
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import suppress
 from functools import cache
 
 from . import blockcalc, catalog, markov, weyl
@@ -389,7 +392,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader left early, which is no fault of the input.  Stdout's
+        # descriptor moves to devnull, so that the flush at shutdown writes
+        # nowhere instead of failing again; a stdout with no descriptor, as
+        # under capsys, raises on fileno() and needs no move.
+        with suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except InvariantViolationError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3

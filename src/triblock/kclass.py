@@ -16,14 +16,11 @@ checks those two surfaces once and raises LatticeMismatchError when they
 differ.  This module is the one place that writes out Riemann-Roch:
 :func:`chi` for one pair; ``KClass.is_exceptional`` for chi(E, E) == 1,
 the one exceptionality test that block validation and ``blockcalc``'s
-mutation certificate share; :func:`euler_rows`, which reads each class of
-a block once into its integers, with :func:`first_nonzero_chi` on those
-rows for a whole block or block pair; and :func:`chi_minus` for its
-antisymmetric part r(E)d(F) - r(F)d(E), through which ``blockcalc`` reads
-its closed forms.  The one other copy is the hoisted form inside
-``blockcalc``'s one-pass mutation certificate, which pairs the first new
-member's covector with the other members as :func:`first_nonzero_chi`
-does, and which the tests hold to brute-force validation.
+mutation certificate share; :func:`first_nonzero_chi`, the one
+semiorthogonality test, which pairs one class's :func:`euler_row` with the
+members of a block in either order and which both of them call; and
+:func:`chi_minus` for its antisymmetric part r(E)d(F) - r(F)d(E), through
+which ``blockcalc`` reads its closed forms.
 :func:`torsion_class` takes the (-1)-class condition from
 ``picard.is_kind``.
 
@@ -167,40 +164,37 @@ def chi(e: KClass, f: KClass) -> int:
     return twice // 2
 
 
-def euler_rows(members: Sequence[KClass]) -> list[tuple]:
-    """Each class as its row (rank, degree, 2*ch2, c1 coordinates, covector of c1).
+def euler_row(e: KClass) -> tuple[int, int, int, tuple[int, ...]]:
+    """e as its row (rank, degree, 2*ch2, covector of c1).
 
-    The surface is the first class's, unchecked: the classes share it.  A
-    row holds every integer that :func:`first_nonzero_chi` reads, and the
-    degree that the sheaf parity needs, so a block read once into rows
-    serves its pairings inside itself and with every other block.
+    The row holds every integer of e that :func:`first_nonzero_chi` reads,
+    and the degree that the sheaf parity needs.
     """
-    s = members[0].c1.surface
-    deg, cov = s.degree, s.covector
-    return [(m.rank, deg(x), m.ch2x2, x, cov(x)) for m in members for x in (m.c1.coords,)]
+    s, x = e.c1.surface, e.c1.coords
+    return e.rank, s.degree(x), e.ch2x2, s.covector(x)
 
 
-def first_nonzero_chi(rows: list, cols: list, upper: bool = False) -> tuple[int, int] | None:
-    """The first (a, b), row by row, with chi(l_a, e_b) != 0, or None.
+def first_nonzero_chi(row: tuple, members: Sequence[KClass], reverse: bool = False) -> int | None:
+    """The index of the first member X with chi(E, X) != 0, or None.
 
-    rows and cols are :func:`euler_rows` of classes l_a and e_b on one
-    surface (unchecked), the rows sharing one rank and degree, and so the
-    columns, as the members of a block do.  Riemann-Roch as in :func:`chi`
-    with those hoisted: 2*chi(l, e) = 2rq + r*d_e - q*d_l + q*ch_l + r*ch_e
-    - 2*c1_l.c1_e for l of rank r and degree d_l among the rows and e of
-    rank q and degree d_e among the columns, and c1_l.c1_e is l's covector
-    applied to c1_e, so a pair costs one ``sum(map(mul, ...))``.  With
-    upper, rows and cols are one sequence and only the pairs b > a are
-    checked.
+    row is :func:`euler_row` of E, and the members, nonempty, share one rank
+    and degree, as those of a block do, and E's surface (unchecked).  With
+    reverse the pairing is chi(X, E).  Riemann-Roch as in :func:`chi` with
+    the ranks and degrees hoisted: 2*chi(E, X) = 2rq + q*n + r*ch_X +
+    (r*d_X - q*d) - 2*c1_E.c1_X for E of rank r, degree d and 2*ch2 n and X
+    of rank q and degree d_X.  Swapping the arguments flips only the sign
+    of the antisymmetric term r*d_X - q*d.  c1_E.c1_X is E's covector
+    applied to c1_X, so a member costs one ``sum(map(mul, ...))``.
     """
-    r, d_l, q, d_e = rows[0][0], rows[0][1], cols[0][0], cols[0][1]
-    base = 2 * r * q + r * d_e - q * d_l
-    for a, (_, _, ch, _, cov) in enumerate(rows):
-        u = base + q * ch
-        for b in range(a + 1 if upper else 0, len(cols)):
-            _, _, ch_e, y, _ = cols[b]
-            if u + r * ch_e != 2 * sum(map(mul, cov, y)):
-                return a, b
+    r, d, n, cov = row
+    q = members[0].rank
+    anti = r * degree(members[0]) - q * d
+    base = 2 * r * q + q * n + (-anti if reverse else anti)
+    for m in members:
+        if base + r * m.ch2x2 != 2 * sum(map(mul, cov, m.c1.coords)):
+            # A member equal to m pairs as m does, so none comes before m
+            # and index() finds m's own position.
+            return members.index(m)
     return None
 
 

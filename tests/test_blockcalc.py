@@ -488,13 +488,6 @@ def test_dual_basis_explicit_on_plane():
     )
 
 
-def test_dual_basis_requires_three_complete_blocks():
-    x1 = Surface.plane(1)
-    two = validate_collection([[lb(x1, 0, 0)], [lb(x1, 0, 1)]])
-    with pytest.raises(BlockError):
-        dual_basis(two)
-
-
 def test_dual_basis_requires_a_complete_collection():
     # [O_E(-1)], [O], [O(H)] on X1: three valid blocks, 3 classes of K0 rank 4.
     x1 = Surface.plane(1)
@@ -548,13 +541,6 @@ def test_abc_quadratic_relations_everywhere():
         assert cc * cc * alpha * beta == ksq * gamma * z * z
         lhs = a * a * beta * gamma + b * b * alpha * gamma + cc * cc * alpha * beta
         assert lhs == a * b * cc * alpha * beta * gamma
-
-
-def test_abc_requires_three_blocks():
-    x1 = Surface.plane(1)
-    two = validate_collection([[lb(x1, 0, 0)], [lb(x1, 0, 1)]])
-    with pytest.raises(BlockError):
-        abc(two)
 
 
 def test_helix_shift_matches_double_mutation():
@@ -673,10 +659,6 @@ def test_apply_word_inverses():
 def test_block_rank_triple():
     assert block_rank_triple(catalog.tau0()) == (1, 1, 1)
     assert block_rank_triple(catalog.build("x4")) == (1, 2, 1)
-    x1 = Surface.plane(1)
-    two = validate_collection([[lb(x1, 0, 0)], [lb(x1, 0, 1)]])
-    with pytest.raises(BlockError):
-        block_rank_triple(two)
 
 
 def test_mutation_preserves_completeness_and_type():

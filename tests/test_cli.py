@@ -1,9 +1,12 @@
 """End-to-end command line tests driven through ``cli.main``."""
 
+import errno
 import gc
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import unittest
 import warnings
@@ -441,6 +444,45 @@ def test_broken_catalog_build_is_exit_three(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert err == "internal invariant violated: no mergeable pair\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [("catalog", "all", "--verify"), ("graph", "p2", "--sum-bound", "1000", "--format", "json")],
+)
+def test_closed_stdout_exits_one_silently(argv, unbuffered):
+    # The reader closes the pipe before the command writes.  Buffered, the
+    # write fails at main's flush; unbuffered, at the first print.  Either
+    # way the exit is 1, CPython's own status on EPIPE, with nothing on
+    # stderr, not even at shutdown.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = subprocess._args_from_interpreter_flags() + (["-u"] if unbuffered else [])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "triblock.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+class _ClosedPipe(io.TextIOBase):
+    # A stdout with no file descriptor whose reader has gone.
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_without_a_descriptor_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["equations"]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
 
 
 def _rendered(checks):

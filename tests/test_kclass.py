@@ -17,7 +17,7 @@ from triblock.kclass import (
     chi,
     chi_minus,
     degree,
-    euler_rows,
+    euler_row,
     first_nonzero_chi,
     line_bundle,
     render_int,
@@ -314,8 +314,7 @@ def test_euler_form_core_matches_reference():
             assert degree(e) == _degree_ref(e)
             assert surface.degree(e.c1.coords) == _degree_ref(e)
             assert e.is_exceptional is _is_exceptional_ref(e)
-            row = (e.rank, degree(e), e.ch2x2, e.c1.coords, _covector_ref(e.c1))
-            assert euler_rows([e]) == [row]
+            assert euler_row(e) == (e.rank, degree(e), e.ch2x2, _covector_ref(e.c1))
             exceptional += e.is_exceptional
             d = DivisorClass(surface, tuple(rng.randint(-4, 4) for _ in range(surface.picard_rank)))
             assert twist(e, d) == _twist_ref(e, d)
@@ -333,32 +332,39 @@ def test_euler_form_core_matches_reference():
 
 
 def test_first_nonzero_chi_matches_pairwise_reference():
-    # Groups of classes sharing a rank and degree, paired every way; the
-    # first nonzero pairing must be the one a pair-by-pair scan finds.
+    # Groups of classes sharing a rank and degree; each class's row meets
+    # each group both ways, and the index found must be the first member
+    # whose pairing a member-by-member scan finds nonzero.  Each way sees
+    # all three outcomes: none, the first member and a later one.
     rng = random.Random(2718)
-    found = 0
+    found = {}
     for surface in [Surface.plane(r) for r in range(9)] + [QUADRIC]:
+        classes = _random_classes(surface, rng, 80)
         groups = {}
-        for e in _random_classes(surface, rng, 80):
+        for e in classes:
             groups.setdefault((e.rank, degree(e)), []).append(e)
-        for rows in groups.values():
-            for cols in groups.values():
-                pairs = [(a, b) for a in range(len(rows)) for b in range(len(cols))]
-                expected = next((p for p in pairs if _twice_chi_ref(rows[p[0]], cols[p[1]])), None)
-                assert first_nonzero_chi(euler_rows(rows), euler_rows(cols)) == expected
-                found += expected is not None
-            upper = next(
-                ((a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
-                 if _twice_chi_ref(rows[a], rows[b])),
-                None,
-            )
-            assert first_nonzero_chi(euler_rows(rows), euler_rows(rows), upper=True) == upper
-    assert found > 100
-    # The exceptional curves O(E_1), ..., O(E_8) are mutually orthogonal.
+        for e in classes:
+            row = euler_row(e)
+            for members in groups.values():
+                for reverse in (False, True):
+                    expected = next(
+                        (b for b, x in enumerate(members)
+                         if (_twice_chi_ref(x, e) if reverse else _twice_chi_ref(e, x))),
+                        None,
+                    )
+                    assert first_nonzero_chi(row, members, reverse) == expected
+                    key = (reverse, expected if expected is None else min(expected, 1))
+                    found[key] = found.get(key, 0) + 1
+    assert len(found) == 6 and min(found.values()) > 50, found
+    # The exceptional curves O(E_1), ..., O(E_8) are mutually orthogonal,
+    # and chi(E, E) = 1.
     x8 = Surface.plane(8)
     curves = [line_bundle(pl(x8, 0, *(int(i == j) for i in range(8)))) for j in range(8)]
-    assert first_nonzero_chi(euler_rows(curves), euler_rows(curves), upper=True) is None
-    assert first_nonzero_chi(euler_rows(curves), euler_rows(curves)) == (0, 0)
+    for a, e in enumerate(curves):
+        others = curves[:a] + curves[a + 1 :]
+        for reverse in (False, True):
+            assert first_nonzero_chi(euler_row(e), others, reverse) is None
+            assert first_nonzero_chi(euler_row(e), curves, reverse) == a
 
 
 def test_render_int_past_the_int_to_str_limit():

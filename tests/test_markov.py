@@ -10,7 +10,9 @@ library had them before the weighted squares were carried, are the oracles
 for the carried state.
 """
 
+import ast
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -805,6 +807,21 @@ def test_import_loads_only_the_layers_below():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert set(out.split()) == expected, layer
+
+
+def test_no_module_imports_a_private_name():
+    # A `_`-prefixed name belongs to its own module: no module of the
+    # package imports one, whether from a sibling or from elsewhere.
+    package = pathlib.Path(triblock.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert len(list(package.glob("*.py"))) > 5 and found == []
 
 
 def test_import_loads_neither_dataclasses_nor_fractions(tmp_path):
